@@ -158,7 +158,7 @@ def _load_comm(path: str, config: RunConfig) -> CommMatrix:
             line = line.strip()
             if not line:
                 continue
-            rows.append([float(tok) for tok in line.split(",")])
+            rows.append([ctx.scalar(Fraction(tok)) for tok in line.split(",")])
     return comm_matrix(rows, ctx)
 
 

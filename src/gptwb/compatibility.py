@@ -147,9 +147,9 @@ def _dichotomic_margin_lp(space: StateSpace, a, b, maximize: bool):
 # ------------------------------------------------------------ point-symmetric
 @dataclass(frozen=True)
 class PsymVerdict:
-    verdict: str      # "incompatible" | "iff_compatible" | "necessary_passed"
-    criterion: float  # ||a+b||_E + ||a-b||_E
-    boundary: bool    # |criterion - 2| below the boundary band
+    verdict: str       # "incompatible" | "iff_compatible" | "necessary_passed"
+    criterion: object  # ||a+b||_E + ||a-b||_E, in the space's field
+    boundary: bool     # |criterion - 2| below the boundary band
 
 
 PSYM_BOUNDARY_BAND = 1e-7
@@ -164,10 +164,9 @@ def psym_compat_test(space: StateSpace, a, b) -> PsymVerdict:
     bvec, beta = space.bloch(b)
     plus = space.effect_norm([x + y for x, y in zip(avec, bvec)])
     minus = space.effect_norm([x - y for x, y in zip(avec, bvec)])
-    crit = float(plus + minus)
-    boundary = abs(crit - 2.0) <= PSYM_BOUNDARY_BAND
-    eps = space.ctx.eps if not space.ctx.exact else 0.0
-    if crit > 2.0 + eps:
+    crit = plus + minus
+    boundary = abs(crit - 2) <= PSYM_BOUNDARY_BAND
+    if space.ctx.gt(crit, 2):
         return PsymVerdict("incompatible", crit, boundary)
     unbiased = space.ctx.eq(alpha, space.ctx.one()) and space.ctx.eq(beta, space.ctx.one())
     if unbiased:
@@ -191,8 +190,8 @@ def construct_joint_unbiased(space: StateSpace, a, b) -> Observable:
     if np_ + nm > 2 + (0 if ctx.exact else 1e-7):
         raise ValueError("norm criterion violated")
     d = space.ambient_dim - 1
-    cplus = [x / np_ for x in plus_vec] if np_ > 0 else [0.0] * d
-    cminus = [x / nm for x in minus_vec] if nm > 0 else [0.0] * d
+    cplus = [x / np_ for x in plus_vec] if np_ > 0 else [ctx.zero()] * d
+    cminus = [x / nm for x in minus_vec] if nm > 0 else [ctx.zero()] * d
     t_plus, t_minus = np_ / 2, nm / 2
     t = 1 - t_plus - t_minus
     def eff(vec, tv):

@@ -86,17 +86,6 @@ EXACT = Context("exact", 0.0)
 DEFAULT = FLOAT
 
 
-def resolve(ctx: Context | None, *fallbacks) -> Context:
-    """First non-None context among ``ctx``, the fallbacks' ``.ctx``, DEFAULT."""
-    if ctx is not None:
-        return ctx
-    for fb in fallbacks:
-        c = getattr(fb, "ctx", None)
-        if c is not None:
-            return c
-    return DEFAULT
-
-
 from .linalg import (  # noqa: E402
     count_orthogonal_rows,
     dot,
@@ -129,7 +118,6 @@ __all__ = [
     "mat_vec",
     "null_space_vector",
     "rank",
-    "resolve",
     "solve_unique",
     "vec_add",
     "vec_scale",

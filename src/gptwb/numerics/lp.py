@@ -1,8 +1,11 @@
 """Self-contained primal simplex solver.
 
-Two-phase tableau method over the context's scalar field.  Bland's rule is
-used for pivot selection, which guarantees termination and makes witnesses
-deterministic: identical problems yield identical solutions.  In exact mode
+Two-phase tableau method over the context's scalar field.  The entering
+column is chosen by Dantzig's rule (most negative reduced cost); a streak of
+degenerate pivots switches to Bland's rule, which guarantees termination.
+Pivots update only the nonzero columns of the pivot row.  Every choice breaks
+ties by lowest index, so witnesses are deterministic: identical problems yield
+identical solutions.  In exact mode
 infeasibility is certified; in float mode it means no feasible point was
 found at tolerance ``eps``.
 """
@@ -46,21 +49,31 @@ class LPResult:
     value: Optional[object] = None
 
 
-def _pivot(tableau: list[list], basis: list[int], r: int, c: int, ctx: Context) -> None:
+def _pivot(tableau: list[list], basis: list[int], r: int, c: int, ctx: Context) -> list:
+    """Pivot on entry (r, c) in place; returns the scaled pivot row's nonzero
+    ``(column, value)`` pairs, the only columns any other row changes in."""
     prow = tableau[r]
     inv = 1 / prow[c] if ctx.exact else 1.0 / prow[c]
-    tableau[r] = prow = [inv * v for v in prow]
+    nz = []
+    for j, v in enumerate(prow):
+        if v:
+            v = inv * v
+            prow[j] = v
+            nz.append((j, v))
+    zero = ctx.zero()
     tiny = 0 if ctx.exact else ctx.eps * 1e-3
     for i, row in enumerate(tableau):
         if i == r:
             continue
         f = row[c]
         if f == 0 or (not ctx.exact and abs(f) <= tiny):
-            row[c] = ctx.zero()
+            row[c] = zero
             continue
-        tableau[i] = [a - f * b for a, b in zip(row, prow)]
-        tableau[i][c] = ctx.zero()
+        for j, v in nz:
+            row[j] -= f * v
+        row[c] = zero
     basis[r] = c
+    return nz
 
 
 def _run_simplex(tableau: list[list], basis: list[int], cost: list, m: int,
@@ -69,26 +82,31 @@ def _run_simplex(tableau: list[list], basis: list[int], cost: list, m: int,
 
     ``cost`` has length ncols-1 (excludes rhs); columns >= ``allowed`` may not
     enter the basis.  Returns False when an improving column is unbounded.
-    The reduced-cost row is appended to the tableau while running.
+    The entering column is the most negative reduced cost (Dantzig), lowest
+    index on ties; after more than ``m`` degenerate pivots in a row it is the
+    first improving column (Bland) until a pivot makes progress.
     """
     zero = ctx.zero()
     red = list(cost) + [zero]
     for i, b in enumerate(basis):
         f = red[b]
         if not ctx.is_zero(f):
-            row = tableau[i]
-            red = [a - f * v for a, v in zip(red, row)]
+            for j, v in enumerate(tableau[i]):
+                if v:
+                    red[j] -= f * v
             red[b] = zero
     tol = 0 if ctx.exact else ctx.eps
-    max_pivots = 2000 + 50 * (m + allowed)  # safety valve; Bland terminates first
+    cols = range(allowed)
+    degenerate = 0
+    # safety valve against float round-off; in exact arithmetic the Bland
+    # fallback alone guarantees termination
+    max_pivots = 2000 + 50 * (m + allowed)
     for _ in range(max_pivots):
-        enter = -1
-        for j in range(allowed):  # Bland: first improving index
-            if red[j] < -tol:
-                enter = j
-                break
-        if enter < 0:
+        enter = min(cols, key=red.__getitem__, default=-1)
+        if enter < 0 or red[enter] >= -tol:
             return True
+        if degenerate > m:
+            enter = next(j for j in cols if red[j] < -tol)
         leave, best = -1, None
         for i in range(m):
             a = tableau[i][enter]
@@ -98,12 +116,11 @@ def _run_simplex(tableau: list[list], basis: list[int], cost: list, m: int,
                     leave, best = i, ratio
         if leave < 0:
             return False  # unbounded direction
-        _pivot(tableau, basis, leave, enter, ctx)
+        degenerate = degenerate + 1 if ctx.is_zero(best) else 0
         f = red[enter]
-        if not ctx.is_zero(f):
-            prow = tableau[leave]
-            red = [a - f * v for a, v in zip(red, prow)]
-            red[enter] = zero
+        for j, v in _pivot(tableau, basis, leave, enter, ctx):
+            red[j] -= f * v
+        red[enter] = zero
     raise RuntimeError("simplex pivot limit exceeded")
 
 

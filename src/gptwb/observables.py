@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .numerics import Context, dot, rank, resolve
+from .numerics import Context, dot, rank
 from .spaces import StateSpace, UnsupportedSpace, Vector
 
 

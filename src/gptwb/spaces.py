@@ -116,13 +116,15 @@ class StateSpace:
     def evaluate(self, effect: Sequence, state: Sequence):
         return dot(effect, state)
 
-    def effect_norm(self, avec: Sequence) -> float:
-        """Dual norm of a Bloch direction: sup over states of a . s."""
+    def effect_norm(self, avec: Sequence):
+        """Dual norm of a Bloch direction: sup over states of a . s.  A float on
+        balls; on polytopes a scalar of the space's field."""
         if self.kind == "ball":
             return math.sqrt(float(sum(x * x for x in avec)))
         if not self.psym:
             raise UnsupportedSpace("effect norm needs a point-symmetric embedding")
-        return max(float(dot(avec, v[:-1])) for v in self.vertices)
+        top = max(dot(avec, v[:-1]) for v in self.vertices)
+        return top if self.ctx.exact else float(top)
 
     def bloch(self, effect: Sequence) -> tuple[tuple, object]:
         """(a, alpha) with effect = (a, alpha)/2; canonical embedding only."""

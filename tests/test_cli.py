@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -103,6 +104,20 @@ def test_comm_report(hexagon_files, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["iota"] == 2 and payload["rank"] == 2
+
+
+@pytest.mark.parametrize("backend", ["float", "exact"])
+def test_comm_csv_with_fractions(tmp_path, capsys, backend):
+    q = tmp_path / "q.csv"
+    q.write_text("1/3, 2/3\n1/2,1/2\n")
+    code, out = run_cli(["--backend", backend, "comm", str(q)], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["rank"] == 2
+    if backend == "exact":  # column maxima 1/2 + 2/3, rounded once at output
+        assert payload["lambda_max"] == float(Fraction(7, 6))
+    else:
+        assert abs(payload["lambda_max"] - 7 / 6) < 1e-12
 
 
 def test_error_exit_code(hexagon_files, capsys):

@@ -3,9 +3,11 @@ compatible and non-disturbing classes."""
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
+from gptwb.numerics import EXACT
 from gptwb.observables import (
     is_trivial,
     mix_observables,
@@ -118,6 +120,21 @@ def test_dichotomic_g_matches_product_lp_on_random_pairs():
 
 
 # ----------------------------------------------------- point-symmetric tests
+@pytest.mark.parametrize("eps", [Fraction(0), Fraction(1, 10**20)])
+def test_psym_exact_criterion_at_two_is_not_rounded(eps):
+    """Criterion 2 + 2 eps on the exact square: both norms round to 1.0 in
+    floats, so only an exact comparison separates the two cases."""
+    sp = make_square(EXACT)
+    half = Fraction(1, 2)
+    a = sp.effect_from_bloch((half, half), 1)
+    b = sp.effect_from_bloch((half + eps, eps - half), 1)
+    v = psym_compat_test(sp, a, b)
+    assert v.criterion == 2 + 2 * eps
+    assert v.verdict == ("iff_compatible" if eps == 0 else "incompatible")
+    joint = are_compatible([dichotomic(sp, a), dichotomic(sp, b)])
+    assert (joint is not None) == (eps == 0)
+
+
 def test_psym_oracle_equivalence_on_hexagon_grid():
     sp = make_polygon(6)
     a_vec = random_unbiased_vec(sp, random.Random(1), max_norm=0.9)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gptwb.compatibility import are_compatible, marginal
 from gptwb.numerics import (
     EXACT,
     FLOAT,
@@ -17,6 +18,9 @@ from gptwb.numerics import (
     lp_solve,
     rank,
 )
+from gptwb.numerics.lp import _run_simplex
+from gptwb.observables import observable
+from gptwb.spaces import StateSpace
 
 
 # ------------------------------------------------------------- local oracles
@@ -199,6 +203,82 @@ def test_lp_against_reference_solver():
             assert abs(float(mine.value) - (-ref.fun)) < 1e-7
         checked += 1
     assert checked == 150
+
+
+# ------------------------------------------------- anti-cycling, determinism
+# Beale (1955): minimize -3/4 x4 + 150 x5 - 1/50 x6 + 6 x7 subject to
+#   1/4 x4 - 60 x5 - 1/25 x6 + 9 x7 <= 0,  1/2 x4 - 90 x5 - 1/50 x6 + 3 x7 <= 0,
+#   x6 <= 1,  x >= 0.  Optimum -1/20 at x4 = 1/25, x6 = 1.
+BEALE_COST = [Fraction(-3, 4), Fraction(150), Fraction(-1, 50), Fraction(6)]
+BEALE_ROWS = [([Fraction(1, 4), Fraction(-60), Fraction(-1, 25), Fraction(9)], 0),
+              ([Fraction(1, 2), Fraction(-90), Fraction(-1, 50), Fraction(3)], 0),
+              ([0, 0, 1, 0], 1)]
+BACKENDS = [(EXACT, Fraction), (FLOAT, float)]
+
+
+@pytest.mark.parametrize("ctx,conv", BACKENDS, ids=["exact", "float"])
+def test_lp_beale_reaches_optimum(ctx, conv):
+    p = LPProblem(n=4, objective=[-conv(c) for c in BEALE_COST],
+                  ge=[([-conv(v) for v in row], -conv(b)) for row, b in BEALE_ROWS],
+                  bounds=[(0, None)] * 4)
+    res = lp_solve(p, ctx)
+    assert res.feasible and abs(res.value - Fraction(1, 20)) <= 1e-12
+    assert abs(res.x[0] - Fraction(1, 25)) <= 1e-12 and abs(res.x[2] - 1) <= 1e-12
+
+
+@pytest.mark.parametrize("ctx,conv", BACKENDS, ids=["exact", "float"])
+def test_simplex_beale_tableau_leaves_the_cycle(ctx, conv):
+    """From the slack basis, most-negative pricing with lowest-index ties
+    cycles on Beale's tableau; the Bland fallback must end at the optimum."""
+    tableau = [[conv(v) for v in row + [int(i == k) for k in range(3)] + [b]]
+               for i, (row, b) in enumerate(BEALE_ROWS)]
+    basis = [4, 5, 6]
+    cost = [conv(c) for c in BEALE_COST] + [conv(0)] * 3
+    assert _run_simplex(tableau, basis, cost, 3, 7, ctx)
+    y = [0] * 7
+    for i, b in enumerate(basis):
+        y[b] = tableau[i][-1]
+    assert abs(sum(c * v for c, v in zip(cost, y)) + Fraction(1, 20)) <= 1e-12
+
+
+def rational_hexagon(ctx):
+    """Point-symmetric hexagon with rational vertices (affine image of the
+    regular one), usable on both backends."""
+    vs = [(1, 0, 1), (1, 1, 1), (0, 1, 1), (-1, 0, 1), (-1, -1, 1), (0, -1, 1)]
+    return StateSpace("polytopic", vertices=vs, unit=(0, 0, 1), ctx=ctx,
+                      label="hexagon", psym=True)
+
+
+def hexagon_triple(space, t):
+    """Three unbiased dichotomic observables along (1,0), (0,1), (1,-1),
+    scaled by t; jointly measurable exactly for t <= 2/3."""
+    obs = []
+    for ax, ay in ((1, 0), (0, 1), (1, -1)):
+        e = tuple(space.ctx.scalar(x) for x in (t * ax / 2, t * ay / 2, Fraction(1, 2)))
+        obs.append(observable(space, [e, tuple(u - x for u, x in zip(space.unit, e))]))
+    return obs
+
+
+@pytest.mark.parametrize("t", [Fraction(3, 5), Fraction(3, 4)])
+def test_hexagon_triple_joint_lp_backends_agree_and_repeat(t):
+    """The joint-observable LP (every vertex row has right-hand side 0, so it
+    is degenerate): float and exact verdicts agree and repeated solves
+    return identical witnesses."""
+    verdicts = []
+    for ctx in (EXACT, FLOAT):
+        obs = hexagon_triple(rational_hexagon(ctx), t)
+        joint = are_compatible(obs)
+        assert joint == are_compatible(obs)
+        verdicts.append(joint is not None)
+        if joint is not None:
+            for i, o in enumerate(obs):
+                for got, want in zip(marginal(joint, i).effects, o.effects):
+                    assert all(ctx.eq(g, w) for g, w in zip(got, want))
+    assert verdicts == [t <= Fraction(2, 3)] * 2
+
+
+def test_hexagon_triple_boundary_is_exactly_compatible():
+    assert are_compatible(hexagon_triple(rational_hexagon(EXACT), Fraction(2, 3))) is not None
 
 
 # ------------------------------------------------------------ orthogonal rows

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -268,3 +269,9 @@ def test_triangle_polygon_matches_classical_relations():
             (find_postprocessing(b_cl, a_cl) is None)
         assert (are_compatible([a, b]) is None) == \
             (are_compatible([a_cl, b_cl]) is None)
+
+
+def test_effect_norm_stays_in_the_space_field():
+    norm = make_square(EXACT).effect_norm((Fraction(1, 3), Fraction(1, 7)))
+    assert isinstance(norm, Fraction) and norm == Fraction(10, 21)
+    assert isinstance(make_square().effect_norm((1, 0)), float)
