@@ -255,35 +255,31 @@ def cmd_check(relation: str, inputs: list[str], simulators: str | None,
     if relation == "ultraweak":
         if len(inputs) != 2:
             raise ValueError("check ultraweak D C")
-        d = _load_comm(inputs[0], config)
-        c = _load_comm(inputs[1], config)
-        res = ultraweak_leq(d, c, seed=config.seed)
-        payload = {"relation": "ultraweak", "verdict": res.verdict}
-        if res.violated:
-            payload["violated"] = res.violated
-        if res.left is not None:
-            payload["left"] = res.left
-            payload["right"] = res.right
-        _emit(config, payload)
-        return {"yes": EXIT_YES, "no": EXIT_NO}.get(res.verdict, EXIT_INCONCLUSIVE)
+        return _ultraweak_report(inputs[0], inputs[1], config, {"relation": "ultraweak"})
     raise ValueError(f"unknown relation {relation!r}")
+
+
+def _ultraweak_report(d_path: str, c_path: str, config: RunConfig, payload: dict) -> int:
+    """Decide D <= C (ultraweak) and emit the verdict, with the violated
+    monotone or the witness, into ``payload``."""
+    d = _load_comm(d_path, config)
+    c = _load_comm(c_path, config)
+    res = ultraweak_leq(d, c, seed=config.seed)
+    payload["verdict"] = res.verdict
+    if res.violated:
+        payload["violated"] = res.violated
+    if res.left is not None:
+        payload["left"] = res.left
+        payload["right"] = res.right
+    _emit(config, payload)
+    return {"yes": EXIT_YES, "no": EXIT_NO}.get(res.verdict, EXIT_INCONCLUSIVE)
 
 
 def cmd_comm(args: list[str], config: RunConfig) -> int:
     if args[0] == "compare":
         if len(args) != 3:
             raise ValueError("comm compare D C")
-        d = _load_comm(args[1], config)
-        c = _load_comm(args[2], config)
-        res = ultraweak_leq(d, c, seed=config.seed)
-        payload = {"verdict": res.verdict}
-        if res.violated:
-            payload["violated"] = res.violated
-        if res.left is not None:
-            payload["left"] = res.left
-            payload["right"] = res.right
-        _emit(config, payload)
-        return {"yes": EXIT_YES, "no": EXIT_NO}.get(res.verdict, EXIT_INCONCLUSIVE)
+        return _ultraweak_report(args[1], args[2], config, {})
     if len(args) != 1:
         raise ValueError("comm MATRIX | comm compare D C")
     cm = _load_comm(args[0], config)

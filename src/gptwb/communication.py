@@ -6,12 +6,16 @@ L, R with LCR = D) is decided by monotone screens, exact shortcuts for
 identity-shaped endpoints, and an alternating-LP search that is sound for
 "yes" (witnesses are re-verified) and honest about "inconclusive".
 The nonnegative-rank and psd-rank monotones are reported as certified
-intervals; the exact values are computationally hard in general.
+intervals; the exact values are computationally hard in general.  The upper
+end of the nonnegative-rank interval comes from row-stochastic factorizations
+C = W H found by HALS sweeps in floats (no LP), normalised exactly in the
+matrix's field and re-verified before they count.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -119,9 +123,16 @@ def _ceil_sqrt(k: int) -> int:
 
 
 def nonneg_factorization(c: CommMatrix, k: int, *, seed: int = 0,
-                         restarts: int = 4, rounds: int = 12) -> Optional[tuple]:
+                         restarts: int = 4) -> Optional[tuple]:
     """Row-stochastic W (n x k), H (k x m) with W H = C within tolerance, or
-    None when the alternating search fails (inconclusive, not a certificate)."""
+    None when the search fails (inconclusive, not a certificate).
+
+    Each restart runs nonnegative HALS sweeps in floats (no LP).  Only the
+    product is fitted: once H is rescaled to be row-stochastic, W H = C forces
+    the rows of W to sum to 1, because C is row-stochastic.  The rescaled
+    factors are converted to the context's field, each row divided by its sum
+    there, and returned only if both are row-stochastic in that field and
+    re-substitute within 1e-9."""
     ctx = c.ctx
     n, m = c.shape
     if k >= min(n, m):
@@ -132,6 +143,7 @@ def nonneg_factorization(c: CommMatrix, k: int, *, seed: int = 0,
     if k < 1:
         return None
     tol = ctx.eps if not ctx.exact else 0
+    target = [[float(v) for v in row] for row in c.matrix]
     for attempt in range(restarts):
         rng = random.Random(seed * 1_000_003 + k * 1009 + attempt)
         if attempt == 0:
@@ -143,20 +155,80 @@ def nonneg_factorization(c: CommMatrix, k: int, *, seed: int = 0,
                 raw = [rng.random() for _ in range(k)]
                 s = sum(raw)
                 w.append([v / s for v in raw])
-        prev = None
-        for _ in range(rounds):
-            h = _fit_right_stochastic(w, c.matrix, m)
-            w = _fit_left_stochastic(h, c.matrix)
-            err = _factor_error(w, h, c.matrix)
-            if err <= max(tol, 1e-10):
-                wq = tuple(tuple(ctx.scalar(v) for v in row) for row in w)
-                hq = tuple(tuple(ctx.scalar(v) for v in row) for row in h)
-                if _factor_error(wq, hq, c.matrix) <= max(tol, 1e-9):
-                    return wq, hq
-            if prev is not None and err > prev - 1e-12:
-                break  # stagnated
-            prev = err
+        fact = _hals_stochastic(target, w)
+        if fact is None or _factor_error(*fact, target) > max(tol, 1e-10):
+            continue
+        wq, hq = (tuple(_normalise_row([ctx.scalar(v) for v in row]) for row in f)
+                  for f in fact)
+        if (is_row_stochastic(wq, ctx) and is_row_stochastic(hq, ctx)
+                and _factor_error(wq, hq, c.matrix) <= max(tol, 1e-9)):
+            return wq, hq
     return None
+
+
+_HALS_CHECK_EVERY = 20   # sweeps between max-error checks
+_HALS_MIN_SWEEPS = 200   # no stall verdict before this many sweeps
+_HALS_MAX_SWEEPS = 2000
+_HALS_TARGET = 1e-11     # max error at which the sweeps stop
+_HALS_STALL = 0.9        # a check above this share of the last one is a stall
+
+
+def _hals_stochastic(target, w):
+    """Nonnegative HALS (Gillis & Glineur 2012) on target ~ W H from W, then
+    rescale to row-stochastic factors: each row of H to sum 1 with the
+    matching column of W scaled up, then each row of W divided by its sum.
+    Returns float (W, H), or None when a factor row has no mass."""
+    m = len(target[0])
+    wc = [list(col) for col in zip(*w)]
+    h = [[0.0] * m for _ in wc]
+    ct = list(zip(*target))
+    prev = float("inf")
+    for sweep in range(1, _HALS_MAX_SWEEPS + 1):
+        _hals_update(h, wc, ct)       # rows of H for fixed W
+        _hals_update(wc, h, target)   # columns of W for fixed H
+        if sweep % _HALS_CHECK_EVERY == 0:
+            err = _factor_error(list(zip(*wc)), h, target)
+            if err <= _HALS_TARGET:
+                break
+            if sweep >= _HALS_MIN_SWEEPS and err > _HALS_STALL * prev:
+                break
+            prev = err
+    for t, row in enumerate(h):
+        s = sum(row)
+        if s <= 0.0:
+            return None
+        h[t] = [v / s for v in row]
+        wc[t] = [v * s for v in wc[t]]
+    w = []
+    for row in zip(*wc):
+        s = sum(row)
+        if s <= 0.0:
+            return None
+        w.append([v / s for v in row])
+    return w, h
+
+
+def _hals_update(x, y, data) -> None:
+    """One HALS half-sweep, in place: with the other factor's vectors y and
+    the data vectors fixed, each x[t] in turn becomes the nonnegative
+    least-squares optimum max(0, (y_t . data - sum_{s != t} (y_t . y_s) x_s)
+    / (y_t . y_t)), using the x[s] already updated."""
+    mul = operator.mul
+    for t, yt in enumerate(y):
+        gram = [sum(map(mul, yt, ys)) for ys in y]
+        if gram[t] <= 0.0:
+            continue
+        acc = [sum(map(mul, yt, d)) for d in data]
+        for s, g in enumerate(gram):
+            if s != t and g != 0.0:
+                acc = [a - g * v for a, v in zip(acc, x[s])]
+        inv = 1.0 / gram[t]
+        x[t] = [a * inv if a > 0.0 else 0.0 for a in acc]
+
+
+def _normalise_row(row: list) -> tuple:
+    s = sum(row)
+    return tuple(v / s for v in row)
 
 
 def _factor_error(w, h, target) -> float:

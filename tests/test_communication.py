@@ -2,10 +2,11 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from gptwb.numerics import dot
+from gptwb.numerics import EXACT, dot, is_row_stochastic
 from gptwb.observables import observable, trivial_observable
 from gptwb.communication import (
     build_comm_matrix,
@@ -124,6 +125,75 @@ def test_nonneg_factorization_verifies():
                     for j in range(4)] for i in range(4)]
         assert max(abs(a - b) for ra, rb in zip(rebuilt, prod)
                    for a, b in zip(ra, rb)) < 1e-8
+
+
+def _planted_product(rng, n, k, m):
+    w = random_stochastic(n, k, rng)
+    h = random_stochastic(k, m, rng)
+    return [[sum(w[i][t] * h[t][j] for t in range(k)) for j in range(m)]
+            for i in range(n)]
+
+
+def _max_error(w, h, target):
+    return max(abs(float(sum(w[i][t] * h[t][j] for t in range(len(h))) - v))
+               for i, row in enumerate(target) for j, v in enumerate(row))
+
+
+def test_nonneg_factorization_hit_rate_on_planted_products():
+    # 40 products that factor at k by construction; the search must find
+    # at least 36 of them, each a verified row-stochastic witness
+    rng = random.Random(77)
+    found = 0
+    for n in (4, 5, 6, 7):
+        for k in (2, 3):
+            for _ in range(5):
+                cm = comm_matrix(_planted_product(rng, n, k, n))
+                fact = nonneg_factorization(cm, k)
+                if fact is None:
+                    continue
+                w, h = fact
+                assert len(h) == k
+                assert is_row_stochastic(w) and is_row_stochastic(h)
+                assert _max_error(w, h, cm.matrix) <= 1e-9
+                found += 1
+    assert found >= 36
+
+
+def test_nonneg_factorization_is_deterministic():
+    cm = comm_matrix(_planted_product(random.Random(78), 6, 3, 6))
+    first = nonneg_factorization(cm, 3, seed=5)
+    assert first is not None
+    assert nonneg_factorization(cm, 3, seed=5) == first
+
+
+def test_nonneg_factorization_exact_witness_is_stochastic():
+    # a Fraction 5x5 rank-2 product; the witness must be row-stochastic in
+    # the rationals, not only up to the float conversion
+    rng = random.Random(3)
+
+    def stochastic(n, m):
+        rows = []
+        for _ in range(n):
+            raw = [Fraction(rng.randint(1, 9)) for _ in range(m)]
+            rows.append([v / sum(raw) for v in raw])
+        return rows
+
+    w0, h0 = stochastic(5, 2), stochastic(2, 5)
+    prod = [[sum(w0[i][t] * h0[t][j] for t in range(2)) for j in range(5)]
+            for i in range(5)]
+    cm = comm_matrix(prod, EXACT)
+    fact = nonneg_factorization(cm, 2)
+    assert fact is not None
+    w, h = fact
+    assert all(isinstance(v, Fraction) for row in w + h for v in row)
+    assert is_row_stochastic(w, EXACT) and is_row_stochastic(h, EXACT)
+    assert _max_error(w, h, prod) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_monotones_find_planted_nonneg_rank(seed):
+    cm = comm_matrix(_planted_product(random.Random(seed), 6, 3, 6))
+    assert monotones(cm).nn_rank == (3, 3)
 
 
 # ------------------------------------------------------------ canonical form
