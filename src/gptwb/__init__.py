@@ -106,7 +106,6 @@ from .communication import (
 from .instruments import (
     MPInstrument,
     equiv_indecomposable_check,
-    induced_observable,
     is_indecomposable_mp,
     mp_instrument,
     mp_instrument_from_json,

@@ -32,7 +32,7 @@ from .numerics import (
 )
 from .numerics import Context, DEFAULT
 from .observables import Observable
-from .spaces import StateSpace, UnsupportedSpace
+from .spaces import StateSpace, UnsupportedSpace, effect_block, in_convex_hull
 
 
 @dataclass(frozen=True)
@@ -167,7 +167,7 @@ def nonneg_factorization(c: CommMatrix, k: int, *, seed: int = 0,
 
 
 _HALS_CHECK_EVERY = 20   # sweeps between max-error checks
-_HALS_MIN_SWEEPS = 200   # no stall verdict before this many sweeps
+_HALS_MIN_SWEEPS = 200   # no stall or rate verdict before this many sweeps
 _HALS_MAX_SWEEPS = 2000
 _HALS_TARGET = 1e-11     # max error at which the sweeps stop
 _HALS_STALL = 0.9        # a check above this share of the last one is a stall
@@ -190,8 +190,12 @@ def _hals_stochastic(target, w):
             err = _factor_error(list(zip(*wc)), h, target)
             if err <= _HALS_TARGET:
                 break
-            if sweep >= _HALS_MIN_SWEEPS and err > _HALS_STALL * prev:
-                break
+            if sweep >= _HALS_MIN_SWEEPS:
+                # a stall, or a rate too slow to reach the target in the checks left
+                checks_left = (_HALS_MAX_SWEEPS - sweep) // _HALS_CHECK_EVERY
+                if (err > _HALS_STALL * prev
+                        or err * (err / prev) ** checks_left > _HALS_TARGET):
+                    break
             prev = err
     for t, row in enumerate(h):
         s = sum(row)
@@ -341,13 +345,7 @@ def _column_ratio(col1, col2, ctx) -> Optional[object]:
 
 
 def _is_mixture_of_others(rows, i: int, ctx) -> bool:
-    others = [r for t, r in enumerate(rows) if t != i]
-    n = len(others)
-    p = LPProblem(n=n, bounds=[(ctx.zero(), None)] * n)
-    p.add_eq([ctx.one()] * n, ctx.one())
-    for j in range(len(rows[0])):
-        p.add_eq([o[j] for o in others], rows[i][j])
-    return lp_solve(p, ctx).feasible
+    return in_convex_hull(rows[i], [r for t, r in enumerate(rows) if t != i], ctx)
 
 
 # ------------------------------------------------------- ultraweak majorization
@@ -502,40 +500,24 @@ def space_dims(space: StateSpace, *, seed: int = 0) -> SpaceDims:
 
 
 def _lambda_max_space(space: StateSpace):
-    """Single LP: one effect per vertex, maximize the summed diagonal values.
-    Grouping outcomes by their maximizing vertex loses nothing, so the optimum
-    over this family equals the supremum over all observables.  Effects are
-    parametrized as nonnegative combinations of the dual-cone rays, which
-    makes positivity structural and keeps the LP small."""
+    """Information storability lambda_max: the largest sum over x of
+    max_s A_x(s) over all observables A, as one LP.  It has one effect per
+    vertex, the effects summing to u, and maximizes the summed values of each
+    effect at its own vertex.  Grouping an observable's outcomes by the vertex
+    where they peak loses nothing, so this optimum is the supremum.  Returns
+    lambda_max and the witness's communication matrix (vertices x effects)."""
     ctx = space.ctx
-    rays = [r.direction for r in space.dual_rays()]
     n = space.n_vertices
-    nr = len(rays)
-    dim = space.ambient_dim
-    nvar = n * nr
-    zero = ctx.zero()
-    obj = [zero] * nvar
-    for i in range(n):
-        for k in range(nr):
-            obj[i * nr + k] = dot(rays[k], space.vertices[i])
-    p = LPProblem(n=nvar, objective=obj, bounds=[(zero, None)] * nvar)
-    for c in range(dim):
-        row = [zero] * nvar
-        for i in range(n):
-            for k in range(nr):
-                row[i * nr + k] = rays[k][c]
-        p.add_eq(row, space.unit[c])
+    p = LPProblem(n=0)
+    blk = effect_block(p, space, n)
+    blk.sum_eq(p, range(n), space.unit)
+    p.objective = [0] * p.n
+    for i, v in enumerate(space.vertices):
+        blk.add(p.objective, i, blk.at(v))
     res = lp_solve(p, ctx)
     if not res.feasible:
         raise RuntimeError("storability LP must be feasible")
-    effects = []
-    for i in range(n):
-        acc = [zero] * dim
-        for k in range(nr):
-            w = res.x[i * nr + k]
-            if not ctx.is_zero(w):
-                acc = [a + w * rc for a, rc in zip(acc, rays[k])]
-        effects.append(tuple(acc))
+    effects = blk.effects(res.x)
     witness = CommMatrix(tuple(tuple(dot(e, v) for e in effects) for v in space.vertices),
                          ctx=ctx)
     return res.value, witness
@@ -561,28 +543,19 @@ def _operational_dim(space: StateSpace, lam_max) -> int:
 
 
 def _perfectly_distinguishable(space: StateSpace, vertex_idx: Sequence[int]) -> bool:
-    ctx = space.ctx
-    rays = [r.direction for r in space.dual_rays()]
-    nr = len(rays)
-    dim = space.ambient_dim
+    """LP feasibility: an observable with effect i equal to 1 on vertex i and
+    0 on the other listed vertices."""
     k = len(vertex_idx)
-    nvar = k * nr
-    zero, one = ctx.zero(), ctx.one()
-    p = LPProblem(n=nvar, bounds=[(zero, None)] * nvar)
-    for c in range(dim):
-        row = [zero] * nvar
-        for i in range(k):
-            for t in range(nr):
-                row[i * nr + t] = rays[t][c]
-        p.add_eq(row, space.unit[c])
-    evals = [[dot(r, space.vertices[vi]) for r in rays] for vi in vertex_idx]
+    p = LPProblem(n=0)
+    blk = effect_block(p, space, k)
+    blk.sum_eq(p, range(k), space.unit)
+    evals = [blk.at(space.vertices[vi]) for vi in vertex_idx]
     for i in range(k):
         for t in range(k):
-            row = [zero] * nvar
-            for s in range(nr):
-                row[i * nr + s] = evals[t][s]
-            p.add_eq(row, one if t == i else zero)
-    return lp_solve(p, ctx).feasible
+            row = [0] * p.n
+            blk.add(row, i, evals[t])
+            p.add_eq(row, 1 if t == i else 0)
+    return lp_solve(p, space.ctx).feasible
 
 
 def _full_rank_family(space: StateSpace) -> list[CommMatrix]:

@@ -23,7 +23,7 @@ from .observables import (
 )
 from .postprocess import find_postprocessing
 from .simulation import SimWitness, enumerate_irreducibles, verify_sim_witness
-from .spaces import StateSpace, UnsupportedSpace
+from .spaces import StateSpace, UnsupportedSpace, effect_block
 
 
 MAX_PRODUCT_OUTCOMES = 10_000
@@ -41,45 +41,21 @@ def are_compatible(obs: Sequence[Observable]) -> Optional[Observable]:
     """Joint observable on the product outcome set with matching marginals,
     or None when the LP is infeasible."""
     space = _common_space(obs)
-    if space.kind != "polytopic":
-        raise UnsupportedSpace("joint-observable LP needs a vertex representation")
-    ctx = space.ctx
-    dim = space.ambient_dim
     sizes = [o.n_outcomes for o in obs]
-    total = 1
-    for s in sizes:
-        total *= s
+    total = math.prod(sizes)
     if total > MAX_PRODUCT_OUTCOMES:
         raise ValueError("product outcome set too large")
     cells = list(itertools.product(*[range(s) for s in sizes]))
-    cell_index = {z: i for i, z in enumerate(cells)}
-    nvar = total * dim
-
-    def var(z: int, c: int) -> int:
-        return z * dim + c
-
-    p = LPProblem(n=nvar, bounds=[(None, None)] * nvar)
-    zero, one = ctx.zero(), ctx.one()
-    for v in space.vertices:  # positivity of every joint effect on every vertex
-        for z in range(total):
-            row = [zero] * nvar
-            for c in range(dim):
-                row[var(z, c)] = v[c]
-            p.add_ge(row, zero)
+    p = LPProblem(n=0)
+    joint = effect_block(p, space, total)
     for i, o in enumerate(obs):  # marginals reproduce the inputs
         for x in range(sizes[i]):
-            for c in range(dim):
-                row = [zero] * nvar
-                for z, cell in enumerate(cells):
-                    if cell[i] == x:
-                        row[var(z, c)] = one
-                p.add_eq(row, o.effects[x][c])
-    res = lp_solve(p, ctx)
+            joint.sum_eq(p, [z for z, cell in enumerate(cells) if cell[i] == x], o.effects[x])
+    res = lp_solve(p, space.ctx)
     if not res.feasible:
         return None
-    effects = tuple(tuple(res.x[var(z, c)] for c in range(dim)) for z in range(total))
     labels = tuple(tuple(o.outcomes[cell[i]] for i, o in enumerate(obs)) for cell in cells)
-    return Observable(space, effects, labels)
+    return Observable(space, joint.effects(res.x), labels)
 
 
 def marginal(joint: Observable, which: int, arity: int | None = None) -> Observable:
@@ -98,50 +74,44 @@ def marginal(joint: Observable, which: int, arity: int | None = None) -> Observa
 
 
 # ---------------------------------------------------------------- dichotomic
-def dichotomic_compat_g(a_obs: Observable, b_obs: Observable) -> Optional[tuple]:
-    """Single dual vector deciding compatibility of two dichotomic observables:
-    find g with g >= 0, a >= g, b >= g, u >= a + b - g on all vertices."""
+def _check_dichotomic(a_obs: Observable, b_obs: Observable) -> StateSpace:
     space = _common_space([a_obs, b_obs])
     if a_obs.n_outcomes != 2 or b_obs.n_outcomes != 2:
         raise ValueError("both observables must be dichotomic")
-    res = _dichotomic_margin_lp(space, a_obs.effects[0], b_obs.effects[0], maximize=False)
-    return res
+    return space
+
+
+def dichotomic_compat_g(a_obs: Observable, b_obs: Observable) -> Optional[tuple]:
+    """Single dual vector deciding compatibility of two dichotomic observables:
+    g with g >= 0, a >= g, b >= g, u >= a + b - g on all states.  It is the
+    (0, 0) effect of the joint observable, whose other effects are a - g,
+    b - g and u - a - b + g."""
+    _check_dichotomic(a_obs, b_obs)
+    joint = are_compatible([a_obs, b_obs])
+    return None if joint is None else joint.effects[0]
 
 
 def dichotomic_compat_margin(a_obs: Observable, b_obs: Observable):
-    """Largest slack delta so all four cone constraints hold with margin delta;
-    positive iff strictly compatible, used to flag boundary instances."""
-    space = _common_space([a_obs, b_obs])
-    if a_obs.n_outcomes != 2 or b_obs.n_outcomes != 2:
-        raise ValueError("both observables must be dichotomic")
-    return _dichotomic_margin_lp(space, a_obs.effects[0], b_obs.effects[0], maximize=True)
-
-
-def _dichotomic_margin_lp(space: StateSpace, a, b, maximize: bool):
+    """Largest slack delta <= 1 so all four cone constraints of g hold with
+    margin delta on every vertex; positive iff strictly compatible, used to
+    flag boundary instances."""
+    space = _check_dichotomic(a_obs, b_obs)
     if space.kind != "polytopic":
         raise UnsupportedSpace("the dichotomic LP needs a vertex representation")
+    a, b = a_obs.effects[0], b_obs.effects[0]
     ctx = space.ctx
     dim = space.ambient_dim
-    nvar = dim + (1 if maximize else 0)
     zero, one = ctx.zero(), ctx.one()
-    bounds = [(None, None)] * dim + ([(None, one)] if maximize else [])
-    p = LPProblem(n=nvar, objective=([zero] * dim + [one]) if maximize else None,
-                  bounds=bounds)
+    p = LPProblem(n=dim + 1, objective=[zero] * dim + [one],
+                  bounds=[(None, None)] * dim + [(None, one)])
     for v in space.vertices:
-        grow = list(v) + ([-one] if maximize else [])
+        grow = list(v) + [-one]
+        neg = [-x for x in v] + [-one]
         p.add_ge(grow, zero)                                   # g(v) >= delta
-        p.add_ge([-x for x in grow[:dim]] + ([-one] if maximize else []),
-                 -dot(a, v))                                   # a(v) - g(v) >= delta
-        p.add_ge([-x for x in grow[:dim]] + ([-one] if maximize else []),
-                 -dot(b, v))
-        p.add_ge(list(v) + ([-one] if maximize else []),
-                 dot(a, v) + dot(b, v) - one)                  # u - a - b + g >= delta
-    res = lp_solve(p, ctx)
-    if maximize:
-        return res.value
-    if not res.feasible:
-        return None
-    return tuple(res.x[:dim])
+        p.add_ge(neg, -dot(a, v))                              # a(v) - g(v) >= delta
+        p.add_ge(neg, -dot(b, v))
+        p.add_ge(grow, dot(a, v) + dot(b, v) - one)            # u - a - b + g >= delta
+    return lp_solve(p, ctx).value
 
 
 # ------------------------------------------------------------ point-symmetric

@@ -49,15 +49,10 @@ def mp_instrument(obs: Observable, prepared_states: Sequence[Sequence],
     return MPInstrument(obs, preps, output_space)
 
 
-def induced_observable(inst: MPInstrument) -> Observable:
-    return inst.observable
-
-
 def mp_postprocess_check(source: MPInstrument, target: MPInstrument) -> bool:
     """source -> target for measure-and-prepare instruments holds exactly when
     the induced observables are related."""
-    return find_postprocessing(induced_observable(source),
-                               induced_observable(target)) is not None
+    return find_postprocessing(source.observable, target.observable) is not None
 
 
 def _is_pure(space: StateSpace, state: Sequence) -> bool:
@@ -69,7 +64,7 @@ def _is_pure(space: StateSpace, state: Sequence) -> bool:
 def is_indecomposable_mp(inst: MPInstrument) -> bool:
     """Indecomposable iff the induced observable is indecomposable and every
     state attached to a nonzero effect is pure."""
-    obs = induced_observable(inst)
+    obs = inst.observable
     if not is_pp_clean(obs):
         return False
     for e, prep in zip(obs.effects, inst.prepared_states):
@@ -84,7 +79,7 @@ def equiv_indecomposable_check(inst: MPInstrument) -> bool:
     """Post-processing equivalent with an indecomposable instrument iff the
     induced observable's minimally sufficient representative is clean (the
     preparations are irrelevant at the equivalence level)."""
-    return is_pp_clean(minimally_sufficient(induced_observable(inst)))
+    return is_pp_clean(minimally_sufficient(inst.observable))
 
 
 def mp_instrument_from_json(obj: dict, ctx=None) -> MPInstrument:

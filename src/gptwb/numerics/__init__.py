@@ -91,13 +91,9 @@ from .linalg import (  # noqa: E402
     dot,
     is_row_stochastic,
     mat_mul,
-    mat_vec,
     null_space_vector,
     rank,
     solve_unique,
-    vec_add,
-    vec_scale,
-    vec_sub,
 )
 from .lp import LPProblem, LPResult, UnboundedObjective, lp_solve  # noqa: E402
 
@@ -115,11 +111,7 @@ __all__ = [
     "is_row_stochastic",
     "lp_solve",
     "mat_mul",
-    "mat_vec",
     "null_space_vector",
     "rank",
     "solve_unique",
-    "vec_add",
-    "vec_scale",
-    "vec_sub",
 ]

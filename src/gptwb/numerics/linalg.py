@@ -18,22 +18,6 @@ def dot(a: Sequence, b: Sequence):
     return s
 
 
-def vec_add(a: Sequence, b: Sequence) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a: Sequence, b: Sequence) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(c, a: Sequence) -> tuple:
-    return tuple(c * x for x in a)
-
-
-def mat_vec(m: Sequence[Sequence], v: Sequence) -> tuple:
-    return tuple(dot(row, v) for row in m)
-
-
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
     cols = list(zip(*b))
     return tuple(tuple(dot(row, col) for col in cols) for row in a)

@@ -52,8 +52,9 @@ class LPResult:
 def _pivot(tableau: list[list], basis: list[int], r: int, c: int, ctx: Context) -> list:
     """Pivot on entry (r, c) in place; returns the scaled pivot row's nonzero
     ``(column, value)`` pairs, the only columns any other row changes in."""
+    exact = ctx.exact
     prow = tableau[r]
-    inv = 1 / prow[c] if ctx.exact else 1.0 / prow[c]
+    inv = 1 / prow[c] if exact else 1.0 / prow[c]
     nz = []
     for j, v in enumerate(prow):
         if v:
@@ -61,12 +62,12 @@ def _pivot(tableau: list[list], basis: list[int], r: int, c: int, ctx: Context) 
             prow[j] = v
             nz.append((j, v))
     zero = ctx.zero()
-    tiny = 0 if ctx.exact else ctx.eps * 1e-3
+    tiny = 0 if exact else ctx.eps * 1e-3
     for i, row in enumerate(tableau):
         if i == r:
             continue
         f = row[c]
-        if f == 0 or (not ctx.exact and abs(f) <= tiny):
+        if f == 0 or (not exact and abs(f) <= tiny):
             row[c] = zero
             continue
         for j, v in nz:
@@ -86,16 +87,17 @@ def _run_simplex(tableau: list[list], basis: list[int], cost: list, m: int,
     index on ties; after more than ``m`` degenerate pivots in a row it is the
     first improving column (Bland) until a pivot makes progress.
     """
+    exact = ctx.exact
     zero = ctx.zero()
+    tol = 0 if exact else ctx.eps
     red = list(cost) + [zero]
     for i, b in enumerate(basis):
         f = red[b]
-        if not ctx.is_zero(f):
+        if abs(f) > tol:
             for j, v in enumerate(tableau[i]):
                 if v:
                     red[j] -= f * v
             red[b] = zero
-    tol = 0 if ctx.exact else ctx.eps
     cols = range(allowed)
     degenerate = 0
     # safety valve against float round-off; in exact arithmetic the Bland
@@ -110,13 +112,13 @@ def _run_simplex(tableau: list[list], basis: list[int], cost: list, m: int,
         leave, best = -1, None
         for i in range(m):
             a = tableau[i][enter]
-            if (a > 0) if ctx.exact else (a > tol):
+            if a > tol:
                 ratio = tableau[i][-1] / a
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     leave, best = i, ratio
         if leave < 0:
             return False  # unbounded direction
-        degenerate = degenerate + 1 if ctx.is_zero(best) else 0
+        degenerate = degenerate + 1 if abs(best) <= tol else 0
         f = red[enter]
         for j, v in _pivot(tableau, basis, leave, enter, ctx):
             red[j] -= f * v
@@ -129,6 +131,9 @@ def lp_solve(problem: LPProblem, ctx: Context | None = None) -> LPResult:
     from . import DEFAULT
 
     ctx = ctx or DEFAULT
+    exact = ctx.exact
+    scalar = ctx.scalar if exact else float
+    tol = 0 if exact else ctx.eps
     n = problem.n
     zero, one = ctx.zero(), ctx.one()
     bounds = problem.bounds if problem.bounds is not None else [(None, None)] * n
@@ -146,16 +151,16 @@ def lp_solve(problem: LPProblem, ctx: Context | None = None) -> LPResult:
             nstd += 2
         elif lo is not None and hi is None:
             terms.append([(nstd, 1)])
-            shifts.append(ctx.scalar(lo))
+            shifts.append(scalar(lo))
             nstd += 1
         elif lo is None and hi is not None:
             terms.append([(nstd, -1)])
-            shifts.append(ctx.scalar(hi))
+            shifts.append(scalar(hi))
             nstd += 1
         else:
             terms.append([(nstd, 1)])
-            shifts.append(ctx.scalar(lo))
-            extra_rows.append((nstd, ctx.scalar(hi) - ctx.scalar(lo)))
+            shifts.append(scalar(lo))
+            extra_rows.append((nstd, scalar(hi) - scalar(lo)))
             nstd += 1
 
     rows: list[list] = []
@@ -163,9 +168,9 @@ def lp_solve(problem: LPProblem, ctx: Context | None = None) -> LPResult:
 
     def convert(row, b, slack_sign) -> None:
         out = [zero] * nstd
-        acc = ctx.scalar(b)
+        acc = scalar(b)
         for j, c in enumerate(row):
-            c = ctx.scalar(c)
+            c = scalar(c)
             if c == 0:
                 continue
             acc -= c * shifts[j]
@@ -209,20 +214,20 @@ def lp_solve(problem: LPProblem, ctx: Context | None = None) -> LPResult:
         xs = []
         obj = problem.objective or [zero] * n
         for j, (lo, hi) in enumerate(bounds):
-            c = ctx.scalar(obj[j])
+            c = scalar(obj[j])
             if ctx.gt(c, zero):
                 if hi is None:
                     raise UnboundedObjective("unconstrained objective direction")
-                xs.append(ctx.scalar(hi))
+                xs.append(scalar(hi))
             elif ctx.lt(c, zero):
                 if lo is None:
                     raise UnboundedObjective("unconstrained objective direction")
-                xs.append(ctx.scalar(lo))
+                xs.append(scalar(lo))
             else:
                 xs.append(shifts[j])
         val = None
         if problem.objective is not None:
-            val = sum((ctx.scalar(c) * x for c, x in zip(problem.objective, xs)), zero)
+            val = sum((scalar(c) * x for c, x in zip(problem.objective, xs)), zero)
         return LPResult(True, tuple(xs), val)
 
     for i in range(m):
@@ -242,7 +247,6 @@ def lp_solve(problem: LPProblem, ctx: Context | None = None) -> LPResult:
     p1cost = [zero] * width + [one] * m
     _run_simplex(tableau, basis, p1cost, m, ncols - 1, ctx)
     infeas = sum((tableau[i][-1] for i in range(m) if basis[i] >= width), zero)
-    tol = 0 if ctx.exact else ctx.eps
     if infeas > tol:
         return LPResult(False)
 
@@ -250,7 +254,7 @@ def lp_solve(problem: LPProblem, ctx: Context | None = None) -> LPResult:
     keep = []
     for i in range(m):
         if basis[i] >= width:
-            piv = next((j for j in range(width) if not ctx.is_zero(tableau[i][j])), None)
+            piv = next((j for j in range(width) if abs(tableau[i][j]) > tol), None)
             if piv is None:
                 continue  # redundant constraint
             _pivot(tableau, basis, i, piv, ctx)
@@ -264,7 +268,7 @@ def lp_solve(problem: LPProblem, ctx: Context | None = None) -> LPResult:
     if problem.objective is not None:
         cost = [zero] * width  # minimize -objective
         for j, c in enumerate(problem.objective):
-            c = ctx.scalar(c)
+            c = scalar(c)
             if c == 0:
                 continue
             for idx, sign in terms[j]:
@@ -283,5 +287,5 @@ def lp_solve(problem: LPProblem, ctx: Context | None = None) -> LPResult:
             v = v + (y[idx] if sign > 0 else -y[idx])
         x.append(v)
     if problem.objective is not None:
-        value = sum((ctx.scalar(c) * xv for c, xv in zip(problem.objective, x)), zero)
+        value = sum((scalar(c) * xv for c, xv in zip(problem.objective, x)), zero)
     return LPResult(True, tuple(x), value)

@@ -1,49 +1,26 @@
 """The post-processing preorder on observables, decided by LP feasibility.
 
 ``find_postprocessing(B, A)`` searches for a row-stochastic matrix nu with
-A_x = sum_y nu_yx B_y.  The LP fixes a column-major variable layout and the
-solver pivots deterministically, so witnesses are reproducible.
+A_x = sum_y nu_yx B_y.  That is simulation from the single simulator B, whose
+weight is forced to 1, so the simulation LP's one matrix is nu; the solver
+pivots deterministically, so witnesses are reproducible.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .numerics import LPProblem, lp_solve
 from .observables import Observable, is_indecomposable_effect, is_zero_effect
 
 
 def find_postprocessing(source: Observable, target: Observable) -> Optional[tuple]:
     """Row-stochastic nu (|Lambda| x |Omega|) with target = nu o source, or None."""
+    from .simulation import is_simulable
+
     if source.space is not target.space and source.space.label != target.space.label:
         raise ValueError("observables live on different spaces")
-    space = source.space
-    ctx = space.ctx
-    n_src = source.n_outcomes
-    n_tgt = target.n_outcomes
-    dim = space.ambient_dim
-    nvar = n_src * n_tgt
-
-    def idx(x: int, y: int) -> int:  # column-major in the target outcome x
-        return x * n_src + y
-
-    p = LPProblem(n=nvar, bounds=[(ctx.zero(), None)] * nvar)
-    one = ctx.one()
-    for y in range(n_src):
-        row = [ctx.zero()] * nvar
-        for x in range(n_tgt):
-            row[idx(x, y)] = one
-        p.add_eq(row, one)
-    for x in range(n_tgt):
-        for c in range(dim):
-            row = [ctx.zero()] * nvar
-            for y in range(n_src):
-                row[idx(x, y)] = source.effects[y][c]
-            p.add_eq(row, target.effects[x][c])
-    res = lp_solve(p, ctx)
-    if not res.feasible:
-        return None
-    return tuple(tuple(res.x[idx(x, y)] for x in range(n_tgt)) for y in range(n_src))
+    witness = is_simulable(target, [source])
+    return None if witness is None else witness.matrices[0]
 
 
 def are_pp_equivalent(a: Observable, b: Observable) -> bool:

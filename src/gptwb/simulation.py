@@ -26,7 +26,13 @@ from .observables import (
 )
 from .postprocess import is_pp_clean
 from .observables import is_extreme_clean
-from .spaces import StateSpace, UnsupportedSpace, make_polygon, polygon_extreme_even
+from .spaces import (
+    StateSpace,
+    UnsupportedSpace,
+    effect_block,
+    make_polygon,
+    polygon_extreme_even,
+)
 
 
 @dataclass(frozen=True)
@@ -237,19 +243,14 @@ def effect_in_noise_class(space: StateSpace, e: Sequence, t) -> bool:
         vals = [dot(e, v) for v in space.vertices]
         return all(ctx.eq(v, vals[0]) for v in vals) and ctx.ge(vals[0], ctx.zero()) \
             and ctx.le(vals[0], ctx.one())
-    dim = space.ambient_dim
-    nvar = dim + 1  # e' coordinates and p
-    p = LPProblem(n=nvar, bounds=[(None, None)] * dim + [(ctx.zero(), ctx.one())])
-    for c in range(dim):
-        row = [ctx.zero()] * nvar
-        row[c] = t
-        row[dim] = (ctx.one() - t) * space.unit[c]
+    p = LPProblem(n=1, bounds=[(ctx.zero(), ctx.one())])  # variable 0 is p
+    eff = effect_block(p, space, 2)  # e' and u - e'
+    eff.sum_eq(p, (0, 1), space.unit)
+    for c, u in enumerate(space.unit):
+        row = [0] * p.n
+        row[0] = (ctx.one() - t) * u
+        eff.add(row, 0, eff.cols[c], t)
         p.add_eq(row, ctx.scalar(e[c]))
-    zero, one = ctx.zero(), ctx.one()
-    for v in space.vertices:
-        row = list(v) + [zero]
-        p.add_ge(row, zero)
-        p.add_ge([-x for x in v] + [zero], -one)
     return lp_solve(p, ctx).feasible
 
 

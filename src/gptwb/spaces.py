@@ -3,7 +3,8 @@
 A polytopic state space is stored by its vertex list in R^{d+1} together with
 the unit functional u (so u(v) = 1 for every vertex v).  Every positivity test
 reduces to vertex evaluations, which turns all downstream relation checks into
-finite LPs.  Norm-ball spaces (Euclidean unit balls, the qubit/rebit Bloch
+finite LPs; ``effect_block`` is the one way those LPs encode an effect.
+Norm-ball spaces (Euclidean unit balls, the qubit/rebit Bloch
 bodies) are kept alongside for the closed-form compatibility criteria; they
 have no vertices and support only the operations with closed forms.
 """
@@ -16,7 +17,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .numerics import Context, DEFAULT, dot, null_space_vector, rank, solve_unique
+from .numerics import (
+    DEFAULT,
+    Context,
+    LPProblem,
+    dot,
+    lp_solve,
+    null_space_vector,
+    rank,
+    solve_unique,
+)
 
 Vector = tuple
 
@@ -112,9 +122,6 @@ class StateSpace:
     # ------------------------------------------------------------- effects
     def zero_effect(self) -> Vector:
         return tuple([self.ctx.zero()] * self.ambient_dim)
-
-    def evaluate(self, effect: Sequence, state: Sequence):
-        return dot(effect, state)
 
     def effect_norm(self, avec: Sequence):
         """Dual norm of a Bloch direction: sup over states of a . s.  A float on
@@ -259,14 +266,7 @@ class StateSpace:
             if not ctx.eq(state[-1], ctx.one()):
                 return False
             return self.effect_norm(state[:-1]) <= 1 + (0 if ctx.exact else ctx.eps)
-        from .numerics import LPProblem, lp_solve
-
-        n = self.n_vertices
-        p = LPProblem(n=n, bounds=[(ctx.zero(), None)] * n)
-        p.add_eq([ctx.one()] * n, ctx.one())
-        for c in range(self.ambient_dim):
-            p.add_eq([self.vertices[i][c] for i in range(n)], ctx.scalar(state[c]))
-        return lp_solve(p, ctx).feasible
+        return in_convex_hull(state, self.vertices, ctx)
 
     def vertex_index_of(self, state: Sequence) -> Optional[int]:
         for i, v in enumerate(self.vertices):
@@ -288,6 +288,87 @@ class StateSpace:
             out["summands"] = [{"coord_offset": s.coord_offset, "coord_dim": s.coord_dim,
                                 "vertex_indices": list(s.vertex_indices)} for s in self.summands]
         return out
+
+
+# ------------------------------------------------------------- LP models
+def in_convex_hull(point: Sequence, points: Sequence[Sequence], ctx: Context) -> bool:
+    """LP feasibility: point is a convex combination of points."""
+    n = len(points)
+    p = LPProblem(n=n, bounds=[(ctx.zero(), None)] * n)
+    p.add_eq([ctx.one()] * n, ctx.one())
+    for c, x in enumerate(point):
+        p.add_eq([q[c] for q in points], ctx.scalar(x))
+    return lp_solve(p, ctx).feasible
+
+
+class EffectBlock:
+    """k effects among the variables of an LP: effect i is the sum over j of
+    x[start + i * len(gens) + j] * gens[j]."""
+
+    def __init__(self, start: int, gens: tuple, k: int):
+        self.start, self.gens, self.k = start, gens, k
+        self.cols = tuple(zip(*gens))  # generator coefficients of each coordinate
+
+    def at(self, point: Sequence) -> list:
+        """Generator coefficients of an effect's value at a point."""
+        return [dot(g, point) for g in self.gens]
+
+    def add(self, row: list, i: int, coeffs: Sequence, scale=1) -> None:
+        """Add scale * coeffs to the entries of effect i's variables in row;
+        coeffs come from ``at`` or ``cols``."""
+        base = self.start + i * len(self.gens)
+        for j, a in enumerate(coeffs):
+            if a:
+                row[base + j] += scale * a
+
+    def sum_eq(self, p: LPProblem, members: Sequence[int], target: Sequence) -> None:
+        """Rows: the effects in members sum to the functional target."""
+        for c, rhs in enumerate(target):
+            row = [0] * p.n
+            for i in members:
+                self.add(row, i, self.cols[c])
+            p.add_eq(row, rhs)
+
+    def effects(self, x: Sequence) -> tuple:
+        """The k effects at an LP solution x."""
+        w = len(self.gens)
+        return tuple(tuple(sum(x[self.start + i * w + j] * g[c] for j, g in enumerate(self.gens))
+                           for c in range(len(self.cols)))
+                     for i in range(self.k))
+
+
+def effect_block(p: LPProblem, space: StateSpace, k: int) -> EffectBlock:
+    """Append k effects to the variables of p; call it before adding rows.
+
+    An effect is a nonnegative combination of the dual-cone rays, so it is
+    positive by construction.  Where the rays do not generate the dual cone
+    (no enumeration for this space, or vertices that do not span the ambient
+    space) the effect's coordinates are free and one >= row per vertex keeps
+    it nonnegative."""
+    if space.kind != "polytopic":
+        raise UnsupportedSpace("effect LPs need a vertex representation")
+    ctx = space.ctx
+    dim = space.ambient_dim
+    rays = None
+    if space.affine_dim + 1 == dim:
+        try:
+            rays = tuple(r.direction for r in space.dual_rays())
+        except UnsupportedSpace:
+            pass
+    zero, one = ctx.zero(), ctx.one()
+    gens = rays or tuple(tuple(one if j == c else zero for j in range(dim)) for c in range(dim))
+    blk = EffectBlock(p.n, gens, k)
+    p.n += k * len(gens)
+    p.bounds = ((p.bounds or [(None, None)] * blk.start)
+                + [(zero if rays else None, None)] * (k * len(gens)))
+    if not rays:
+        for v in space.vertices:
+            vals = blk.at(v)
+            for i in range(k):
+                row = [0] * p.n
+                blk.add(row, i, vals)
+                p.add_ge(row, zero)
+    return blk
 
 
 # ------------------------------------------------------------- constructors

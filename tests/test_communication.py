@@ -8,6 +8,7 @@ import pytest
 
 from gptwb.numerics import EXACT, dot, is_row_stochastic
 from gptwb.observables import observable, trivial_observable
+import gptwb.communication as communication
 from gptwb.communication import (
     build_comm_matrix,
     canonical_reduce,
@@ -188,6 +189,40 @@ def test_nonneg_factorization_exact_witness_is_stochastic():
     assert all(isinstance(v, Fraction) for row in w + h for v in row)
     assert is_row_stochastic(w, EXACT) and is_row_stochastic(h, EXACT)
     assert _max_error(w, h, prod) <= 1e-9
+
+
+def test_hals_gives_up_a_restart_too_slow_to_converge(monkeypatch):
+    # the second planted 5x5 rank-2 product of the comm-search benchmark: the
+    # cyclic restart converges linearly at a rate that cannot reach the
+    # target within 2000 sweeps, so it must stop long before all 100 checks
+    rng = random.Random(2020)
+
+    def stochastic(n, m):
+        rows = []
+        for _ in range(n):
+            raw = [rng.random() for _ in range(m)]
+            rows.append([v / sum(raw) for v in raw])
+        return rows
+
+    def mul(a, b):
+        return [[sum(row[t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
+                for row in a]
+
+    for k, j, n, m in ((2, 3, 3, 3), (2, 4, 3, 4), (3, 4, 4, 3), (2, 5, 4, 4),
+                       (3, 5, 3, 4), (3, 3, 4, 4)):  # the ultraweak pairs come first
+        c = mul(stochastic(j, k), stochastic(k, j))
+        mul(mul(stochastic(n, j), c), stochastic(j, m))
+    mul(stochastic(5, 2), stochastic(2, 5))
+    target = mul(stochastic(5, 2), stochastic(2, 5))
+    checks = []
+    error = communication._factor_error
+    monkeypatch.setattr(communication, "_factor_error",
+                        lambda *args: checks.append(1) or error(*args))
+    cyclic = [[1.0 if i % 2 == t else 0.0 for t in range(2)] for i in range(5)]
+    communication._hals_stochastic(target, cyclic)
+    assert len(checks) <= 20
+    monkeypatch.undo()
+    assert nonneg_factorization(comm_matrix(target), 2) is not None
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -1,13 +1,14 @@
 """Joint measurability: LP vs closed-form criteria, noise condition, fully
 compatible and non-disturbing classes."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from gptwb.numerics import EXACT
+from gptwb.numerics import EXACT, FLOAT, dot
 from gptwb.observables import (
     is_trivial,
     mix_observables,
@@ -31,7 +32,9 @@ from gptwb.compatibility import (
     psym_compat_test,
     pure_state_decomposition,
 )
+from gptwb.simulation import effect_in_noise_class
 from gptwb.spaces import (
+    StateSpace,
     direct_sum,
     make_ball,
     make_classical,
@@ -117,6 +120,80 @@ def test_dichotomic_g_matches_product_lp_on_random_pairs():
             assert (dichotomic_compat_g(a, b) is not None) == \
                 (are_compatible([a, b]) is not None)
     assert count >= 40
+
+
+def test_dichotomic_g_satisfies_its_cone_constraints():
+    # 0 <= g <= a, b and a + b - g <= u on every vertex, within eps
+    rng = random.Random(29)
+    spaces = [make_polygon(n) for n in (4, 5, 6, 7, 8)] + [make_square(), make_classical(3)]
+    found = 0
+    for sp in spaces:
+        eps = sp.ctx.eps
+        for _ in range(10):
+            a = random_observable(sp, 2, rng, margin=rng.uniform(0.2, 1.2))
+            b = random_observable(sp, 2, rng, margin=rng.uniform(0.2, 1.2))
+            g = dichotomic_compat_g(a, b)
+            if g is None:
+                continue
+            found += 1
+            for v in sp.vertices:
+                gv, av, bv = dot(g, v), dot(a.effects[0], v), dot(b.effects[0], v)
+                assert -eps <= gv <= min(av, bv) + eps
+                assert av + bv - gv <= 1 + eps
+    assert found >= 40
+
+
+# ------------------------------------------ spaces without a dual-ray generator
+def padded_square(ctx):
+    """The square with a zero coordinate appended: its vertices span only a
+    3-dimensional subspace of R^4, so its dual rays do not generate the dual
+    cone."""
+    one, zero = ctx.one(), ctx.zero()
+    vs = [(x * one, y * one, one, zero) for x, y in ((1, 1), (-1, 1), (-1, -1), (1, -1))]
+    return StateSpace("polytopic", vertices=vs, unit=(zero, zero, one, zero), ctx=ctx,
+                      label="padded-square")
+
+
+def cube4(ctx):
+    """The 4-cube at height 1 (affine dimension 4: no dual-ray enumeration)."""
+    one, zero = ctx.one(), ctx.zero()
+    vs = [tuple(s * one for s in signs) + (one,)
+          for signs in itertools.product((1, -1), repeat=4)]
+    return StateSpace("polytopic", vertices=vs, unit=(zero,) * 4 + (one,), ctx=ctx,
+                      label="cube4")
+
+
+def axis_dichotomic(space, axis, t):
+    """(e, u - e) with e(s) = (1 + t s_axis) / 2."""
+    half = space.ctx.scalar(Fraction(1, 2))
+    e = [half * u for u in space.unit]
+    e[axis] += half * space.ctx.scalar(t)
+    return dichotomic(space, tuple(e))
+
+
+@pytest.mark.parametrize("space", [padded_square(EXACT), padded_square(FLOAT), cube4(FLOAT)],
+                         ids=["padded-square-exact", "padded-square-float", "cube4-float"])
+def test_vertex_row_fallback(space):
+    tol = 1e-8
+    sharp = [axis_dichotomic(space, 0, 1), axis_dichotomic(space, 1, 1)]
+    assert are_compatible(sharp) is None
+    assert dichotomic_compat_g(*sharp) is None
+    for t in (Fraction(1, 2), Fraction(2, 5)):
+        noisy = [axis_dichotomic(space, 0, t), axis_dichotomic(space, 1, t)]
+        joint = are_compatible(noisy)
+        assert joint is not None
+        for which, want in enumerate(noisy):
+            for e, f in zip(marginal(joint, which).effects, want.effects):
+                assert all(abs(x - y) <= tol for x, y in zip(e, f))
+        for e in joint.effects:
+            assert all(dot(e, v) >= -tol for v in space.vertices)
+        assert dichotomic_compat_g(*noisy) is not None
+    x_sharp = sharp[0].effects[0]
+    x_half = axis_dichotomic(space, 1, Fraction(1, 2)).effects[0]
+    for t in (Fraction(1, 2), Fraction(3, 4)):
+        assert not effect_in_noise_class(space, x_sharp, t)
+        assert effect_in_noise_class(space, x_half, t)
+    assert effect_in_noise_class(space, x_sharp, 1)
 
 
 # ----------------------------------------------------- point-symmetric tests

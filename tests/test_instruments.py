@@ -6,7 +6,6 @@ import pytest
 
 from gptwb.instruments import (
     equiv_indecomposable_check,
-    induced_observable,
     is_indecomposable_mp,
     mp_instrument,
     mp_instrument_from_json,
@@ -24,17 +23,11 @@ def hexagon_setup():
     return sp, a, preps
 
 
-def test_induced_observable_round_trip():
-    sp, a, preps = hexagon_setup()
-    inst = mp_instrument(a, preps, sp)
-    assert induced_observable(inst) is a
-
-
 def test_trash_and_prepare_is_trivial():
     sp = make_polygon(6)
     t = trivial_observable(sp, (0.4, 0.6))
     inst = mp_instrument(t, (sp.vertices[0], sp.vertices[1]), sp)
-    assert is_trivial(induced_observable(inst))
+    assert is_trivial(inst.observable)
 
 
 def test_apply_returns_subnormalized_states():
