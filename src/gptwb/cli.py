@@ -45,7 +45,7 @@ class RunConfig:
 
     def context(self) -> Context:
         if self.backend == "exact":
-            return Context("exact", 0.0)
+            return Context("exact", 0)
         return Context("float", self.tolerance)
 
 
@@ -93,12 +93,15 @@ def _build_parser() -> _Parser:
 
 
 def _emit(config: RunConfig, payload: dict) -> None:
+    rows = payload.get("rows")
     if config.fmt == "json":
         text = json.dumps(payload, indent=2, sort_keys=True, default=_jsonable)
+    elif rows is not None:
+        text = _table(rows, "," if config.fmt == "csv" else "\t")
     elif config.fmt == "csv":
-        text = _to_csv(payload)
+        text = json.dumps(payload, sort_keys=True, default=_jsonable)
     else:
-        text = _to_text(payload)
+        text = "\n".join(f"{k}: {v}" for k, v in sorted(payload.items()))
     if config.out:
         with open(config.out, "w") as fh:
             fh.write(text + "\n")
@@ -114,26 +117,11 @@ def _jsonable(x):
     raise TypeError(f"not serializable: {type(x)}")
 
 
-def _to_csv(payload: dict) -> str:
-    rows = payload.get("rows")
-    if rows is None:
-        return json.dumps(payload, sort_keys=True, default=_jsonable)
-    header = list(rows[0].keys())
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(row[h]) for h in header))
-    return "\n".join(lines)
-
-
-def _to_text(payload: dict) -> str:
-    rows = payload.get("rows")
-    if rows is None:
-        return "\n".join(f"{k}: {v}" for k, v in sorted(payload.items()))
-    header = list(rows[0].keys())
-    lines = ["\t".join(header)]
-    for row in rows:
-        lines.append("\t".join(str(row[h]) for h in header))
-    return "\n".join(lines)
+def _table(rows: list[dict], sep: str) -> str:
+    """A header line and one line per row, fields joined by ``sep``."""
+    header = list(rows[0])
+    return "\n".join(sep.join(map(str, line))
+                     for line in [header] + [[row[h] for h in header] for row in rows])
 
 
 # ------------------------------------------------------------------- loading
@@ -230,8 +218,6 @@ def cmd_check(relation: str, inputs: list[str], simulators: str | None,
             raise ValueError("check sim TARGET --simulators ...")
         tgt = _load_observable(inputs[0], config)
         sims = _resolve_simulators(simulators, config, tgt.space)
-        sims = [observable_from_json(s.to_json_dict(), space=tgt.space)
-                if not isinstance(s, Observable) else s for s in sims]
         witness = is_simulable(tgt, sims)
         payload = {"relation": "sim", "verdict": witness is not None}
         if witness is not None:

@@ -18,7 +18,6 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .numerics import (
@@ -31,7 +30,7 @@ from .numerics import (
     rank,
 )
 from .numerics import Context, DEFAULT
-from .observables import Observable
+from .observables import Observable, _proportionality
 from .spaces import StateSpace, UnsupportedSpace, effect_block, in_convex_hull
 
 
@@ -45,9 +44,6 @@ class CommMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.matrix), len(self.matrix[0]) if self.matrix else 0
-
-    def row(self, i: int) -> tuple:
-        return self.matrix[i]
 
 
 def comm_matrix(rows: Sequence[Sequence], ctx: Context | None = None,
@@ -79,7 +75,7 @@ def identity_matrix(k: int, ctx: Context | None = None) -> CommMatrix:
 def uniform_matrix(n: int, m: int | None = None, ctx: Context | None = None) -> CommMatrix:
     ctx = ctx or DEFAULT
     m = n if m is None else m
-    v = Fraction(1, m) if ctx.exact else 1.0 / m
+    v = ctx.one() / m
     return CommMatrix(tuple(tuple(v for _ in range(m)) for _ in range(n)), ctx=ctx)
 
 
@@ -122,8 +118,7 @@ def _ceil_sqrt(k: int) -> int:
     return r
 
 
-def nonneg_factorization(c: CommMatrix, k: int, *, seed: int = 0,
-                         restarts: int = 4) -> Optional[tuple]:
+def nonneg_factorization(c: CommMatrix, k: int, *, seed: int = 0) -> Optional[tuple]:
     """Row-stochastic W (n x k), H (k x m) with W H = C within tolerance, or
     None when the search fails (inconclusive, not a certificate).
 
@@ -142,9 +137,9 @@ def nonneg_factorization(c: CommMatrix, k: int, *, seed: int = 0,
         return identity_matrix(n, ctx).matrix, tuple(tuple(row) for row in c.matrix)
     if k < 1:
         return None
-    tol = ctx.eps if not ctx.exact else 0
+    tol = ctx.eps
     target = [[float(v) for v in row] for row in c.matrix]
-    for attempt in range(restarts):
+    for attempt in range(_FACTOR_RESTARTS):
         rng = random.Random(seed * 1_000_003 + k * 1009 + attempt)
         if attempt == 0:
             # cluster seeding: assign rows cyclically
@@ -166,11 +161,14 @@ def nonneg_factorization(c: CommMatrix, k: int, *, seed: int = 0,
     return None
 
 
-_HALS_CHECK_EVERY = 20   # sweeps between max-error checks
-_HALS_MIN_SWEEPS = 200   # no stall or rate verdict before this many sweeps
+_FACTOR_RESTARTS = 4      # HALS restarts of nonneg_factorization
+_ULTRAWEAK_RESTARTS = 5   # starting R's of the alternating ultraweak search
+_ULTRAWEAK_ROUNDS = 50    # L, R alternations per start
+_HALS_CHECK_EVERY = 20    # sweeps between max-error checks
+_HALS_MIN_SWEEPS = 200    # no stall or rate verdict before this many sweeps
 _HALS_MAX_SWEEPS = 2000
-_HALS_TARGET = 1e-11     # max error at which the sweeps stop
-_HALS_STALL = 0.9        # a check above this share of the last one is a stall
+_HALS_TARGET = 1e-11      # max error at which the sweeps stop
+_HALS_STALL = 0.9         # a check above this share of the last one is a stall
 
 
 def _hals_stochastic(target, w):
@@ -309,8 +307,7 @@ def canonical_reduce(c: CommMatrix) -> CommMatrix:
             for j2 in range(j1 + 1, m):
                 col1 = [r[j1] for r in rows]
                 col2 = [r[j2] for r in rows]
-                c_ratio = _column_ratio(col1, col2, ctx)
-                if c_ratio is not None:
+                if _proportionality(ctx, col1, col2) is not None:
                     for r in rows:
                         r[j1] += r[j2]
                     rows = [[v for jj, v in enumerate(r) if jj != j2] for r in rows]
@@ -332,18 +329,6 @@ def canonical_reduce(c: CommMatrix) -> CommMatrix:
     return CommMatrix(tuple(tuple(r) for r in rows), ctx=ctx)
 
 
-def _column_ratio(col1, col2, ctx) -> Optional[object]:
-    j = max(range(len(col1)), key=lambda i: abs(float(col1[i])))
-    if ctx.is_zero(col1[j]):
-        return None
-    ratio = col2[j] / col1[j]
-    if not ctx.pos(ratio):
-        return None
-    if all(ctx.eq(col2[i], ratio * col1[i]) for i in range(len(col1))):
-        return ratio
-    return None
-
-
 def _is_mixture_of_others(rows, i: int, ctx) -> bool:
     return in_convex_hull(rows[i], [r for t, r in enumerate(rows) if t != i], ctx)
 
@@ -357,8 +342,7 @@ class UltraweakResult:
     violated: Optional[str] = None    # name of the violated monotone for "no"
 
 
-def ultraweak_leq(d: CommMatrix, c: CommMatrix, *, seed: int = 0,
-                  restarts: int = 5, rounds: int = 50) -> UltraweakResult:
+def ultraweak_leq(d: CommMatrix, c: CommMatrix, *, seed: int = 0) -> UltraweakResult:
     """Decide D <= C (ultraweak): monotone screens give certified "no",
     identity-shaped endpoints are decided exactly, and otherwise an
     alternating LP searches for row-stochastic witnesses L, R."""
@@ -392,7 +376,7 @@ def ultraweak_leq(d: CommMatrix, c: CommMatrix, *, seed: int = 0,
 
     n, m = d.shape
     j, k = c.shape
-    for attempt in range(restarts):
+    for attempt in range(_ULTRAWEAK_RESTARTS):
         rng = random.Random(seed * 1_000_003 + attempt)
         if attempt == 0:
             right = [[1.0 / m] * m for _ in range(k)]
@@ -403,7 +387,7 @@ def ultraweak_leq(d: CommMatrix, c: CommMatrix, *, seed: int = 0,
                 s = sum(raw)
                 right.append([v / s for v in raw])
         prev = None
-        for _ in range(rounds):
+        for _ in range(_ULTRAWEAK_ROUNDS):
             cr = [[sum(float(c.matrix[a][y]) * right[y][b] for y in range(k))
                    for b in range(m)] for a in range(j)]
             left = _fit_left_stochastic(cr, d.matrix)
@@ -411,7 +395,7 @@ def ultraweak_leq(d: CommMatrix, c: CommMatrix, *, seed: int = 0,
                    for y in range(k)] for a in range(n)]
             right = _fit_right_stochastic(lc, d.matrix, m)
             err = _factor_error(lc, right, d.matrix)
-            if err <= max(ctx.eps if not ctx.exact else 0, 1e-10):
+            if err <= max(ctx.eps, 1e-10):
                 lq = tuple(tuple(ctx.scalar(v) for v in row) for row in left)
                 rq = tuple(tuple(ctx.scalar(v) for v in row) for row in right)
                 if verify_ultraweak_witness(d, c, lq, rq):
@@ -527,8 +511,7 @@ def _operational_dim(space: StateSpace, lam_max) -> int:
     ctx = space.ctx
     n = space.n_vertices
     best = 1
-    eps = 0 if ctx.exact else ctx.eps
-    cap = min(n, int(float(lam_max) + float(eps)))  # d_op <= lambda_max
+    cap = min(n, int(float(lam_max) + float(ctx.eps)))  # d_op <= lambda_max
     for k in range(2, cap + 1):
         found = False
         for combo in itertools.combinations(range(n), k):
@@ -588,13 +571,13 @@ def _perturbed_trivial_matrix(space: StateSpace) -> Optional[CommMatrix]:
     d1 = space.ambient_dim
     n = space.n_vertices
     k = d1 + 1
-    base = Fraction(1, k) if ctx.exact else 1.0 / k
+    base = ctx.one() / k
     dirs = []
     for c in range(d1):
         e = [ctx.zero()] * d1
         e[c] = ctx.one()
         dirs.append(tuple(e))
-    mean = tuple(sum(col) * (Fraction(1, k) if ctx.exact else 1.0 / k) for col in zip(*dirs, space.unit))
+    mean = tuple(sum(col) * base for col in zip(*dirs, space.unit))
     cands = dirs + [space.unit]
     deltas = []
     for e in cands:

@@ -8,7 +8,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .numerics import LPProblem, dot, lp_solve
@@ -203,7 +202,7 @@ def noise_sufficient_compat(obs: Sequence[Observable]) -> NoiseCompatReport:
         if ctx.pos(w):
             trivials.append(tuple(mn / w for mn in rep.per_outcome_min))
         else:
-            q = Fraction(1, o.n_outcomes) if ctx.exact else 1.0 / o.n_outcomes
+            q = ctx.one() / o.n_outcomes
             trivials.append(tuple([q] * o.n_outcomes))
     sims = []
     for i, o in enumerate(obs):

@@ -1,10 +1,11 @@
 """Field-abstracted numerics: exact rationals or floats with a global tolerance.
 
 Everything downstream (state spaces, relation LPs, monotones) runs on top of
-a :class:`Context` that fixes the scalar field.  The float context compares
-with an absolute tolerance ``eps``; the exact context uses ``fractions.Fraction``
-and compares exactly, which makes it usable as a correctness oracle for the
-float path.
+a :class:`Context` that fixes the scalar field.  Every comparison is one
+expression in the context's tolerance ``eps``.  The float context uses IEEE
+doubles with an absolute ``eps``; the exact context is the same code with
+``fractions.Fraction`` scalars and ``eps`` the integer 0, so it compares
+exactly and serves as the correctness oracle for the float path.
 """
 
 from __future__ import annotations
@@ -22,11 +23,16 @@ class Context:
     """Scalar field plus comparison tolerance.
 
     backend: "float" (IEEE doubles, tolerance ``eps``) or "exact"
-    (arbitrary-precision rationals, exact comparisons).
+    (arbitrary-precision rationals, ``eps`` the integer 0: a float zero
+    would turn ``Fraction + eps`` into a float).
     """
 
     backend: str = "float"
     eps: float = 1e-9
+
+    def __post_init__(self):
+        if self.exact and not (self.eps == 0 and isinstance(self.eps, int)):
+            raise ValueError("the exact backend compares exactly; eps must be the integer 0")
 
     @property
     def exact(self) -> bool:
@@ -51,38 +57,36 @@ class Context:
     def one(self) -> Scalar:
         return Fraction(1) if self.exact else 1.0
 
-    # comparisons -----------------------------------------------------------
+    # comparisons: the first test settles the common case without arithmetic
     def is_zero(self, a) -> bool:
-        return a == 0 if self.exact else abs(a) <= self.eps
+        return not a or abs(a) <= self.eps
 
     def eq(self, a, b) -> bool:
-        return a == b if self.exact else abs(a - b) <= self.eps
+        return a == b or abs(a - b) <= self.eps
 
     def le(self, a, b) -> bool:
-        return a <= b if self.exact else a <= b + self.eps
+        return a <= b or a <= b + self.eps
 
     def ge(self, a, b) -> bool:
-        return a >= b if self.exact else a >= b - self.eps
+        return a >= b or a >= b - self.eps
 
     def lt(self, a, b) -> bool:
-        """Strictly less, by more than the tolerance in float mode."""
-        return a < b if self.exact else a < b - self.eps
+        """Strictly less, by more than the tolerance."""
+        return a < b and a < b - self.eps
 
     def gt(self, a, b) -> bool:
-        return a > b if self.exact else a > b + self.eps
+        return a > b and a > b + self.eps
 
     def pos(self, a) -> bool:
         return self.gt(a, self.zero())
 
     def ceil(self, a) -> int:
-        """Smallest integer >= a - eps (float) / >= a (exact)."""
-        if self.exact:
-            return -((-a.numerator) // a.denominator) if isinstance(a, Fraction) else math.ceil(a)
+        """Smallest integer >= a - eps."""
         return math.ceil(a - self.eps)
 
 
 FLOAT = Context("float", 1e-9)
-EXACT = Context("exact", 0.0)
+EXACT = Context("exact", 0)
 DEFAULT = FLOAT
 
 

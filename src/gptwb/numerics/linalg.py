@@ -43,7 +43,7 @@ def _eliminate(rows: list[list], ctx: Context) -> tuple[list[list], list[int]]:
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c] if ctx.exact else 1.0 / rows[r][c]
+        inv = 1 / rows[r][c]
         rows[r] = [inv * v for v in rows[r]]
         for i in range(m):
             if i != r:

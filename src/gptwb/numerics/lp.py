@@ -5,9 +5,11 @@ column is chosen by Dantzig's rule (most negative reduced cost); a streak of
 degenerate pivots switches to Bland's rule, which guarantees termination.
 Pivots update only the nonzero columns of the pivot row.  Every choice breaks
 ties by lowest index, so witnesses are deterministic: identical problems yield
-identical solutions.  In exact mode
-infeasibility is certified; in float mode it means no feasible point was
-found at tolerance ``eps``.
+identical solutions.  Variables are shifted and split onto ``y >= 0``; the
+upper end of a two-sided bound becomes one more ``>=`` row, so every row of
+the standard form is built the same way.  The exact backend runs the same
+code with ``eps`` = 0: there infeasibility is certified; in float mode it
+means no feasible point was found at tolerance ``eps``.
 """
 
 from __future__ import annotations
@@ -52,9 +54,8 @@ class LPResult:
 def _pivot(tableau: list[list], basis: list[int], r: int, c: int, ctx: Context) -> list:
     """Pivot on entry (r, c) in place; returns the scaled pivot row's nonzero
     ``(column, value)`` pairs, the only columns any other row changes in."""
-    exact = ctx.exact
     prow = tableau[r]
-    inv = 1 / prow[c] if exact else 1.0 / prow[c]
+    inv = 1 / prow[c]
     nz = []
     for j, v in enumerate(prow):
         if v:
@@ -62,12 +63,13 @@ def _pivot(tableau: list[list], basis: list[int], r: int, c: int, ctx: Context) 
             prow[j] = v
             nz.append((j, v))
     zero = ctx.zero()
-    tiny = 0 if exact else ctx.eps * 1e-3
+    # the integer 0 on exact: comparing a Fraction with a float is slow
+    tiny = ctx.eps * 1e-3 if ctx.eps else 0
     for i, row in enumerate(tableau):
         if i == r:
             continue
         f = row[c]
-        if f == 0 or (not exact and abs(f) <= tiny):
+        if not f or abs(f) <= tiny:
             row[c] = zero
             continue
         for j, v in nz:
@@ -87,9 +89,8 @@ def _run_simplex(tableau: list[list], basis: list[int], cost: list, m: int,
     index on ties; after more than ``m`` degenerate pivots in a row it is the
     first improving column (Bland) until a pivot makes progress.
     """
-    exact = ctx.exact
     zero = ctx.zero()
-    tol = 0 if exact else ctx.eps
+    tol = ctx.eps
     red = list(cost) + [zero]
     for i, b in enumerate(basis):
         f = red[b]
@@ -131,119 +132,68 @@ def lp_solve(problem: LPProblem, ctx: Context | None = None) -> LPResult:
     from . import DEFAULT
 
     ctx = ctx or DEFAULT
-    exact = ctx.exact
-    scalar = ctx.scalar if exact else float
-    tol = 0 if exact else ctx.eps
+    scalar = ctx.scalar if ctx.exact else float
+    tol = ctx.eps
     n = problem.n
     zero, one = ctx.zero(), ctx.one()
     bounds = problem.bounds if problem.bounds is not None else [(None, None)] * n
 
     # --- translate to standard form: A y = b, y >= 0 -----------------------
-    # x_j = shift_j + sum(coeff * y_k); extra rows for two-sided bounds.
+    # x_j = shift_j + sum(sign * y_k); the upper bound of a two-sided bound
+    # becomes one more >= row, -x_j >= -hi.
     shifts: list = []
     terms: list[list[tuple[int, int]]] = []  # per original var: [(std_idx, sign)]
-    extra_rows: list[tuple[int, object]] = []  # (std var index, span) for hi bounds
+    ge = [(enumerate(row), b) for row, b in problem.ge]
     nstd = 0
-    for lo, hi in bounds:
+    for j, (lo, hi) in enumerate(bounds):
         if lo is None and hi is None:
             terms.append([(nstd, 1), (nstd + 1, -1)])
             shifts.append(zero)
             nstd += 2
-        elif lo is not None and hi is None:
-            terms.append([(nstd, 1)])
-            shifts.append(scalar(lo))
-            nstd += 1
-        elif lo is None and hi is not None:
+            continue
+        if lo is None:
             terms.append([(nstd, -1)])
             shifts.append(scalar(hi))
-            nstd += 1
         else:
             terms.append([(nstd, 1)])
             shifts.append(scalar(lo))
-            extra_rows.append((nstd, scalar(hi) - scalar(lo)))
-            nstd += 1
+            if hi is not None:
+                ge.append((((j, -one),), -scalar(hi)))
+        nstd += 1
 
-    rows: list[list] = []
-    rhs: list = []
+    # each row at full width, its slack and artificial columns in place:
+    # std variables, one slack per >= row, one artificial per row, rhs
+    width = nstd + len(ge)
+    m = len(problem.eq) + len(ge)
+    tableau: list[list] = []
+    basis = list(range(width, width + m))
 
-    def convert(row, b, slack_sign) -> None:
-        out = [zero] * nstd
+    def add_row(coeffs, b, slack: int | None) -> None:
+        out = [zero] * width
         acc = scalar(b)
-        for j, c in enumerate(row):
+        for j, c in coeffs:
             c = scalar(c)
             if c == 0:
                 continue
             acc -= c * shifts[j]
             for idx, sign in terms[j]:
                 out[idx] += c if sign > 0 else -c
-        if slack_sign:
-            out.append(slack_sign * one)
-        rows.append(out)
-        rhs.append(acc)
+        if slack is not None:
+            out[slack] = -one
+        if acc < 0:
+            out = [-v for v in out]
+            acc = -acc
+        art = [zero] * m
+        art[len(tableau)] = one
+        tableau.append(out + art + [acc])
 
-    slack_count = len(problem.ge) + len(extra_rows)
     for row, b in problem.eq:
-        convert(row, b, 0)
-    for row, b in problem.ge:
-        convert(row, b, -1)
-    for idx, span in extra_rows:
-        out = [zero] * nstd
-        out[idx] = one
-        rows.append(out)
-        rhs.append(span)
-    # pad slack columns to uniform width
-    width = nstd + slack_count
-    si = nstd
-    for i, row in enumerate(rows):
-        if len(row) > nstd:  # ge row: move its slack into its own column
-            s = row.pop()
-            row.extend([zero] * (width - len(row)))
-            row[si] = s
-            si += 1
-        elif i >= len(problem.eq) + len(problem.ge):  # bound row slack
-            row.extend([zero] * (width - len(row)))
-            row[si] = one
-            si += 1
-        else:
-            row.extend([zero] * (width - len(row)))
-
-    m = len(rows)
-    if m == 0:
-        # no constraint rows: variables decouple (two-sided bounds would have
-        # produced a row, so each is free or one-sided)
-        xs = []
-        obj = problem.objective or [zero] * n
-        for j, (lo, hi) in enumerate(bounds):
-            c = scalar(obj[j])
-            if ctx.gt(c, zero):
-                if hi is None:
-                    raise UnboundedObjective("unconstrained objective direction")
-                xs.append(scalar(hi))
-            elif ctx.lt(c, zero):
-                if lo is None:
-                    raise UnboundedObjective("unconstrained objective direction")
-                xs.append(scalar(lo))
-            else:
-                xs.append(shifts[j])
-        val = None
-        if problem.objective is not None:
-            val = sum((scalar(c) * x for c, x in zip(problem.objective, xs)), zero)
-        return LPResult(True, tuple(xs), val)
-
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
+        add_row(enumerate(row), b, None)
+    for k, (coeffs, b) in enumerate(ge):
+        add_row(coeffs, b, nstd + k)
 
     # --- phase 1 ------------------------------------------------------------
     ncols = width + m
-    tableau = []
-    basis = []
-    for i in range(m):
-        row = rows[i] + [zero] * m + [rhs[i]]
-        row[width + i] = one
-        tableau.append(row)
-        basis.append(width + i)
     p1cost = [zero] * width + [one] * m
     _run_simplex(tableau, basis, p1cost, m, ncols - 1, ctx)
     infeas = sum((tableau[i][-1] for i in range(m) if basis[i] >= width), zero)

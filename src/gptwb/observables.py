@@ -62,7 +62,7 @@ def trivial_observable(space: StateSpace, probs: Sequence) -> Observable:
 
 
 def uniform_trivial(space: StateSpace, k: int) -> Observable:
-    p = Fraction(1, k) if space.ctx.exact else 1.0 / k
+    p = space.ctx.one() / k
     return trivial_observable(space, [p] * k)
 
 
@@ -197,13 +197,8 @@ def is_indecomposable_effect(space: StateSpace, e: Sequence) -> bool:
 
 def _proportionality(ctx: Context, e: Sequence, f: Sequence) -> Optional[object]:
     """c > 0 with f == c*e, judged by the ratio at e's largest component."""
-    if ctx.exact:
-        j = next((i for i, x in enumerate(e) if x != 0), None)
-    else:
-        j = max(range(len(e)), key=lambda i: abs(e[i]))
-        if ctx.is_zero(e[j]):
-            j = None
-    if j is None:
+    j = max(range(len(e)), key=lambda i: abs(e[i]))
+    if ctx.is_zero(e[j]):
         return None
     c = f[j] / e[j]
     if not ctx.pos(c):

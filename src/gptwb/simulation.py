@@ -43,16 +43,6 @@ class SimWitness:
     weights: tuple
     matrices: tuple  # one |Omega_i| x |Omega_target| matrix per simulator
 
-    def postprocessings(self, ctx) -> tuple:
-        """Recover nu^(i) = M^(i)/p_i for the simulators with positive weight."""
-        out = []
-        for p, m in zip(self.weights, self.matrices):
-            if ctx.pos(p):
-                out.append(tuple(tuple(v / p for v in row) for row in m))
-            else:
-                out.append(None)
-        return tuple(out)
-
 
 def is_simulable(target: Observable, simulators: Sequence[Observable]) -> Optional[SimWitness]:
     """LP membership of ``target`` in the simulation closure of ``simulators``."""

@@ -131,7 +131,7 @@ class StateSpace:
         if not self.psym:
             raise UnsupportedSpace("effect norm needs a point-symmetric embedding")
         top = max(dot(avec, v[:-1]) for v in self.vertices)
-        return top if self.ctx.exact else float(top)
+        return top
 
     def bloch(self, effect: Sequence) -> tuple[tuple, object]:
         """(a, alpha) with effect = (a, alpha)/2; canonical embedding only."""
@@ -143,7 +143,7 @@ class StateSpace:
     def effect_from_bloch(self, avec: Sequence, alpha) -> Vector:
         if not self.psym:
             raise UnsupportedSpace("Bloch form needs a point-symmetric embedding")
-        half = Fraction(1, 2) if self.ctx.exact else 0.5
+        half = self.ctx.one() / 2
         return tuple([half * self.ctx.scalar(x) for x in avec] + [half * self.ctx.scalar(alpha)])
 
     def is_valid_effect(self, effect: Sequence) -> bool:
@@ -265,7 +265,7 @@ class StateSpace:
         if self.kind == "ball":
             if not ctx.eq(state[-1], ctx.one()):
                 return False
-            return self.effect_norm(state[:-1]) <= 1 + (0 if ctx.exact else ctx.eps)
+            return self.effect_norm(state[:-1]) <= 1 + ctx.eps
         return in_convex_hull(state, self.vertices, ctx)
 
     def vertex_index_of(self, state: Sequence) -> Optional[int]:

@@ -2,6 +2,7 @@
 exact/float backend agreement."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from gptwb.compatibility import are_compatible, marginal
 from gptwb.numerics import (
     EXACT,
     FLOAT,
+    Context,
     LPProblem,
     UnboundedObjective,
     count_orthogonal_rows,
@@ -55,6 +57,35 @@ def oracle_orthogonal_rows(rows, eps=1e-9):
                    for a, b in itertools.combinations(combo, 2)):
                 return size
     return best
+
+
+# ------------------------------------------------------------------ context
+def test_exact_context_compares_with_the_integer_zero():
+    third, tiny = Fraction(1, 3), Fraction(1, 10**30)
+    assert EXACT.eps == 0 and isinstance(EXACT.eps, int)
+    assert EXACT.lt(third, third + tiny)  # False if eps were 0.0
+    assert EXACT.gt(third + tiny, third) and not EXACT.eq(third, third + tiny)
+    assert not EXACT.is_zero(tiny) and EXACT.is_zero(Fraction(0))
+    assert EXACT.ceil(third) == 1 and EXACT.ceil(Fraction(-1, 3)) == 0
+    for eps in (1e-9, 0.0, Fraction(1, 10**9)):
+        with pytest.raises(ValueError):
+            Context("exact", eps)
+
+
+def test_float_context_keeps_its_tolerance_band():
+    eps = FLOAT.eps
+    for b in (0.0, 1.0, -2.5):
+        for d in (0.0, eps / 2, eps, 2 * eps, 1e-3):
+            for a in (b + d, b - d):
+                assert FLOAT.eq(a, b) == (abs(a - b) <= eps)
+                assert FLOAT.le(a, b) == (a <= b + eps)
+                assert FLOAT.ge(a, b) == (a >= b - eps)
+                assert FLOAT.lt(a, b) == (a < b - eps)
+                assert FLOAT.gt(a, b) == (a > b + eps)
+                assert FLOAT.is_zero(a - b) == (abs(a - b) <= eps)
+                assert FLOAT.ceil(a) == math.ceil(a - eps)
+    assert FLOAT.eq(1.0, 1.0 + eps / 2) and not FLOAT.eq(1.0, 1.0 + 2 * eps)
+    assert FLOAT.ceil(2 + eps / 2) == 2 and FLOAT.ceil(2 + 2 * eps) == 3
 
 
 # --------------------------------------------------------------------- rank
