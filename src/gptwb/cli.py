@@ -27,7 +27,7 @@ from .numerics import Context
 from .observables import Observable, observable_from_json
 from .postprocess import find_postprocessing
 from .simulation import enumerate_irreducibles, is_simulable
-from .spaces import StateSpace, space_from_ref
+from .spaces import StateSpace, UnsupportedSpace, space_from_ref
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -167,17 +167,21 @@ def _resolve_simulators(selector: str, config: RunConfig, space: StateSpace | No
 def cmd_tables(which: str, config: RunConfig) -> int:
     ctx = config.context()
     if which == "dims":
-        rows = []
+        rows, skipped = [], []
         for ref in [f"classical:{d}" for d in range(1, 6)] + \
                    [f"polygon:{n}" for n in range(3, 10)]:
-            sp = space_from_ref(ref, ctx)
+            try:
+                sp = space_from_ref(ref, ctx)
+            except UnsupportedSpace:  # polygon:n on the exact backend
+                skipped.append(ref)
+                continue
             dims = space_dims(sp, seed=config.seed)
             rows.append({"space": ref, "d_op": dims.d_op,
                          "lambda_max": round(dims.lambda_max, 9),
                          "d_lin": dims.d_lin,
                          "d_cl_lower": dims.d_cl_lo, "d_cl_is_bound": True,
                          "d_q_lower": dims.d_q_lo, "d_q_is_bound": True})
-        _emit(config, {"table": "dims", "rows": rows})
+        _emit(config, {"table": "dims", "rows": rows} | ({"skipped": skipped} if skipped else {}))
         return EXIT_YES
     if which == "irreducibles":
         rows = []

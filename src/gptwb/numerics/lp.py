@@ -1,15 +1,15 @@
 """Self-contained primal simplex solver.
 
-Two-phase tableau method over the context's scalar field.  The entering
-column is chosen by Dantzig's rule (most negative reduced cost); a streak of
-degenerate pivots switches to Bland's rule, which guarantees termination.
-Pivots update only the nonzero columns of the pivot row.  Every choice breaks
-ties by lowest index, so witnesses are deterministic: identical problems yield
-identical solutions.  Variables are shifted and split onto ``y >= 0``; the
-upper end of a two-sided bound becomes one more ``>=`` row, so every row of
-the standard form is built the same way.  The exact backend runs the same
-code with ``eps`` = 0: there infeasibility is certified; in float mode it
-means no feasible point was found at tolerance ``eps``.
+Two-phase tableau method over the context's scalar field.  Phase 1's
+artificials are implicit (they have no tableau column), so one that leaves the
+basis never re-enters.  The entering column is chosen by Dantzig's rule (most
+negative reduced cost); a streak of degenerate pivots switches to Bland's
+rule, which guarantees termination.  Pivots update only the nonzero columns
+of the pivot row.  Every choice breaks ties by lowest index, so witnesses are
+deterministic.  Variables are shifted and split onto ``y >= 0``; the upper
+end of a two-sided bound becomes one more ``>=`` row.  The exact backend runs
+the same code with ``eps`` = 0: there infeasibility is certified; in float
+mode it means no feasible point was found at tolerance ``eps``.
 """
 
 from __future__ import annotations
@@ -79,31 +79,33 @@ def _pivot(tableau: list[list], basis: list[int], r: int, c: int, ctx: Context) 
     return nz
 
 
-def _run_simplex(tableau: list[list], basis: list[int], cost: list, m: int,
-                 allowed: int, ctx: Context) -> bool:
+def _run_simplex(tableau: list[list], basis: list[int], cost: list, ctx: Context) -> bool:
     """Minimize ``cost . y`` given a basic feasible tableau.
 
-    ``cost`` has length ncols-1 (excludes rhs); columns >= ``allowed`` may not
-    enter the basis.  Returns False when an improving column is unbounded.
-    The entering column is the most negative reduced cost (Dantzig), lowest
-    index on ties; after more than ``m`` degenerate pivots in a row it is the
+    ``cost`` covers every column but the rhs; a basic index ``>= len(cost)``
+    is a phase-1 artificial, which costs one and has no column, so once it
+    leaves it never re-enters.  Returns False when an improving column is
+    unbounded.  The entering column is the most negative reduced cost
+    (Dantzig); after more than ``m`` degenerate pivots in a row it is the
     first improving column (Bland) until a pivot makes progress.
     """
-    zero = ctx.zero()
+    zero, one = ctx.zero(), ctx.one()
     tol = ctx.eps
+    m, width = len(tableau), len(cost)
     red = list(cost) + [zero]
     for i, b in enumerate(basis):
-        f = red[b]
+        f = red[b] if b < width else one
         if abs(f) > tol:
             for j, v in enumerate(tableau[i]):
                 if v:
                     red[j] -= f * v
-            red[b] = zero
-    cols = range(allowed)
+            if b < width:
+                red[b] = zero
+    cols = range(width)
     degenerate = 0
     # safety valve against float round-off; in exact arithmetic the Bland
     # fallback alone guarantees termination
-    max_pivots = 2000 + 50 * (m + allowed)
+    max_pivots = 2000 + 50 * (m + width)
     for _ in range(max_pivots):
         enter = min(cols, key=red.__getitem__, default=-1)
         if enter < 0 or red[enter] >= -tol:
@@ -161,8 +163,8 @@ def lp_solve(problem: LPProblem, ctx: Context | None = None) -> LPResult:
                 ge.append((((j, -one),), -scalar(hi)))
         nstd += 1
 
-    # each row at full width, its slack and artificial columns in place:
-    # std variables, one slack per >= row, one artificial per row, rhs
+    # each row at full width, its slack column in place: std variables, one
+    # slack per >= row, rhs; row i starts on its implicit artificial, width + i
     width = nstd + len(ge)
     m = len(problem.eq) + len(ge)
     tableau: list[list] = []
@@ -183,9 +185,7 @@ def lp_solve(problem: LPProblem, ctx: Context | None = None) -> LPResult:
         if acc < 0:
             out = [-v for v in out]
             acc = -acc
-        art = [zero] * m
-        art[len(tableau)] = one
-        tableau.append(out + art + [acc])
+        tableau.append(out + [acc])
 
     for row, b in problem.eq:
         add_row(enumerate(row), b, None)
@@ -193,11 +193,8 @@ def lp_solve(problem: LPProblem, ctx: Context | None = None) -> LPResult:
         add_row(coeffs, b, nstd + k)
 
     # --- phase 1 ------------------------------------------------------------
-    ncols = width + m
-    p1cost = [zero] * width + [one] * m
-    _run_simplex(tableau, basis, p1cost, m, ncols - 1, ctx)
-    infeas = sum((tableau[i][-1] for i in range(m) if basis[i] >= width), zero)
-    if infeas > tol:
+    _run_simplex(tableau, basis, [zero] * width, ctx)
+    if sum((tableau[i][-1] for i in range(m) if basis[i] >= width), zero) > tol:
         return LPResult(False)
 
     # drive artificials out of the basis; drop redundant rows
@@ -209,9 +206,8 @@ def lp_solve(problem: LPProblem, ctx: Context | None = None) -> LPResult:
                 continue  # redundant constraint
             _pivot(tableau, basis, i, piv, ctx)
         keep.append(i)
-    tableau = [tableau[i][:width] + [tableau[i][-1]] for i in keep]
+    tableau = [tableau[i] for i in keep]
     basis = [basis[i] for i in keep]
-    m = len(tableau)
 
     # --- phase 2 ------------------------------------------------------------
     value = None
@@ -223,8 +219,7 @@ def lp_solve(problem: LPProblem, ctx: Context | None = None) -> LPResult:
                 continue
             for idx, sign in terms[j]:
                 cost[idx] -= c if sign > 0 else -c
-        bounded = _run_simplex(tableau, basis, cost, m, width, ctx)
-        if not bounded:
+        if not _run_simplex(tableau, basis, cost, ctx):
             raise UnboundedObjective("objective unbounded above")
 
     y = [zero] * width

@@ -49,6 +49,24 @@ def test_tables_dims_rows(capsys):
     assert rows["polygon:5"]["d_q_is_bound"] is True
 
 
+@pytest.mark.parametrize("backend", ["float", "exact"])
+def test_tables_dims_lists_the_spaces_a_backend_refuses(backend, capsys):
+    """The exact backend has no polygons (irrational vertices): dims prints
+    the classical rows and names the polygons under "skipped"."""
+    code, out = run_cli(["tables", "dims", "--backend", backend], capsys)
+    assert code == 0
+    report = json.loads(out)
+    polygons = [f"polygon:{n}" for n in range(3, 10)]
+    classical = [r for r in report["rows"] if r["space"].startswith("classical:")]
+    assert [(r["space"], r["d_op"], r["d_lin"]) for r in classical] == \
+        [(f"classical:{d}", d, d) for d in range(1, 6)]
+    if backend == "float":
+        assert [r["space"] for r in report["rows"][5:]] == polygons
+        assert "skipped" not in report
+    else:
+        assert len(report["rows"]) == 5 and report["skipped"] == polygons
+
+
 def test_tables_irreducibles_rows(capsys):
     code, out = run_cli(["tables", "irreducibles"], capsys)
     assert code == 0

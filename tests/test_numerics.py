@@ -117,13 +117,17 @@ def test_rank_submultiplicative(n, k, m, seed):
 
 
 # ----------------------------------------------------------------------- lp
+BACKENDS = [(EXACT, Fraction), (FLOAT, float)]
+
+
 def test_lp_box_maximum():
     res = lp_solve(LPProblem(n=1, objective=[1], bounds=[(0, 1)]))
     assert res.feasible and abs(res.x[0] - 1) < 1e-9 and abs(res.value - 1) < 1e-9
 
 
-def test_lp_infeasible_interval():
-    res = lp_solve(LPProblem(n=1, ge=[([1], 1), ([-1], 0)]))
+@pytest.mark.parametrize("ctx,conv", BACKENDS, ids=["exact", "float"])
+def test_lp_infeasible_interval(ctx, conv):
+    res = lp_solve(LPProblem(n=1, ge=[([1], 1), ([-1], 0)]), ctx)
     assert not res.feasible
 
 
@@ -140,9 +144,10 @@ def test_lp_witness_is_deterministic():
     assert lp_solve(p1).x == lp_solve(p2).x
 
 
+@pytest.mark.parametrize("ctx,conv", BACKENDS, ids=["exact", "float"])
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6))
-def test_lp_witness_resubstitution(seed):
+def test_lp_witness_resubstitution(ctx, conv, seed):
     rng = random.Random(seed)
     n = rng.randint(2, 5)
     m = rng.randint(1, 4)
@@ -152,13 +157,14 @@ def test_lp_witness_resubstitution(seed):
     for _ in range(m):
         rows.append([rng.randint(-2, 2) for _ in range(n)])
         p.add_ge(rows[-1], -rng.randint(0, 5))
-    res = lp_solve(p)
+    res = lp_solve(p, ctx)
     if not res.feasible:
         return
+    tol = ctx.eps  # the integer 0 on the exact backend: exact re-substitution
     for (row, rhs) in p.ge:
-        assert sum(c * x for c, x in zip(row, res.x)) >= rhs - 1e-9
+        assert sum(c * x for c, x in zip(row, res.x)) >= rhs - tol
     for x, (lo, hi) in zip(res.x, p.bounds):
-        assert lo - 1e-9 <= x <= hi + 1e-9
+        assert lo - tol <= x <= hi + tol
 
 
 def test_lp_equality_system_with_free_variables():
@@ -167,11 +173,14 @@ def test_lp_equality_system_with_free_variables():
     assert abs(res.x[0] - 0.5) < 1e-9 and abs(res.x[1] - 0.5) < 1e-9
 
 
-def test_lp_redundant_equalities():
-    p = LPProblem(n=2, objective=[1, 0], eq=[([1, 1], 1), ([1, 1], 1), ([2, 2], 2)],
-                  bounds=[(0, None), (0, None)])
-    res = lp_solve(p)
-    assert res.feasible and abs(res.value - 1) < 1e-9
+@pytest.mark.parametrize("ctx,conv", BACKENDS, ids=["exact", "float"])
+def test_lp_redundant_equalities(ctx, conv):
+    eq = [([1, 1], 1), ([1, 1], 1), ([2, 2], 2)]
+    res = lp_solve(LPProblem(n=2, objective=[1, 0], eq=eq, bounds=[(0, None)] * 2), ctx)
+    assert res.feasible and abs(res.value - 1) <= ctx.eps
+    # one right-hand side moved by 1/1000: no longer redundant but inconsistent
+    eq[1] = ([1, 1], 1 + conv(Fraction(1, 1000)))
+    assert not lp_solve(LPProblem(n=2, eq=eq, bounds=[(0, None)] * 2), ctx).feasible
 
 
 def test_lp_unconstrained_one_sided_optimum():
@@ -244,7 +253,6 @@ BEALE_COST = [Fraction(-3, 4), Fraction(150), Fraction(-1, 50), Fraction(6)]
 BEALE_ROWS = [([Fraction(1, 4), Fraction(-60), Fraction(-1, 25), Fraction(9)], 0),
               ([Fraction(1, 2), Fraction(-90), Fraction(-1, 50), Fraction(3)], 0),
               ([0, 0, 1, 0], 1)]
-BACKENDS = [(EXACT, Fraction), (FLOAT, float)]
 
 
 @pytest.mark.parametrize("ctx,conv", BACKENDS, ids=["exact", "float"])
@@ -265,7 +273,7 @@ def test_simplex_beale_tableau_leaves_the_cycle(ctx, conv):
                for i, (row, b) in enumerate(BEALE_ROWS)]
     basis = [4, 5, 6]
     cost = [conv(c) for c in BEALE_COST] + [conv(0)] * 3
-    assert _run_simplex(tableau, basis, cost, 3, 7, ctx)
+    assert _run_simplex(tableau, basis, cost, ctx)
     y = [0] * 7
     for i, b in enumerate(basis):
         y[b] = tableau[i][-1]
