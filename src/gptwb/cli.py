@@ -175,7 +175,7 @@ def cmd_tables(which: str, config: RunConfig) -> int:
             except UnsupportedSpace:  # polygon:n on the exact backend
                 skipped.append(ref)
                 continue
-            dims = space_dims(sp, seed=config.seed)
+            dims = space_dims(sp)
             rows.append({"space": ref, "d_op": dims.d_op,
                          "lambda_max": round(dims.lambda_max, 9),
                          "d_lin": dims.d_lin,

@@ -23,7 +23,6 @@ from typing import Optional, Sequence
 from .numerics import (
     LPProblem,
     count_orthogonal_rows,
-    dot,
     is_row_stochastic,
     lp_solve,
     mat_mul,
@@ -37,8 +36,6 @@ from .spaces import StateSpace, UnsupportedSpace, effect_block, in_convex_hull
 @dataclass(frozen=True)
 class CommMatrix:
     matrix: tuple            # row-stochastic rows
-    states: Optional[tuple] = None
-    observable: Optional[Observable] = None
     ctx: Context = DEFAULT
 
     @property
@@ -46,13 +43,12 @@ class CommMatrix:
         return len(self.matrix), len(self.matrix[0]) if self.matrix else 0
 
 
-def comm_matrix(rows: Sequence[Sequence], ctx: Context | None = None,
-                states=None, observable=None) -> CommMatrix:
+def comm_matrix(rows: Sequence[Sequence], ctx: Context | None = None) -> CommMatrix:
     ctx = ctx or DEFAULT
     mat = tuple(tuple(ctx.scalar(v) for v in row) for row in rows)
     if not is_row_stochastic(mat, ctx):
         raise ValueError("matrix is not row-stochastic")
-    return CommMatrix(mat, states, observable, ctx)
+    return CommMatrix(mat, ctx)
 
 
 def build_comm_matrix(states: Sequence[Sequence], m: Observable) -> CommMatrix:
@@ -61,8 +57,7 @@ def build_comm_matrix(states: Sequence[Sequence], m: Observable) -> CommMatrix:
     for s in states:
         if space.kind == "polytopic" and not space.contains_state(s):
             raise ValueError("state outside the state space")
-    rows = tuple(tuple(dot(e, s) for e in m.effects) for s in states)
-    return CommMatrix(rows, tuple(tuple(s) for s in states), m, space.ctx)
+    return CommMatrix(tuple(m.probabilities(s) for s in states), space.ctx)
 
 
 def identity_matrix(k: int, ctx: Context | None = None) -> CommMatrix:
@@ -347,8 +342,8 @@ def ultraweak_leq(d: CommMatrix, c: CommMatrix, *, seed: int = 0) -> UltraweakRe
     identity-shaped endpoints are decided exactly, and otherwise an
     alternating LP searches for row-stochastic witnesses L, R."""
     ctx = d.ctx
-    md = monotones(d, seed=seed, search_upper=False)
-    mc = monotones(c, seed=seed, search_upper=False)
+    md = monotones(d, search_upper=False)
+    mc = monotones(c, search_upper=False)
     for name, dv, cv in [("iota", md.iota, mc.iota),
                          ("lambda_max", md.lambda_max, mc.lambda_max),
                          ("lambda_min", md.lambda_min, mc.lambda_min),
@@ -460,27 +455,25 @@ class SpaceDims:
     d_q_lo: int
 
 
-def space_dims(space: StateSpace, *, seed: int = 0) -> SpaceDims:
+def space_dims(space: StateSpace) -> SpaceDims:
     """Physical dimensions of a polytopic theory: perfect distinguishability,
     information storability, linear dimension, and certified lower bounds for
-    the classical and quantum dimensions."""
+    the classical and quantum dimensions.
+
+    The bounds are the communication-matrix monotones nn_rank >= max(rank,
+    ceil(lambda)) and psd_rank >= max(ceil(sqrt(rank)), ceil(lambda)) at their
+    largest over the theory's matrices.  rank <= d_lin, attained by the
+    vertices against a spanning observable; lambda <= lambda_max, attained by
+    the storability LP."""
     if space.kind != "polytopic":
         raise UnsupportedSpace("dimensions need a vertex representation")
     ctx = space.ctx
     d_lin = space.affine_dim + 1
-    lam_max, lam_witness = _lambda_max_space(space)
+    lam_max = _lambda_max_space(space)
     d_op = _operational_dim(space, lam_max)
-    family = [identity_matrix(d_op, ctx)]
-    if lam_witness is not None:
-        family.append(lam_witness)
-    family.extend(_full_rank_family(space))
-    d_cl_lo = 1
-    d_q_lo = 1
-    for cm in family:
-        rep = monotones(cm, seed=seed, search_upper=False)
-        d_cl_lo = max(d_cl_lo, rep.nn_rank[0])
-        d_q_lo = max(d_q_lo, rep.psd_rank[0])
-    return SpaceDims(d_op, float(lam_max), d_lin, d_cl_lo, d_q_lo)
+    lam_ceil = ctx.ceil(lam_max)
+    return SpaceDims(d_op, float(lam_max), d_lin,
+                     max(d_lin, lam_ceil), max(_ceil_sqrt(d_lin), lam_ceil))
 
 
 def _lambda_max_space(space: StateSpace):
@@ -488,9 +481,7 @@ def _lambda_max_space(space: StateSpace):
     max_s A_x(s) over all observables A, as one LP.  It has one effect per
     vertex, the effects summing to u, and maximizes the summed values of each
     effect at its own vertex.  Grouping an observable's outcomes by the vertex
-    where they peak loses nothing, so this optimum is the supremum.  Returns
-    lambda_max and the witness's communication matrix (vertices x effects)."""
-    ctx = space.ctx
+    where they peak loses nothing, so this optimum is the supremum."""
     n = space.n_vertices
     p = LPProblem(n=0)
     blk = effect_block(p, space, n)
@@ -498,13 +489,10 @@ def _lambda_max_space(space: StateSpace):
     p.objective = [0] * p.n
     for i, v in enumerate(space.vertices):
         blk.add(p.objective, i, blk.at(v))
-    res = lp_solve(p, ctx)
+    res = lp_solve(p, space.ctx)
     if not res.feasible:
         raise RuntimeError("storability LP must be feasible")
-    effects = blk.effects(res.x)
-    witness = CommMatrix(tuple(tuple(dot(e, v) for e in effects) for v in space.vertices),
-                         ctx=ctx)
-    return res.value, witness
+    return res.value
 
 
 def _operational_dim(space: StateSpace, lam_max) -> int:
@@ -539,58 +527,3 @@ def _perfectly_distinguishable(space: StateSpace, vertex_idx: Sequence[int]) -> 
             blk.add(row, i, evals[t])
             p.add_eq(row, 1 if t == i else 0)
     return lp_solve(p, space.ctx).feasible
-
-
-def _full_rank_family(space: StateSpace) -> list[CommMatrix]:
-    """Comm matrices with full linear rank: vertices against the enumerated
-    irreducibles when available, otherwise a perturbed trivial observable."""
-    from .simulation import enumerate_irreducibles
-
-    out = []
-    try:
-        irr = enumerate_irreducibles(space)
-    except UnsupportedSpace:
-        irr = ()
-    ctx = space.ctx
-    target = space.affine_dim + 1
-    for g in irr[:8]:
-        cm = CommMatrix(tuple(tuple(dot(e, v) for e in g.effects) for v in space.vertices),
-                        ctx=ctx)
-        out.append(cm)
-        if rank(cm.matrix, ctx) >= target:
-            break
-    if not out or all(rank(cm.matrix, ctx) < target for cm in out):
-        cm = _perturbed_trivial_matrix(space)
-        if cm is not None:
-            out.append(cm)
-    return out
-
-
-def _perturbed_trivial_matrix(space: StateSpace) -> Optional[CommMatrix]:
-    ctx = space.ctx
-    d1 = space.ambient_dim
-    n = space.n_vertices
-    k = d1 + 1
-    base = ctx.one() / k
-    dirs = []
-    for c in range(d1):
-        e = [ctx.zero()] * d1
-        e[c] = ctx.one()
-        dirs.append(tuple(e))
-    mean = tuple(sum(col) * base for col in zip(*dirs, space.unit))
-    cands = dirs + [space.unit]
-    deltas = []
-    for e in cands:
-        dev = tuple(x - mx for x, mx in zip(e, mean))
-        top = max(abs(float(dot(dev, v))) for v in space.vertices)
-        deltas.append(top)
-    top = max(deltas)
-    if top == 0:
-        return None
-    scale = ctx.scalar(0.5) * (base / ctx.scalar(top))
-    effects = []
-    for e in cands:
-        dev = tuple(x - mx for x, mx in zip(e, mean))
-        effects.append(tuple(base * u + scale * dv for u, dv in zip(space.unit, dev)))
-    rows = tuple(tuple(dot(e, v) for e in effects) for v in space.vertices)
-    return CommMatrix(rows, ctx=ctx)

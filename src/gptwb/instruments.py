@@ -17,7 +17,7 @@ from .observables import (
     observable_from_json,
 )
 from .postprocess import find_postprocessing, is_pp_clean
-from .spaces import StateSpace, UnsupportedSpace
+from .spaces import StateSpace, UnsupportedSpace, space_from_json
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,6 @@ def equiv_indecomposable_check(inst: MPInstrument) -> bool:
 
 
 def mp_instrument_from_json(obj: dict, ctx=None) -> MPInstrument:
-    from .spaces import space_from_json
-
     obs = observable_from_json(obj["observable"], ctx)
     out_space = space_from_json(obj["output_space_ref"], ctx) \
         if "output_space_ref" in obj else obs.space

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .numerics import Context, dot, rank
-from .spaces import StateSpace, UnsupportedSpace, Vector
+from .spaces import StateSpace, UnsupportedSpace, Vector, space_from_json
 
 
 class PreconditionViolated(Exception):
@@ -254,8 +254,6 @@ def is_extreme_clean(a: Observable) -> bool:
 # ----------------------------------------------------------------- serialise
 def observable_from_json(obj: dict, ctx: Context | None = None,
                          space: StateSpace | None = None) -> Observable:
-    from .spaces import space_from_json
-
     if space is None:
         space = space_from_json(obj["space_ref"], ctx)
     ctxr = space.ctx

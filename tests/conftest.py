@@ -6,6 +6,7 @@ test is reproducible; nothing here depends on global RNG state.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -64,3 +65,22 @@ def random_stochastic(n: int, m: int, rng: random.Random) -> list[list[float]]:
         s = sum(raw)
         rows.append([v / s for v in raw])
     return rows
+
+
+def padded_square(ctx):
+    """The square with a zero coordinate appended: its vertices span only a
+    3-dimensional subspace of R^4, so its dual rays do not generate the dual
+    cone."""
+    one, zero = ctx.one(), ctx.zero()
+    vs = [(x * one, y * one, one, zero) for x, y in ((1, 1), (-1, 1), (-1, -1), (1, -1))]
+    return StateSpace("polytopic", vertices=vs, unit=(zero, zero, one, zero), ctx=ctx,
+                      label="padded-square")
+
+
+def cube4(ctx):
+    """The 4-cube at height 1 (affine dimension 4: no dual-ray enumeration)."""
+    one, zero = ctx.one(), ctx.zero()
+    vs = [tuple(s * one for s in signs) + (one,)
+          for signs in itertools.product((1, -1), repeat=4)]
+    return StateSpace("polytopic", vertices=vs, unit=(zero,) * 4 + (one,), ctx=ctx,
+                      label="cube4")

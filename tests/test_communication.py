@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from gptwb.numerics import EXACT, dot, is_row_stochastic
+from gptwb.numerics import EXACT, FLOAT, dot, is_row_stochastic
 from gptwb.observables import observable, trivial_observable
 import gptwb.communication as communication
 from gptwb.communication import (
@@ -27,7 +27,7 @@ from gptwb.spaces import (
     polygon_extreme_even,
     space_from_ref,
 )
-from conftest import random_stochastic
+from conftest import cube4, padded_square, random_stochastic
 
 
 # ------------------------------------------------------------------ building
@@ -326,7 +326,6 @@ def test_classical_dimensions():
         assert dims.d_op == d
         assert abs(dims.lambda_max - d) < 1e-6
         assert dims.d_lin == d
-        assert dims.d_cl_lo == d and dims.d_q_lo == d
 
 
 def test_even_polygon_dimensions():
@@ -335,8 +334,6 @@ def test_even_polygon_dimensions():
         assert dims.d_op == 2
         assert abs(dims.lambda_max - 2.0) < 1e-6
         assert dims.d_lin == 3
-        assert dims.d_cl_lo >= 3
-        assert dims.d_q_lo >= 2
 
 
 def test_odd_polygon_storability():
@@ -344,7 +341,30 @@ def test_odd_polygon_storability():
         dims = space_dims(make_polygon(n))
         assert abs(dims.lambda_max - (1 + 1 / math.cos(math.pi / n))) < 1e-6
         assert dims.d_op == 2
-        assert dims.d_q_lo >= 3
+
+
+_DIMS_BOUNDS = (
+    [(f"classical:{d}", (d, d)) for d in range(1, 7)]
+    + [("polygon:3", (3, 3))]
+    + [(f"polygon:{n}", (3, 2)) for n in range(4, 13, 2)]
+    + [(f"polygon:{n}", (3, 3)) for n in range(5, 12, 2)]
+    + [("square", (3, 2)),
+       ("dsum:classical:2+square", (5, 4)),
+       ("dsum:polygon:5+classical:1", (4, 4)),
+       ("dsum:polygon:4+polygon:4", (6, 4)),
+       ("dsum:square+classical:3", (6, 5))])
+
+
+@pytest.mark.parametrize("space, bounds", [
+    *(pytest.param(space_from_ref(ref), b, id=ref) for ref, b in _DIMS_BOUNDS),
+    pytest.param(space_from_ref("square", EXACT), (3, 2), id="square-exact"),
+    pytest.param(cube4(FLOAT), (5, 3), id="cube4"),
+    pytest.param(padded_square(FLOAT), (3, 2), id="padded-square"),
+    pytest.param(padded_square(EXACT), (3, 2), id="padded-square-exact"),
+])
+def test_dims_lower_bounds(space, bounds):
+    dims = space_dims(space)
+    assert (dims.d_cl_lo, dims.d_q_lo) == bounds
 
 
 def test_dims_consistency_chain():

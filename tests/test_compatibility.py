@@ -1,7 +1,6 @@
 """Joint measurability: LP vs closed-form criteria, noise condition, fully
 compatible and non-disturbing classes."""
 
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -34,7 +33,6 @@ from gptwb.compatibility import (
 )
 from gptwb.simulation import effect_in_noise_class
 from gptwb.spaces import (
-    StateSpace,
     direct_sum,
     make_ball,
     make_classical,
@@ -42,7 +40,7 @@ from gptwb.spaces import (
     make_square,
     polygon_extreme_even,
 )
-from conftest import random_observable
+from conftest import cube4, padded_square, random_observable
 
 
 def dichotomic(space, effect):
@@ -145,25 +143,6 @@ def test_dichotomic_g_satisfies_its_cone_constraints():
 
 
 # ------------------------------------------ spaces without a dual-ray generator
-def padded_square(ctx):
-    """The square with a zero coordinate appended: its vertices span only a
-    3-dimensional subspace of R^4, so its dual rays do not generate the dual
-    cone."""
-    one, zero = ctx.one(), ctx.zero()
-    vs = [(x * one, y * one, one, zero) for x, y in ((1, 1), (-1, 1), (-1, -1), (1, -1))]
-    return StateSpace("polytopic", vertices=vs, unit=(zero, zero, one, zero), ctx=ctx,
-                      label="padded-square")
-
-
-def cube4(ctx):
-    """The 4-cube at height 1 (affine dimension 4: no dual-ray enumeration)."""
-    one, zero = ctx.one(), ctx.zero()
-    vs = [tuple(s * one for s in signs) + (one,)
-          for signs in itertools.product((1, -1), repeat=4)]
-    return StateSpace("polytopic", vertices=vs, unit=(zero,) * 4 + (one,), ctx=ctx,
-                      label="cube4")
-
-
 def axis_dichotomic(space, axis, t):
     """(e, u - e) with e(s) = (1 + t s_axis) / 2."""
     half = space.ctx.scalar(Fraction(1, 2))
