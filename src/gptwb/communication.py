@@ -55,7 +55,7 @@ def build_comm_matrix(states: Sequence[Sequence], m: Observable) -> CommMatrix:
     """Entry (i, j) is the probability of outcome j on state i."""
     space = m.space
     for s in states:
-        if space.kind == "polytopic" and not space.contains_state(s):
+        if not space.contains_state(s):
             raise ValueError("state outside the state space")
     return CommMatrix(tuple(m.probabilities(s) for s in states), space.ctx)
 
@@ -354,19 +354,14 @@ def ultraweak_leq(d: CommMatrix, c: CommMatrix, *, seed: int = 0) -> UltraweakRe
         return UltraweakResult("no", violated="nn_rank")
 
     if _is_identity(d, ctx):  # distinguishability shortcut
-        k = d.shape[0]
-        rows_idx = _orthogonal_row_set(c, k)
-        if rows_idx is not None:
-            left, right = _identity_witness(c, rows_idx, ctx)
-            return UltraweakResult("yes", left, right)
-        return UltraweakResult("no", violated="iota")
+        # the iota screen passed: C has d.shape[0] rows with pairwise disjoint supports
+        left, right = _identity_witness(c, _orthogonal_row_set(c, d.shape[0]), ctx)
+        return UltraweakResult("yes", left, right)
     if _is_identity(c, ctx):  # classical-capacity shortcut
-        k = c.shape[0]
-        fact = nonneg_factorization(d, k, seed=seed)
+        # the nn_rank screen already compared D's lower bound with nn_rank(C) = c.shape[0]
+        fact = nonneg_factorization(d, c.shape[0], seed=seed)
         if fact is not None:
             return UltraweakResult("yes", fact[0], fact[1])
-        if md.nn_rank[0] > k:
-            return UltraweakResult("no", violated="nn_rank")
         return UltraweakResult("inconclusive")
 
     n, m = d.shape

@@ -16,8 +16,6 @@ from .observables import (
     is_trivial,
     mix_observables,
     noise_content,
-    observable,
-    trivial_observable,
     uniform_trivial,
 )
 from .postprocess import find_postprocessing
@@ -26,6 +24,8 @@ from .spaces import StateSpace, UnsupportedSpace, effect_block
 
 
 MAX_PRODUCT_OUTCOMES = 10_000
+FC_BISECTION_STEPS = 9  # halvings of t per irreducible in find_nontrivial_fully_compatible
+FC_MIN_T = 1e-3         # smallest irreducible weight t it returns
 
 
 def _common_space(obs: Sequence[Observable]) -> StateSpace:
@@ -57,7 +57,7 @@ def are_compatible(obs: Sequence[Observable]) -> Optional[Observable]:
     return Observable(space, joint.effects(res.x), labels)
 
 
-def marginal(joint: Observable, which: int, arity: int | None = None) -> Observable:
+def marginal(joint: Observable, which: int) -> Observable:
     """Marginal of a product-outcome joint observable along one slot."""
     space = joint.space
     ctx = space.ctx
@@ -245,19 +245,18 @@ def is_fully_compatible(a: Observable) -> bool:
     return True
 
 
-def find_nontrivial_fully_compatible(space: StateSpace, *, steps: int = 9,
-                                     min_t: float = 1e-3) -> Optional[Observable]:
+def find_nontrivial_fully_compatible(space: StateSpace) -> Optional[Observable]:
     """Bisection along t G + (1-t) T over the enumerated irreducibles G: the
     fully compatible region clusters around the trivial segment, so the first
     success going down the t ladder is returned."""
     for g in enumerate_irreducibles(space):
         t_uniform = uniform_trivial(space, g.n_outcomes)
         lo, hi = 0.0, 1.0
-        for _ in range(steps):
+        for _ in range(FC_BISECTION_STEPS):
             mid = (lo + hi) / 2
             cand = mix_observables((mid, 1 - mid), (g, t_uniform))
             if is_fully_compatible(cand):
-                if mid >= min_t and not is_trivial(cand):
+                if mid >= FC_MIN_T and not is_trivial(cand):
                     return cand
                 lo = mid
             else:

@@ -44,7 +44,7 @@ def mp_instrument(obs: Observable, prepared_states: Sequence[Sequence],
     ctx = output_space.ctx
     preps = tuple(tuple(ctx.scalar(c) for c in s) for s in prepared_states)
     for s in preps:
-        if output_space.kind == "polytopic" and not output_space.contains_state(s):
+        if not output_space.contains_state(s):
             raise ValueError("prepared state outside the output space")
     return MPInstrument(obs, preps, output_space)
 

@@ -3,7 +3,10 @@
 Carries the structural predicates (triviality, indecomposable effects,
 extremality of clean observables), the noise content and the per-observable
 max/min monotones, plus the minimally sufficient representative used to
-canonicalize post-processing equivalence classes.
+canonicalize post-processing equivalence classes.  The predicates and
+monotones read each effect's range over the states
+(``StateSpace.effect_range``) and the dual-ray test
+(``StateSpace.extreme_ray``) from the space, whatever its kind.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .numerics import Context, dot, rank
-from .spaces import StateSpace, UnsupportedSpace, Vector, space_from_json
+from .spaces import StateSpace, Vector, space_from_json
 
 
 class PreconditionViolated(Exception):
@@ -121,26 +124,15 @@ def validation_errors(a: Observable) -> list[str]:
     return errors
 
 
-def _is_trivial_effect(space: StateSpace, e: Sequence) -> bool:
-    ctx = space.ctx
-    if space.kind == "ball":
-        avec, _ = space.bloch(e)
-        return all(ctx.is_zero(x) for x in avec)
-    vals = [dot(e, v) for v in space.vertices]
-    return all(ctx.eq(v, vals[0]) for v in vals)
-
-
 def is_trivial(a: Observable) -> bool:
     """True iff every effect is a scalar multiple of the unit functional."""
-    return all(_is_trivial_effect(a.space, e) for e in a.effects)
+    ctx = a.space.ctx
+    return all(ctx.eq(*a.space.effect_range(e)) for e in a.effects)
 
 
 def is_zero_effect(space: StateSpace, e: Sequence) -> bool:
-    ctx = space.ctx
-    if space.kind == "ball":
-        avec, alpha = space.bloch(e)
-        return ctx.is_zero(alpha) and all(ctx.is_zero(x) for x in avec)
-    return all(ctx.is_zero(dot(e, v)) for v in space.vertices)
+    lo, hi = space.effect_range(e)
+    return space.ctx.is_zero(lo) and space.ctx.is_zero(hi)
 
 
 @dataclass(frozen=True)
@@ -151,27 +143,13 @@ class NoiseReport:
 
 def noise_content(a: Observable) -> NoiseReport:
     """Largest trivial weight in a convex decomposition: sum of per-effect minima."""
-    space = a.space
-    if space.kind == "ball":
-        mins = []
-        for e in a.effects:
-            avec, alpha = space.bloch(e)
-            mins.append((alpha - space.effect_norm(avec)) / 2)
-        return NoiseReport(sum(mins), tuple(mins))
-    mins = tuple(min(dot(e, v) for v in space.vertices) for e in a.effects)
+    mins = tuple(a.space.effect_range(e)[0] for e in a.effects)
     return NoiseReport(sum(mins), mins)
 
 
 def lambda_max_obs(a: Observable):
     """Sum of per-effect maxima over states (decoding power)."""
-    space = a.space
-    if space.kind == "ball":
-        tops = []
-        for e in a.effects:
-            avec, alpha = space.bloch(e)
-            tops.append((alpha + space.effect_norm(avec)) / 2)
-        return sum(tops)
-    return sum(max(dot(e, v) for v in space.vertices) for e in a.effects)
+    return sum(a.space.effect_range(e)[1] for e in a.effects)
 
 
 def lambda_min_obs(a: Observable):
@@ -180,19 +158,13 @@ def lambda_min_obs(a: Observable):
 
 
 def is_indecomposable_effect(space: StateSpace, e: Sequence) -> bool:
-    """True iff e lies on an extreme ray of the dual cone: its vanishing
-    vertices span a space of rank equal to the affine dimension."""
-    ctx = space.ctx
-    if space.kind != "polytopic":
-        raise UnsupportedSpace("indecomposability test needs a vertex representation")
-    if is_zero_effect(space, e):
+    """True iff e lies on an extreme ray of the dual cone: it is nonnegative
+    and its vanishing vertices span a space of rank equal to the affine
+    dimension."""
+    ray = space.extreme_ray(e)
+    if ray is None and is_zero_effect(space, e):
         raise ValueError("the zero effect is excluded")
-    vals = [dot(e, v) for v in space.vertices]
-    top = max(vals)
-    vanishing = [space.vertices[j] for j, v in enumerate(vals) if ctx.is_zero(v / top)]
-    if not vanishing:
-        return space.affine_dim == 0
-    return rank(vanishing, ctx) == space.affine_dim
+    return ray is not None and space.ctx.ge(space.effect_range(e)[0], space.ctx.zero())
 
 
 def _proportionality(ctx: Context, e: Sequence, f: Sequence) -> Optional[object]:

@@ -14,18 +14,16 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .numerics import LPProblem, dot, lp_solve, rank, solve_unique
+from .numerics import LPProblem, lp_solve, rank, solve_unique
 from .observables import (
     Observable,
+    is_extreme_clean,
     lambda_max_obs,
     minimally_sufficient,
-    mix_observables,
     noise_content,
     observable,
-    uniform_trivial,
 )
 from .postprocess import is_pp_clean
-from .observables import is_extreme_clean
 from .spaces import (
     StateSpace,
     UnsupportedSpace,
@@ -199,8 +197,8 @@ def is_effectively_dichotomic(a: Observable) -> DichotomicVerdict:
     if space.kind != "polytopic":
         raise UnsupportedSpace("effectively-dichotomic test needs a vertex representation")
     ctx = space.ctx
-    lmax = lambda_max_obs(a)
-    per = [max(dot(e, v) for v in space.vertices) for e in a.effects]
+    per = [space.effect_range(e)[1] for e in a.effects]
+    lmax = sum(per)
     if any(ctx.le(lmax - m, ctx.one()) for m in per):
         return DichotomicVerdict(True, "screen_a")
     if ctx.gt(lmax, 2 * ctx.one()):
@@ -230,9 +228,8 @@ def effect_in_noise_class(space: StateSpace, e: Sequence, t) -> bool:
     ctx = space.ctx
     t = ctx.scalar(t)
     if ctx.is_zero(t):
-        vals = [dot(e, v) for v in space.vertices]
-        return all(ctx.eq(v, vals[0]) for v in vals) and ctx.ge(vals[0], ctx.zero()) \
-            and ctx.le(vals[0], ctx.one())
+        lo, hi = space.effect_range(e)
+        return ctx.eq(lo, hi) and ctx.ge(lo, ctx.zero()) and ctx.le(hi, ctx.one())
     p = LPProblem(n=1, bounds=[(ctx.zero(), ctx.one())])  # variable 0 is p
     eff = effect_block(p, space, 2)  # e' and u - e'
     eff.sum_eq(p, (0, 1), space.unit)

@@ -146,17 +146,26 @@ class StateSpace:
         half = self.ctx.one() / 2
         return tuple([half * self.ctx.scalar(x) for x in avec] + [half * self.ctx.scalar(alpha)])
 
+    def effect_range(self, effect: Sequence) -> tuple:
+        """(min, max) of the effect over the states: the extreme vertex values
+        of a polytope, (alpha -/+ ||a||) / 2 in a ball's Bloch form."""
+        if self.kind == "ball":
+            avec, alpha = self.bloch(effect)
+            na = self.effect_norm(avec)
+            return (alpha - na) / 2, (alpha + na) / 2
+        vals = [dot(effect, v) for v in self.vertices]
+        return min(vals), max(vals)
+
     def is_valid_effect(self, effect: Sequence) -> bool:
         if len(effect) != self.ambient_dim:
             raise ValueError("effect dimension mismatch")
         ctx = self.ctx
-        if self.kind == "ball":
+        if self.kind == "ball":  # the tolerance applies to alpha -/+ ||a||, not their halves
             avec, alpha = self.bloch(effect)
             na = self.effect_norm(avec)
             return ctx.le(na, alpha) and ctx.le(alpha, 2 - na)
-        zero, one = ctx.zero(), ctx.one()
-        return all(ctx.ge(dot(effect, v), zero) and ctx.le(dot(effect, v), one)
-                   for v in self.vertices)
+        lo, hi = self.effect_range(effect)
+        return ctx.ge(lo, ctx.zero()) and ctx.le(hi, ctx.one())
 
     # ----------------------------------------------------------- dual rays
     def dual_rays(self) -> tuple[DualRay, ...]:
@@ -177,7 +186,7 @@ class StateSpace:
                     direction = [ctx.zero()] * self.ambient_dim
                     for k, x in enumerate(ray.direction):
                         direction[s.coord_offset + k] = x
-                    rays.append(self._finish_ray(tuple(direction)))
+                    rays.append(self.extreme_ray(tuple(direction)))
             return tuple(r for r in rays if r is not None)
         if self.is_simplex():
             # vertex-indicator functionals: solve h_i(v_j) = delta_ij
@@ -199,14 +208,19 @@ class StateSpace:
             direction = null_space_vector(rows, ctx)
             if direction is None:
                 continue
-            ray = self._finish_ray(direction)
+            ray = self.extreme_ray(direction)
             if ray is None:
                 continue
             if not any(self._same_direction(ray.direction, r.direction) for r in found):
                 found.append(ray)
         return tuple(found)
 
-    def _finish_ray(self, direction: Vector) -> Optional[DualRay]:
+    def extreme_ray(self, direction: Vector) -> Optional[DualRay]:
+        """The dual ray through the functional (or through its negative), or
+        None when it is zero, changes sign on the vertices, or its vanishing
+        vertices do not span a facet."""
+        if self.kind != "polytopic":
+            raise UnsupportedSpace("the extreme-ray test needs a vertex representation")
         ctx = self.ctx
         evals = [dot(direction, v) for v in self.vertices]
         if all(ctx.is_zero(e) for e in evals):
@@ -250,10 +264,8 @@ class StateSpace:
             e = solve_unique(rows, rhs, ctx)
             if e is None or not self.is_valid_effect(e):
                 continue
-            if all(ctx.is_zero(x) for x in e):
-                continue
-            if all(ctx.eq(dot(e, v), dot(e, self.vertices[0])) for v in self.vertices):
-                continue  # proportional to u (covers u itself)
+            if ctx.eq(*self.effect_range(e)):
+                continue  # constant on the states: o, u or a multiple of u
             if not any(all(ctx.eq(a, b) for a, b in zip(e, p)) for p in points):
                 points.append(e)
         return tuple(points)

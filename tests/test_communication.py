@@ -22,6 +22,7 @@ from gptwb.communication import (
     verify_ultraweak_witness,
 )
 from gptwb.spaces import (
+    make_ball,
     make_classical,
     make_polygon,
     polygon_extreme_even,
@@ -61,6 +62,13 @@ def test_invalid_state_rejected():
     a = observable(sp, (polygon_extreme_even(6, 1), polygon_extreme_even(6, 4)))
     with pytest.raises(ValueError):
         build_comm_matrix([(5.0, 5.0, 1.0)], a)
+
+
+def test_state_outside_the_ball_rejected():
+    ball = make_ball(3)
+    a = observable(ball, ((0, 0, 0.3, 0.5), (0, 0, -0.3, 0.5)))
+    with pytest.raises(ValueError):
+        build_comm_matrix([(0, 0, 1.5, 1.0)], a)
 
 
 def test_non_stochastic_matrix_rejected():

@@ -12,7 +12,7 @@ from gptwb.instruments import (
     mp_postprocess_check,
 )
 from gptwb.observables import is_trivial, observable, trivial_observable
-from gptwb.spaces import make_polygon, polygon_extreme_even
+from gptwb.spaces import make_ball, make_polygon, polygon_extreme_even
 from conftest import random_observable
 
 
@@ -28,6 +28,13 @@ def test_trash_and_prepare_is_trivial():
     t = trivial_observable(sp, (0.4, 0.6))
     inst = mp_instrument(t, (sp.vertices[0], sp.vertices[1]), sp)
     assert is_trivial(inst.observable)
+
+
+def test_prepared_state_outside_the_ball_rejected():
+    ball = make_ball(3)
+    a = observable(ball, ((0, 0, 0.3, 0.5), (0, 0, -0.3, 0.5)))
+    with pytest.raises(ValueError):
+        mp_instrument(a, [(0, 0, 1, 1), (0, 0, 2, 1)], ball)
 
 
 def test_apply_returns_subnormalized_states():

@@ -6,12 +6,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gptwb.numerics import dot
+from gptwb.numerics import EXACT, dot
 from gptwb.observables import (
     PreconditionViolated,
     is_extreme_clean,
     is_indecomposable_effect,
     is_trivial,
+    is_zero_effect,
     lambda_max_obs,
     lambda_min_obs,
     minimally_sufficient,
@@ -27,6 +28,7 @@ from gptwb.spaces import (
     make_ball,
     make_classical,
     make_polygon,
+    make_square,
     polygon_extreme_even,
     polygon_extreme_odd,
 )
@@ -93,6 +95,22 @@ def test_noise_content_on_ball_closed_form():
     assert abs(rep.w_trivial - (1 - 0.6)) < 1e-12
 
 
+def test_ball_monotones_closed_form():
+    """Noise content, lambda_max, triviality and the zero test on balls, where
+    an effect (a, alpha)/2 ranges over [(alpha - |a|)/2, (alpha + |a|)/2]."""
+    ball3 = make_ball(3)
+    a = observable(ball3, ((0.1, 0.2, 0.2, 0.5), (-0.1, -0.2, -0.2, 0.5)))  # |a| = 0.6
+    assert abs(noise_content(a).w_trivial - 0.4) < 1e-12
+    assert abs(lambda_max_obs(a) - 1.6) < 1e-12
+    assert not is_trivial(a) and validate(a)
+    t = trivial_observable(make_ball(2), (0.3, 0.7))
+    assert abs(noise_content(t).w_trivial - 1.0) < 1e-12
+    assert abs(lambda_max_obs(t) - 1.0) < 1e-12
+    assert is_trivial(t)
+    assert is_zero_effect(ball3, (0, 0, 0, 0))
+    assert not is_zero_effect(ball3, (0.1, 0, 0, 0))
+
+
 def test_noise_content_bounds_and_triviality():
     rng = random.Random(11)
     sp = make_polygon(6)
@@ -154,6 +172,15 @@ def test_pentagon_upper_effect_decomposable():
     g1 = polygon_extreme_odd(5, 1)
     f1 = tuple(u - x for u, x in zip(sp.unit, g1))
     assert not is_indecomposable_effect(sp, f1)  # vanishes at one vertex only
+
+
+def test_functionals_off_the_dual_cone_not_indecomposable():
+    sp = make_square(EXACT)
+    # (x + y)/2 vanishes on the facet between (-1, 1) and (1, -1) but changes sign
+    assert not is_indecomposable_effect(sp, sp.effect_from_bloch((1, 1), 0))
+    # the negative of the ray (1 + y)/2, which vanishes on the facet y = -1
+    assert not is_indecomposable_effect(sp, sp.effect_from_bloch((0, -1), -1))
+    assert is_indecomposable_effect(sp, sp.effect_from_bloch((0, 1), 1))
 
 
 def test_zero_effect_rejected():

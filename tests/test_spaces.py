@@ -275,3 +275,10 @@ def test_effect_norm_stays_in_the_space_field():
     norm = make_square(EXACT).effect_norm((Fraction(1, 3), Fraction(1, 7)))
     assert isinstance(norm, Fraction) and norm == Fraction(10, 21)
     assert isinstance(make_square().effect_norm((1, 0)), float)
+
+
+def test_effect_range_on_the_exact_square():
+    e = (Fraction(1, 4), Fraction(1, 8), Fraction(1, 2))  # 1/2 + x/4 + y/8 on (+-1, +-1)
+    lo, hi = make_square(EXACT).effect_range(e)
+    assert isinstance(lo, Fraction) and isinstance(hi, Fraction)
+    assert (lo, hi) == (Fraction(1, 8), Fraction(7, 8))
