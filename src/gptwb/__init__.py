@@ -15,8 +15,8 @@ from .numerics import (
     LPProblem,
     LPResult,
     UnboundedObjective,
-    count_orthogonal_rows,
     lp_solve,
+    orthogonal_rows,
     rank,
 )
 from .spaces import (

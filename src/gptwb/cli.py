@@ -150,7 +150,7 @@ def _load_comm(path: str, config: RunConfig) -> CommMatrix:
     return comm_matrix(rows, ctx)
 
 
-def _resolve_simulators(selector: str, config: RunConfig, space: StateSpace | None):
+def _resolve_simulators(selector: str, config: RunConfig, space: StateSpace):
     selector = selector.strip()
     if selector.startswith("irr(") and selector.endswith(")"):
         ref = selector[4:-1]
@@ -158,8 +158,7 @@ def _resolve_simulators(selector: str, config: RunConfig, space: StateSpace | No
         ref = selector[4:]
     else:
         return [_load_observable(p, config) for p in selector.split(",") if p]
-    target = space if space is not None and (space.label == ref or not ref) \
-        else space_from_ref(ref, config.context())
+    target = space if space.label == ref or not ref else space_from_ref(ref, config.context())
     return list(enumerate_irreducibles(target))
 
 

@@ -2,9 +2,10 @@
 
 A communication matrix is the row-stochastic outcome table of a
 prepare-and-measure scenario.  Majorization D <= C (existence of row-stochastic
-L, R with LCR = D) is decided by monotone screens, exact shortcuts for
-identity-shaped endpoints, and an alternating-LP search that is sound for
-"yes" (witnesses are re-verified) and honest about "inconclusive".
+L, R with LCR = D) is decided by monotone screens, exact shortcuts for a D
+whose rows are all equal and for identity-shaped endpoints, and an
+alternating-LP search that is sound for "yes" (witnesses are re-verified) and
+honest about "inconclusive".
 The nonnegative-rank and psd-rank monotones are reported as certified
 intervals; the exact values are computationally hard in general.  The upper
 end of the nonnegative-rank interval comes from row-stochastic factorizations
@@ -22,15 +23,15 @@ from typing import Optional, Sequence
 
 from .numerics import (
     LPProblem,
-    count_orthogonal_rows,
     is_row_stochastic,
     lp_solve,
     mat_mul,
+    orthogonal_rows,
     rank,
 )
 from .numerics import Context, DEFAULT
-from .observables import Observable, _proportionality
-from .spaces import StateSpace, UnsupportedSpace, effect_block, in_convex_hull
+from .observables import Observable, minimally_sufficient, observable
+from .spaces import StateSpace, UnsupportedSpace, effect_block, in_convex_hull, make_classical
 
 
 @dataclass(frozen=True)
@@ -38,9 +39,13 @@ class CommMatrix:
     matrix: tuple            # row-stochastic rows
     ctx: Context = DEFAULT
 
+    def __post_init__(self):
+        if not self.matrix:
+            raise ValueError("a communication matrix needs at least one row")
+
     @property
     def shape(self) -> tuple[int, int]:
-        return len(self.matrix), len(self.matrix[0]) if self.matrix else 0
+        return len(self.matrix), len(self.matrix[0])
 
 
 def comm_matrix(rows: Sequence[Sequence], ctx: Context | None = None) -> CommMatrix:
@@ -67,11 +72,10 @@ def identity_matrix(k: int, ctx: Context | None = None) -> CommMatrix:
                             for i in range(k)), ctx=ctx)
 
 
-def uniform_matrix(n: int, m: int | None = None, ctx: Context | None = None) -> CommMatrix:
+def uniform_matrix(n: int, *, ctx: Context | None = None) -> CommMatrix:
     ctx = ctx or DEFAULT
-    m = n if m is None else m
-    v = ctx.one() / m
-    return CommMatrix(tuple(tuple(v for _ in range(m)) for _ in range(n)), ctx=ctx)
+    v = ctx.one() / n
+    return CommMatrix(tuple(tuple(v for _ in range(n)) for _ in range(n)), ctx=ctx)
 
 
 # ----------------------------------------------------------------- monotones
@@ -89,7 +93,7 @@ def monotones(c: CommMatrix, *, seed: int = 0, search_upper: bool = True) -> Mon
     ctx = c.ctx
     mat = c.matrix
     n, m = c.shape
-    iota = count_orthogonal_rows(mat, ctx)
+    iota = len(orthogonal_rows(mat, ctx))
     lam_max = sum(max(row[j] for row in mat) for j in range(m))
     lam_min = -sum(min(row[j] for row in mat) for j in range(m))
     rk = rank(mat, ctx)
@@ -283,49 +287,24 @@ def _fit_right_stochastic(w, target, m: int):
 # ------------------------------------------------------------ canonical form
 def canonical_reduce(c: CommMatrix) -> CommMatrix:
     """Equivalent matrix with no zero columns, no positively proportional
-    column pairs, and no row that is a convex mixture of the other rows."""
+    column pairs, and no row that is a convex mixture of the other rows.
+
+    The columns are the effects of an observable on ``make_classical(n)``,
+    vertex i standing for state i, so the column steps are its minimally
+    sufficient representative.  One pass then drops each row in the hull of
+    the rows still kept, which is enough: dropping a mixture row creates no
+    zero or proportional column, merging columns does not change which rows
+    are mixtures, and dropping a row never turns an earlier kept row into one."""
     ctx = c.ctx
-    rows = [list(r) for r in c.matrix]
-    changed = True
-    while changed:
-        changed = False
-        # zero columns
-        m = len(rows[0]) if rows else 0
-        keep = [j for j in range(m) if any(not ctx.is_zero(r[j]) for r in rows)]
-        if len(keep) < m:
-            rows = [[r[j] for j in keep] for r in rows]
-            changed = True
-        # proportional columns: add the later one into the earlier
-        m = len(rows[0]) if rows else 0
-        merged = False
-        for j1 in range(m):
-            for j2 in range(j1 + 1, m):
-                col1 = [r[j1] for r in rows]
-                col2 = [r[j2] for r in rows]
-                if _proportionality(ctx, col1, col2) is not None:
-                    for r in rows:
-                        r[j1] += r[j2]
-                    rows = [[v for jj, v in enumerate(r) if jj != j2] for r in rows]
-                    merged = changed = True
-                    break
-            if merged:
-                break
-        # mixture rows
-        dropped = False
-        for i in range(len(rows)):
-            if len(rows) == 1:
-                break
-            if _is_mixture_of_others(rows, i, ctx):
-                rows.pop(i)
-                dropped = changed = True
-                break
-        if dropped:
-            continue
-    return CommMatrix(tuple(tuple(r) for r in rows), ctx=ctx)
-
-
-def _is_mixture_of_others(rows, i: int, ctx) -> bool:
-    return in_convex_hull(rows[i], [r for t, r in enumerate(rows) if t != i], ctx)
+    rep = minimally_sufficient(observable(make_classical(c.shape[0], ctx), list(zip(*c.matrix))))
+    rows = list(zip(*rep.effects))
+    i = 0
+    while i < len(rows):
+        if in_convex_hull(rows[i], rows[:i] + rows[i + 1:], ctx):
+            del rows[i]
+        else:
+            i += 1
+    return CommMatrix(tuple(rows), ctx=ctx)
 
 
 # ------------------------------------------------------- ultraweak majorization
@@ -338,9 +317,10 @@ class UltraweakResult:
 
 
 def ultraweak_leq(d: CommMatrix, c: CommMatrix, *, seed: int = 0) -> UltraweakResult:
-    """Decide D <= C (ultraweak): monotone screens give certified "no",
-    identity-shaped endpoints are decided exactly, and otherwise an
-    alternating LP searches for row-stochastic witnesses L, R."""
+    """Decide D <= C (ultraweak): monotone screens give certified "no", a D
+    whose rows are all equal and identity-shaped endpoints are decided
+    exactly, and otherwise an alternating LP searches for row-stochastic
+    witnesses L, R."""
     ctx = d.ctx
     md = monotones(d, search_upper=False)
     mc = monotones(c, search_upper=False)
@@ -353,9 +333,16 @@ def ultraweak_leq(d: CommMatrix, c: CommMatrix, *, seed: int = 0) -> UltraweakRe
     if md.nn_rank[0] > mc.nn_rank[1]:
         return UltraweakResult("no", violated="nn_rank")
 
+    if all(ctx.eq(a, b) for row in d.matrix for a, b in zip(row, d.matrix[0])):
+        # every row of D is one distribution p: L picks C's first row and
+        # every row of R is p, so L C R = D whatever C is
+        pick = (ctx.one(),) + (ctx.zero(),) * (c.shape[0] - 1)
+        left, right = (pick,) * d.shape[0], (d.matrix[0],) * c.shape[1]
+        if verify_ultraweak_witness(d, c, left, right):
+            return UltraweakResult("yes", left, right)
     if _is_identity(d, ctx):  # distinguishability shortcut
         # the iota screen passed: C has d.shape[0] rows with pairwise disjoint supports
-        left, right = _identity_witness(c, _orthogonal_row_set(c, d.shape[0]), ctx)
+        left, right = _identity_witness(c, orthogonal_rows(c.matrix, ctx)[:d.shape[0]], ctx)
         return UltraweakResult("yes", left, right)
     if _is_identity(c, ctx):  # classical-capacity shortcut
         # the nn_rank screen already compared D's lower bound with nn_rank(C) = c.shape[0]
@@ -405,18 +392,6 @@ def _is_identity(c: CommMatrix, ctx) -> bool:
                for i in range(n) for j in range(m))
 
 
-def _orthogonal_row_set(c: CommMatrix, k: int) -> Optional[tuple[int, ...]]:
-    ctx = c.ctx
-    supports = [frozenset(j for j, v in enumerate(row) if not ctx.is_zero(v))
-                for row in c.matrix]
-    for combo in itertools.combinations(range(len(supports)), k):
-        ok = all(not (supports[a] & supports[b])
-                 for a, b in itertools.combinations(combo, 2))
-        if ok:
-            return combo
-    return None
-
-
 def _identity_witness(c: CommMatrix, rows_idx: tuple[int, ...], ctx):
     n, m = c.shape
     k = len(rows_idx)
@@ -432,11 +407,10 @@ def _identity_witness(c: CommMatrix, rows_idx: tuple[int, ...], ctx):
     return left, tuple(right_rows)
 
 
-def verify_ultraweak_witness(d: CommMatrix, c: CommMatrix, left, right,
-                             tol: float = 1e-9) -> bool:
+def verify_ultraweak_witness(d: CommMatrix, c: CommMatrix, left, right) -> bool:
     lcr = mat_mul(mat_mul(left, c.matrix), right)
     return (is_row_stochastic(left, d.ctx) and is_row_stochastic(right, d.ctx)
-            and all(abs(float(a - b)) <= tol
+            and all(abs(float(a - b)) <= 1e-9
                     for ra, rb in zip(lcr, d.matrix) for a, b in zip(ra, rb)))
 
 

@@ -91,11 +91,11 @@ DEFAULT = FLOAT
 
 
 from .linalg import (  # noqa: E402
-    count_orthogonal_rows,
     dot,
     is_row_stochastic,
     mat_mul,
     null_space_vector,
+    orthogonal_rows,
     rank,
     solve_unique,
 )
@@ -110,12 +110,12 @@ __all__ = [
     "LPResult",
     "Scalar",
     "UnboundedObjective",
-    "count_orthogonal_rows",
     "dot",
     "is_row_stochastic",
     "lp_solve",
     "mat_mul",
     "null_space_vector",
+    "orthogonal_rows",
     "rank",
     "solve_unique",
 ]

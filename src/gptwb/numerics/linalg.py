@@ -122,12 +122,15 @@ def is_row_stochastic(matrix: Sequence[Sequence], ctx: Context | None = None) ->
     return True
 
 
-def count_orthogonal_rows(matrix: Sequence[Sequence], ctx: Context | None = None) -> int:
-    """Size of the largest set of pairwise-orthogonal rows.
+def orthogonal_rows(matrix: Sequence[Sequence], ctx: Context | None = None) -> tuple[int, ...]:
+    """Indices of the lexicographically first largest set of pairwise-orthogonal
+    rows.
 
     Rows are assumed nonnegative, so orthogonality means disjoint supports;
     the maximum is found by exhaustive branch-and-bound over the row-conflict
-    graph (exact at desk scale).
+    graph (exact at desk scale).  The search visits sets in index order and
+    keeps a set only when it is strictly larger, so the first largest set
+    found is the lexicographically first.
     """
     from . import DEFAULT
 
@@ -136,17 +139,17 @@ def count_orthogonal_rows(matrix: Sequence[Sequence], ctx: Context | None = None
     n = len(supports)
     conflict = [[bool(supports[i] & supports[j]) for j in range(n)] for i in range(n)]
 
-    best = 0
+    best: tuple[int, ...] = ()
 
-    def extend(chosen: int, candidates: list[int]) -> None:
+    def extend(chosen: tuple[int, ...], candidates: list[int]) -> None:
         nonlocal best
-        if chosen > best:
+        if len(chosen) > len(best):
             best = chosen
-        if chosen + len(candidates) <= best:
+        if len(chosen) + len(candidates) <= len(best):
             return
         for k, i in enumerate(candidates):
             rest = [j for j in candidates[k + 1:] if not conflict[i][j]]
-            extend(chosen + 1, rest)
+            extend(chosen + (i,), rest)
 
-    extend(0, list(range(n)))
+    extend((), list(range(n)))
     return best

@@ -86,8 +86,7 @@ def mix_observables(weights: Sequence, parts: Sequence[Observable]) -> Observabl
     return Observable(space, tuple(effects), parts[0].outcomes)
 
 
-def apply_postprocessing(nu: Sequence[Sequence], source: Observable,
-                         outcomes=None) -> Observable:
+def apply_postprocessing(nu: Sequence[Sequence], source: Observable) -> Observable:
     """Row-stochastic nu (|Lambda| x |Omega|) applied to the source observable."""
     space = source.space
     ctx = space.ctx
@@ -100,9 +99,7 @@ def apply_postprocessing(nu: Sequence[Sequence], source: Observable,
             if not ctx.is_zero(w):
                 acc = [a + w * b for a, b in zip(acc, source.effects[y])]
         effects.append(tuple(acc))
-    if outcomes is None:
-        outcomes = tuple(range(n_out))
-    return Observable(space, tuple(effects), tuple(outcomes))
+    return Observable(space, tuple(effects), tuple(range(n_out)))
 
 
 # ----------------------------------------------------------------- predicates

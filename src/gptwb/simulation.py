@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .numerics import LPProblem, lp_solve, rank, solve_unique
+from .numerics import LPProblem, lp_solve, solve_unique
 from .observables import (
     Observable,
     is_extreme_clean,
@@ -93,10 +93,11 @@ def is_simulable(target: Observable, simulators: Sequence[Observable]) -> Option
 
 
 def verify_sim_witness(target: Observable, simulators: Sequence[Observable],
-                       witness: SimWitness, tol: float | None = None) -> bool:
-    """Re-substitute a witness: reconstruction and stochasticity within tolerance."""
+                       witness: SimWitness) -> bool:
+    """Re-substitute a witness: reconstruction and stochasticity within the
+    context's tolerance."""
     ctx = target.space.ctx
-    tol = ctx.eps if tol is None else tol
+    tol = ctx.eps
     if abs(sum(witness.weights) - 1) > tol:
         return False
     for p, m, b in zip(witness.weights, witness.matrices, simulators):
@@ -128,9 +129,10 @@ def enumerate_irreducibles(space: StateSpace) -> tuple[Observable, ...]:
     """All extreme simulation-irreducible observables up to equivalence.
 
     Every candidate is a linearly independent set of dual-cone rays carrying a
-    strictly positive solution of sum(c_i r_i) = u; subsets without a strictly
-    positive solution are mixtures and are dropped.  Results are cached on the
-    space.
+    strictly positive solution of sum(c_i r_i) = u; ``solve_unique`` finds no
+    unique solution on a dependent set, and subsets without a strictly
+    positive solution are mixtures, so both are dropped.  Results are cached
+    on the space.
     """
     if space.kind != "polytopic":
         raise UnsupportedSpace("irreducible enumeration needs a vertex representation")
@@ -148,8 +150,6 @@ def enumerate_irreducibles(space: StateSpace) -> tuple[Observable, ...]:
     for k in range(1, min(d1, len(rays)) + 1):
         for combo in itertools.combinations(range(len(rays)), k):
             dirs = [columns[i] for i in combo]
-            if rank(dirs, ctx) < k:
-                continue
             system = [[dirs[j][c] for j in range(k)] for c in range(d1)]
             coeff = solve_unique(system, space.unit, ctx)
             if coeff is None or not all(ctx.pos(c) for c in coeff):

@@ -57,7 +57,7 @@ class StateSpace:
     """Compact convex base of a cone, vertex-represented or a norm ball."""
 
     def __init__(self, kind: str, *, vertices=None, unit=None, ball_dim=None,
-                 norm: str = "euclidean", summands=None, ctx: Context | None = None,
+                 summands=None, ctx: Context | None = None,
                  label: str = "", psym: bool = False):
         self.kind = kind
         self.ctx = ctx or DEFAULT
@@ -76,15 +76,11 @@ class StateSpace:
                     if all(self.ctx.eq(a, b) for a, b in zip(vs[i], vs[j])):
                         raise ValueError("duplicate vertices")
             self.ball_dim = None
-            self.norm_name = None
         elif kind == "ball":
             if ball_dim is None or ball_dim < 1:
                 raise ValueError("ball dimension must be >= 1")
-            if norm != "euclidean":
-                raise ValueError("only the euclidean ball is supported")
             self.vertices = None
             self.ball_dim = ball_dim
-            self.norm_name = norm
             self.unit = tuple([self.ctx.scalar(0)] * ball_dim + [self.ctx.scalar(1)])
             self.psym = True
         else:
@@ -490,11 +486,10 @@ def space_from_json(obj, ctx: Context | None = None) -> StateSpace:
         return ctx.scalar(Fraction(x)) if isinstance(x, str) else ctx.scalar(x)
     vertices = [tuple(dec(x) for x in v) for v in obj["vertices"]]
     unit = tuple(dec(x) for x in obj["unit"])
-    summands = None
     if obj.get("summands"):
         raise UnsupportedSpace("direct sums must be built via space references")
     return StateSpace("polytopic", vertices=vertices, unit=unit, ctx=ctx,
-                      label=obj.get("label", ""), summands=summands)
+                      label=obj.get("label", ""))
 
 
 def polygon_extreme_even(n: int, k: int) -> Vector:

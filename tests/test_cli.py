@@ -138,6 +138,13 @@ def test_comm_csv_with_fractions(tmp_path, capsys, backend):
         assert abs(payload["lambda_max"] - 7 / 6) < 1e-12
 
 
+def test_empty_matrix_is_an_error(hexagon_files, tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    assert run_cli(["comm", str(empty)], capsys)[0] == 3
+    assert run_cli(["comm", "compare", str(empty), hexagon_files["I2"]], capsys)[0] == 3
+
+
 def test_error_exit_code(hexagon_files, capsys):
     code = main(["check", "postprocess", "/nonexistent/file.json",
                  hexagon_files["a"]])

@@ -76,6 +76,14 @@ def test_non_stochastic_matrix_rejected():
         comm_matrix([[0.5, 0.4]])
 
 
+def test_empty_matrix_rejected():
+    with pytest.raises(ValueError):
+        comm_matrix([])
+    sp = make_classical(2)
+    with pytest.raises(ValueError):
+        build_comm_matrix([], observable(sp, ((1, 0), (0, 1))))
+
+
 # ----------------------------------------------------------------- monotones
 def test_monotone_report_identity():
     rep = monotones(identity_matrix(4))
@@ -258,11 +266,25 @@ def test_reduce_keeps_identity():
 
 
 def test_reduce_merges_proportional_columns():
-    cm = comm_matrix([[0.2, 0.4, 0.4], [0.3, 0.2, 0.5]])
-    # columns 2 = 2 * column 1 in the first row? no; craft a genuine pair
     cm = comm_matrix([[0.2, 0.1, 0.7], [0.4, 0.2, 0.4]])
     red = canonical_reduce(cm)
     assert red.shape[1] == 2  # first two columns proportional (ratio 1/2)
+
+
+@pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+def test_reduce_chain_zero_column_and_mixture_row(ctx):
+    """A proportional chain of three columns, a zero column and a strict
+    mixture row, reduced together."""
+    f = Fraction
+    rows = [[f(1, 12), f(2, 12), f(3, 12), 0, f(6, 12), 0],
+            [f(1, 12), f(2, 12), f(3, 12), 0, 0, f(6, 12)],
+            [0, 0, 0, 0, f(1, 2), f(1, 2)],
+            [f(1, 6), f(2, 6), f(3, 6), 0, 0, 0]]
+    rows.insert(2, [f(1, 3) * a + f(2, 3) * b for a, b in zip(rows[0], rows[3])])
+    red = canonical_reduce(comm_matrix(rows, ctx))
+    want = [[f(1, 2), f(1, 2), 0], [f(1, 2), 0, f(1, 2)], [0, f(1, 2), f(1, 2)], [1, 0, 0]]
+    assert red.shape == (4, 3)
+    assert all(ctx.eq(a, b) for ra, rb in zip(red.matrix, want) for a, b in zip(ra, rb))
 
 
 def test_reduced_matrix_is_equivalent():
@@ -304,6 +326,26 @@ def test_monotones_nonincreasing_along_witnessed_majorization():
         assert ma.lambda_max <= mb.lambda_max + 1e-9
         assert ma.lambda_min <= mb.lambda_min + 1e-9
         assert ma.rank <= mb.rank
+
+
+@pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+def test_identical_row_target_is_below_everything(ctx):
+    """D with every row the same distribution is below every C: L picks one
+    row of C and every row of R is D's row."""
+    rng = random.Random(16)
+
+    def rational_row(m):
+        raw = [Fraction(rng.randint(0, 5)) for _ in range(m)]
+        raw[0] += 1
+        return [v / sum(raw) for v in raw]
+
+    for _ in range(15):
+        d = comm_matrix([rational_row(rng.randint(1, 4))] * rng.randint(1, 4), ctx)
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        c = comm_matrix([rational_row(m) for _ in range(n)], ctx)
+        res = ultraweak_leq(d, c)
+        assert res.verdict == "yes"
+        assert verify_ultraweak_witness(d, c, res.left, res.right)
 
 
 def test_identity_screen_rejects_too_many_messages():

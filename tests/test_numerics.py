@@ -16,8 +16,8 @@ from gptwb.numerics import (
     Context,
     LPProblem,
     UnboundedObjective,
-    count_orthogonal_rows,
     lp_solve,
+    orthogonal_rows,
     rank,
 )
 from gptwb.numerics.lp import _run_simplex
@@ -48,15 +48,15 @@ def oracle_rank(rows):
 
 
 def oracle_orthogonal_rows(rows, eps=1e-9):
-    """Exhaustive maximum over all row subsets with pairwise disjoint supports."""
+    """Exhaustive search over all row subsets with pairwise disjoint supports:
+    the lexicographically first of the largest ones."""
     supports = [frozenset(j for j, v in enumerate(r) if abs(v) > eps) for r in rows]
-    best = 0
     for size in range(len(rows), 0, -1):
         for combo in itertools.combinations(range(len(rows)), size):
             if all(not (supports[a] & supports[b])
                    for a, b in itertools.combinations(combo, 2)):
-                return size
-    return best
+                return combo
+    return ()
 
 
 # ------------------------------------------------------------------ context
@@ -322,17 +322,17 @@ def test_hexagon_triple_boundary_is_exactly_compatible():
 
 # ------------------------------------------------------------ orthogonal rows
 def test_orthogonal_rows_identity():
-    assert count_orthogonal_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
+    assert len(orthogonal_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3
 
 
 def test_orthogonal_rows_uniform():
-    assert count_orthogonal_rows([[0.25] * 4] * 4) == 1
+    assert len(orthogonal_rows([[0.25] * 4] * 4)) == 1
 
 
 def test_orthogonal_rows_mixed_example():
     rows = [[0.5, 0.5, 0], [0, 0, 1], [0.3, 0.3, 0.4]]
-    assert oracle_orthogonal_rows(rows) == 2
-    assert count_orthogonal_rows(rows) == 2
+    assert len(oracle_orthogonal_rows(rows)) == 2
+    assert len(orthogonal_rows(rows)) == 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -340,7 +340,11 @@ def test_orthogonal_rows_mixed_example():
 def test_orthogonal_rows_match_bruteforce(seed, n, m):
     rng = random.Random(seed)
     rows = [[rng.choice([0, 0, 0, rng.random()]) for _ in range(m)] for _ in range(n)]
-    assert count_orthogonal_rows(rows) == oracle_orthogonal_rows(rows)
+    got = orthogonal_rows(rows)
+    assert len(got) == len(oracle_orthogonal_rows(rows))
+    assert all(rows[a][j] == 0 or rows[b][j] == 0
+               for a, b in itertools.combinations(got, 2) for j in range(m))
+    assert got == oracle_orthogonal_rows(rows)
 
 
 # ------------------------------------------------------- backend coherence
