@@ -3,9 +3,11 @@
 A communication matrix is the row-stochastic outcome table of a
 prepare-and-measure scenario.  Majorization D <= C (existence of row-stochastic
 L, R with LCR = D) is decided by monotone screens, exact shortcuts for a D
-whose rows are all equal and for identity-shaped endpoints, and an
-alternating-LP search that is sound for "yes" (witnesses are re-verified) and
-honest about "inconclusive".
+whose rows are all equal and for identity-shaped endpoints, and otherwise a
+warm-started search: projected least-squares sweeps (rows projected onto the
+simplex in closed form), then alternating exact least-absolute-deviation LPs
+for L and R.  It is sound for "yes" (witnesses are normalised in the
+matrix's field and re-verified) and honest about "inconclusive".
 The nonnegative-rank and psd-rank monotones are reported as certified
 intervals; the exact values are computationally hard in general.  The upper
 end of the nonnegative-rank interval comes from row-stochastic factorizations
@@ -144,16 +146,11 @@ def nonneg_factorization(c: CommMatrix, k: int, *, seed: int = 0) -> Optional[tu
             # cluster seeding: assign rows cyclically
             w = [[1.0 if (i % k) == j else 0.0 for j in range(k)] for i in range(n)]
         else:
-            w = []
-            for _ in range(n):
-                raw = [rng.random() for _ in range(k)]
-                s = sum(raw)
-                w.append([v / s for v in raw])
+            w = _random_stochastic(rng, n, k)
         fact = _hals_stochastic(target, w)
         if fact is None or _factor_error(*fact, target) > max(tol, 1e-10):
             continue
-        wq, hq = (tuple(_normalise_row([ctx.scalar(v) for v in row]) for row in f)
-                  for f in fact)
+        wq, hq = _field_stochastic(fact, ctx)
         if (is_row_stochastic(wq, ctx) and is_row_stochastic(hq, ctx)
                 and _factor_error(wq, hq, c.matrix) <= max(tol, 1e-9)):
             return wq, hq
@@ -161,8 +158,10 @@ def nonneg_factorization(c: CommMatrix, k: int, *, seed: int = 0) -> Optional[tu
 
 
 _FACTOR_RESTARTS = 4      # HALS restarts of nonneg_factorization
-_ULTRAWEAK_RESTARTS = 5   # starting R's of the alternating ultraweak search
-_ULTRAWEAK_ROUNDS = 50    # L, R alternations per start
+_ULTRAWEAK_STARTS = 6     # random starts of the ultraweak search
+_ULTRAWEAK_WARM = 10      # projected sweeps before the LP rounds
+_ULTRAWEAK_L_STEPS = 3    # projected-gradient steps per L row and sweep
+_ULTRAWEAK_TARGET = 1e-10  # max error at which a start succeeds
 _HALS_CHECK_EVERY = 20    # sweeps between max-error checks
 _HALS_MIN_SWEEPS = 200    # no stall or rate verdict before this many sweeps
 _HALS_MAX_SWEEPS = 2000
@@ -209,11 +208,12 @@ def _hals_stochastic(target, w):
     return w, h
 
 
-def _hals_update(x, y, data) -> None:
+def _hals_update(x, y, data, project=None) -> None:
     """One HALS half-sweep, in place: with the other factor's vectors y and
-    the data vectors fixed, each x[t] in turn becomes the nonnegative
-    least-squares optimum max(0, (y_t . data - sum_{s != t} (y_t . y_s) x_s)
-    / (y_t . y_t)), using the x[s] already updated."""
+    the data vectors fixed, each x[t] in turn becomes the least-squares
+    optimum max(0, (y_t . data - sum_{s != t} (y_t . y_s) x_s) / (y_t . y_t))
+    over nonnegative vectors, using the x[s] already updated; with
+    ``project`` = _project_simplex the optimum is over the simplex instead."""
     mul = operator.mul
     for t, yt in enumerate(y):
         gram = [sum(map(mul, yt, ys)) for ys in y]
@@ -224,7 +224,41 @@ def _hals_update(x, y, data) -> None:
             if s != t and g != 0.0:
                 acc = [a - g * v for a, v in zip(acc, x[s])]
         inv = 1.0 / gram[t]
-        x[t] = [a * inv if a > 0.0 else 0.0 for a in acc]
+        if project is None:
+            x[t] = [a * inv if a > 0.0 else 0.0 for a in acc]
+        else:
+            x[t] = project([a * inv for a in acc])
+
+
+def _project_simplex(v: list) -> list:
+    """Euclidean projection onto the probability simplex in closed form
+    (Duchi, Shalev-Shwartz, Singer & Chandra 2008): subtract the threshold
+    theta that leaves the positive parts summing to 1."""
+    css = 0.0
+    theta = 0.0
+    for r, u in enumerate(sorted(v, reverse=True), 1):
+        css += u
+        t = (css - 1.0) / r
+        if u <= t:
+            break
+        theta = t
+    return [u - theta if u > theta else 0.0 for u in v]
+
+
+def _random_stochastic(rng: random.Random, n: int, m: int) -> list:
+    out = []
+    for _ in range(n):
+        raw = [rng.random() for _ in range(m)]
+        s = sum(raw)
+        out.append([v / s for v in raw])
+    return out
+
+
+def _field_stochastic(factors, ctx: Context) -> tuple:
+    """Nonnegative float factors in the context's field, each row divided by
+    its sum there."""
+    return tuple(tuple(_normalise_row([ctx.scalar(v) for v in row]) for row in f)
+                 for f in factors)
 
 
 def _normalise_row(row: list) -> tuple:
@@ -241,47 +275,78 @@ def _factor_error(w, h, target) -> float:
     return err
 
 
-def _fit_left_stochastic(h, target):
-    """Best row-stochastic W for fixed H: the rows of W decouple, so minimize
-    the max deviation with one small LP per row."""
-    k = len(h)
-    m = len(target[0]) if target else 0
-    out = []
-    for i in range(len(target)):
-        p = LPProblem(n=k + 1, objective=[0] * k + [-1],
-                      bounds=[(0, None)] * k + [(0, None)])
-        p.add_eq([1] * k + [0], 1)
-        for j in range(m):
-            col = [float(h[t][j]) for t in range(k)]
-            p.add_ge([-v for v in col] + [1], -float(target[i][j]))
-            p.add_ge(col + [1], float(target[i][j]))
-        res = lp_solve(p, DEFAULT)
-        out.append([float(v) for v in res.x[:k]] if res.feasible else [1.0 / k] * k)
-    return out
+def _ultraweak_fit(cf, target, left, right):
+    """Float row-stochastic (L, R) with max |L C R - D| <= _ULTRAWEAK_TARGET
+    from the start (left, right), or None: warm sweeps, then rounds of two
+    exact least-absolute-deviation LPs, one per row of L and one over all of
+    R, until a round fails to halve the max error."""
+    mul = operator.mul
+    k, m = len(cf[0]), len(target[0])
+    ct = list(zip(*cf))
+    _ultraweak_warm_sweeps(cf, target, left, right)
+    prev = float("inf")
+    while True:
+        crt = [[sum(map(mul, row, col)) for row in cf] for col in zip(*right)]  # columns of C R
+        left = [_lad_fit(len(cf), list(zip(crt, d)))[0] for d in target]
+        lc = [[sum(map(mul, row, col)) for col in ct] for row in left]
+        fits = []
+        for row, d in zip(lc, target):
+            for b, v in enumerate(d):
+                coeffs = [0.0] * (k * m)
+                coeffs[b::m] = row   # entry (y, b) of R has coefficient (L C)[i][y]
+                fits.append((coeffs, v))
+        right = _lad_fit(m, fits)
+        err = _factor_error(lc, right, target)
+        if err <= _ULTRAWEAK_TARGET:
+            return left, right
+        if err > 0.5 * prev:
+            return None
+        prev = err
 
 
-def _fit_right_stochastic(w, target, m: int):
-    """Heuristic H step: fit each column by a tiny nonnegative LP (columns
-    decouple once the row sums are relaxed), then renormalize the rows.  The
-    following W step restores stochastic consistency; only the final verified
-    error matters."""
-    k = len(w[0]) if w else 0
-    n = len(target)
-    cols = []
-    for j in range(m):
-        p = LPProblem(n=k + 1, objective=[0] * k + [-1],
-                      bounds=[(0, None)] * k + [(0, None)])
-        for i in range(n):
-            row = [float(w[i][t]) for t in range(k)]
-            p.add_ge([-v for v in row] + [1], -float(target[i][j]))
-            p.add_ge(row + [1], float(target[i][j]))
-        res = lp_solve(p, DEFAULT)
-        cols.append([float(v) for v in res.x[:k]] if res.feasible else [0.0] * k)
-    h = [[cols[j][t] for j in range(m)] for t in range(k)]
-    for t in range(k):
-        s = sum(h[t])
-        h[t] = [v / s for v in h[t]] if s > 0 else [1.0 / m] * m
-    return h
+def _ultraweak_warm_sweeps(cf, target, left, right) -> None:
+    """Projected least-squares sweeps on |L C R - D|^2, in place: each row of
+    R by a HALS step projected onto the simplex, then each row of L by
+    projected-gradient steps on |l G - d_i|^2 with G = C R."""
+    mul = operator.mul
+    ct = list(zip(*cf))
+    dt = list(zip(*target))
+    for _ in range(_ULTRAWEAK_WARM):
+        lct = [[sum(map(mul, col, row)) for row in left] for col in ct]  # columns of L C
+        _hals_update(right, lct, dt, _project_simplex)
+        g = [[sum(map(mul, row, col)) for col in zip(*right)] for row in cf]  # C R
+        ggt = [[sum(map(mul, a, b)) for b in g] for a in g]
+        step = 1.0 / max(map(sum, ggt))  # G G^T >= 0, so this is 1 / |G G^T|_inf
+        for i, d in enumerate(target):
+            dg = [sum(map(mul, d, grow)) for grow in g]
+            lrow = left[i]
+            for _ in range(_ULTRAWEAK_L_STEPS):
+                grad = [sum(map(mul, lrow, col)) - v for col, v in zip(ggt, dg)]
+                lrow = _project_simplex([a - step * b for a, b in zip(lrow, grad)])
+            left[i] = lrow
+
+
+def _lad_fit(width: int, fits):
+    """Least absolute deviations over row-stochastic rows: x >= 0, cut into
+    rows of ``width`` entries that each sum to 1, minimizing the sum of
+    |coeffs . x - value| over ``fits`` with one LP (a positive and a negative
+    deviation per fit).  Returns the rows as floats."""
+    nx = len(fits[0][0])
+    ne = len(fits)
+    p = LPProblem(n=nx + 2 * ne, objective=[0] * nx + [-1] * (2 * ne),
+                  bounds=[(0, None)] * (nx + 2 * ne))
+    for start in range(0, nx, width):
+        p.add_eq([0] * start + [1] * width + [0] * (nx - start - width + 2 * ne), 1)
+    for e, (coeffs, value) in enumerate(fits):
+        row = list(coeffs) + [0] * (2 * ne)
+        row[nx + e] = -1
+        row[nx + ne + e] = 1
+        p.add_eq(row, value)
+    res = lp_solve(p, DEFAULT)
+    if not res.feasible:
+        raise RuntimeError("least-absolute-deviation LP must be feasible")
+    x = [max(float(v), 0.0) for v in res.x[:nx]]
+    return [x[start:start + width] for start in range(0, nx, width)]
 
 
 # ------------------------------------------------------------ canonical form
@@ -319,8 +384,13 @@ class UltraweakResult:
 def ultraweak_leq(d: CommMatrix, c: CommMatrix, *, seed: int = 0) -> UltraweakResult:
     """Decide D <= C (ultraweak): monotone screens give certified "no", a D
     whose rows are all equal and identity-shaped endpoints are decided
-    exactly, and otherwise an alternating LP searches for row-stochastic
-    witnesses L, R."""
+    exactly, and otherwise a search looks for row-stochastic witnesses L, R.
+
+    Each of up to _ULTRAWEAK_STARTS starts draws random row-stochastic L and R
+    from ``random.Random(seed * 1_000_003 + attempt)`` and runs
+    _ultraweak_fit.  A fit is converted to the matrices' field, each row
+    divided by its exact sum, and returned only if verify_ultraweak_witness
+    accepts it there; when every start fails the answer is "inconclusive"."""
     ctx = d.ctx
     md = monotones(d, search_upper=False)
     mc = monotones(c, search_upper=False)
@@ -353,33 +423,17 @@ def ultraweak_leq(d: CommMatrix, c: CommMatrix, *, seed: int = 0) -> UltraweakRe
 
     n, m = d.shape
     j, k = c.shape
-    for attempt in range(_ULTRAWEAK_RESTARTS):
+    target = [[float(v) for v in row] for row in d.matrix]
+    cf = [[float(v) for v in row] for row in c.matrix]
+    for attempt in range(_ULTRAWEAK_STARTS):
         rng = random.Random(seed * 1_000_003 + attempt)
-        if attempt == 0:
-            right = [[1.0 / m] * m for _ in range(k)]
-        else:
-            right = []
-            for _ in range(k):
-                raw = [rng.random() for _ in range(m)]
-                s = sum(raw)
-                right.append([v / s for v in raw])
-        prev = None
-        for _ in range(_ULTRAWEAK_ROUNDS):
-            cr = [[sum(float(c.matrix[a][y]) * right[y][b] for y in range(k))
-                   for b in range(m)] for a in range(j)]
-            left = _fit_left_stochastic(cr, d.matrix)
-            lc = [[sum(left[a][i] * float(c.matrix[i][y]) for i in range(j))
-                   for y in range(k)] for a in range(n)]
-            right = _fit_right_stochastic(lc, d.matrix, m)
-            err = _factor_error(lc, right, d.matrix)
-            if err <= max(ctx.eps, 1e-10):
-                lq = tuple(tuple(ctx.scalar(v) for v in row) for row in left)
-                rq = tuple(tuple(ctx.scalar(v) for v in row) for row in right)
-                if verify_ultraweak_witness(d, c, lq, rq):
-                    return UltraweakResult("yes", lq, rq)
-            if prev is not None and err > prev - 1e-12:
-                break
-            prev = err
+        left = _random_stochastic(rng, n, j)
+        right = _random_stochastic(rng, k, m)
+        fit = _ultraweak_fit(cf, target, left, right)
+        if fit is not None:
+            lq, rq = _field_stochastic(fit, ctx)
+            if verify_ultraweak_witness(d, c, lq, rq):
+                return UltraweakResult("yes", lq, rq)
     return UltraweakResult("inconclusive")
 
 

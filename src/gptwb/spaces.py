@@ -481,6 +481,9 @@ def space_from_json(obj, ctx: Context | None = None) -> StateSpace:
         return space_from_ref(obj, ctx)
     ctx = ctx or DEFAULT
     if obj.get("kind") == "ball":
+        norm = obj.get("norm", "euclidean")
+        if norm != "euclidean":
+            raise ValueError(f"unsupported ball norm {norm!r}: only the euclidean ball is supported")
         return make_ball(int(obj["dim"]), ctx)
     def dec(x):
         return ctx.scalar(Fraction(x)) if isinstance(x, str) else ctx.scalar(x)

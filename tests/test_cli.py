@@ -152,6 +152,15 @@ def test_error_exit_code(hexagon_files, capsys):
     assert code == 3
 
 
+def test_ball_with_unknown_norm_is_an_error(tmp_path, capsys):
+    obs = {"outcomes": [0, 1], "effects": [[0.0, 0.0, 0.0, 0.5], [0.0, 0.0, 0.0, 0.5]]}
+    for norm, code in (("euclidean", 0), ("l1", 3)):
+        path = tmp_path / f"{norm}.json"
+        path.write_text(json.dumps({**obs, "space_ref": {"kind": "ball", "dim": 3, "norm": norm}}))
+        assert main(["check", "postprocess", str(path), str(path)]) == code
+        capsys.readouterr()
+
+
 def test_reports_bit_identical_across_runs(hexagon_files, capsys):
     _, out1 = run_cli(["tables", "dims", "--seed", "5"], capsys)
     _, out2 = run_cli(["tables", "dims", "--seed", "5"], capsys)

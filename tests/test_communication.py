@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from gptwb.numerics import EXACT, FLOAT, dot, is_row_stochastic
+from gptwb.numerics import EXACT, FLOAT, dot, is_row_stochastic, mat_mul
 from gptwb.observables import observable, trivial_observable
 import gptwb.communication as communication
 from gptwb.communication import (
@@ -183,19 +183,19 @@ def test_nonneg_factorization_is_deterministic():
     assert nonneg_factorization(cm, 3, seed=5) == first
 
 
+def _rational_stochastic(n, m, rng):
+    rows = []
+    for _ in range(n):
+        raw = [Fraction(rng.randint(1, 9)) for _ in range(m)]
+        rows.append([v / sum(raw) for v in raw])
+    return rows
+
+
 def test_nonneg_factorization_exact_witness_is_stochastic():
     # a Fraction 5x5 rank-2 product; the witness must be row-stochastic in
     # the rationals, not only up to the float conversion
     rng = random.Random(3)
-
-    def stochastic(n, m):
-        rows = []
-        for _ in range(n):
-            raw = [Fraction(rng.randint(1, 9)) for _ in range(m)]
-            rows.append([v / sum(raw) for v in raw])
-        return rows
-
-    w0, h0 = stochastic(5, 2), stochastic(2, 5)
+    w0, h0 = _rational_stochastic(5, 2, rng), _rational_stochastic(2, 5, rng)
     prod = [[sum(w0[i][t] * h0[t][j] for t in range(2)) for j in range(5)]
             for i in range(5)]
     cm = comm_matrix(prod, EXACT)
@@ -367,6 +367,52 @@ def test_classical_capacity_shortcut():
     cm = comm_matrix(random_stochastic(5, 3, rng))
     res = ultraweak_leq(cm, identity_matrix(3))
     assert res.verdict == "yes"
+
+
+# (k, j, n, m): C is j x j of rank at most k, D = L C R is n x m; the first six
+# are the shapes of the planted comm-search pairs
+PLANTED_ULTRAWEAK_SHAPES = ((2, 3, 3, 3), (2, 4, 3, 4), (3, 4, 4, 3), (2, 5, 4, 4),
+                            (3, 5, 3, 4), (3, 3, 4, 4), (2, 4, 4, 4), (3, 5, 4, 4))
+
+
+def _planted_pair(rng, k, j, n, m, stochastic=random_stochastic, ctx=FLOAT):
+    c = mat_mul(stochastic(j, k, rng), stochastic(k, j, rng))
+    d = mat_mul(mat_mul(stochastic(n, j, rng), c), stochastic(j, m, rng))
+    return comm_matrix(d, ctx), comm_matrix(c, ctx)
+
+
+def test_ultraweak_search_hit_rate_on_planted_pairs():
+    # 40 pairs with D <= C by construction; the search must find at least 36
+    # of them, each a verified witness, and never answer "no"
+    rng = random.Random(77)
+    found = 0
+    for shape in PLANTED_ULTRAWEAK_SHAPES:
+        for _ in range(5):
+            d, c = _planted_pair(rng, *shape)
+            res = ultraweak_leq(d, c)
+            assert res.verdict != "no"
+            if res.verdict == "yes":
+                assert verify_ultraweak_witness(d, c, res.left, res.right)
+                found += 1
+    assert found >= 36
+
+
+def test_ultraweak_search_is_deterministic():
+    d, c = _planted_pair(random.Random(78), 3, 5, 3, 4)
+    first = ultraweak_leq(d, c, seed=5)
+    assert first.verdict == "yes"
+    assert ultraweak_leq(d, c, seed=5) == first
+
+
+def test_ultraweak_exact_witness_is_stochastic():
+    # a Fraction pair found by the float search; the witness must be
+    # row-stochastic in the rationals, not only up to the float conversion
+    d, c = _planted_pair(random.Random(3), 2, 4, 3, 4, _rational_stochastic, EXACT)
+    res = ultraweak_leq(d, c)
+    assert res.verdict == "yes"
+    assert all(isinstance(v, Fraction) for row in res.left + res.right for v in row)
+    assert is_row_stochastic(res.left, EXACT) and is_row_stochastic(res.right, EXACT)
+    assert verify_ultraweak_witness(d, c, res.left, res.right)
 
 
 # ------------------------------------------------------------------ dimensions

@@ -236,6 +236,13 @@ def test_space_json_round_trip():
     assert back.unit == sp.unit
 
 
+def test_ball_json_round_trip_and_unknown_norm():
+    back = space_from_json(make_ball(3).to_json_dict())
+    assert back.kind == "ball" and back.ball_dim == 3
+    with pytest.raises(ValueError, match="norm"):
+        space_from_json({"kind": "ball", "dim": 3, "norm": "l1"})
+
+
 def test_contains_state():
     sp = make_polygon(6)
     assert sp.contains_state((0.0, 0.0, 1.0))
