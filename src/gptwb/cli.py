@@ -23,7 +23,7 @@ from .communication import (
     ultraweak_leq,
 )
 from .compatibility import are_compatible, fc_noise_lower_bound
-from .numerics import Context
+from .numerics import EXACT, Context
 from .observables import Observable, observable_from_json
 from .postprocess import find_postprocessing
 from .simulation import enumerate_irreducibles, is_simulable
@@ -44,9 +44,7 @@ class RunConfig:
     out: str | None = None
 
     def context(self) -> Context:
-        if self.backend == "exact":
-            return Context("exact", 0)
-        return Context("float", self.tolerance)
+        return EXACT if self.backend == "exact" else Context("float", self.tolerance)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,13 +138,8 @@ def _load_comm(path: str, config: RunConfig) -> CommMatrix:
         data = _load_json(path)
         rows = data["matrix"] if isinstance(data, dict) else data
         return comm_matrix(rows, ctx)
-    rows = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rows.append([ctx.scalar(Fraction(tok)) for tok in line.split(",")])
+        rows = [line.split(",") for line in map(str.strip, fh) if line]
     return comm_matrix(rows, ctx)
 
 
@@ -154,8 +147,6 @@ def _resolve_simulators(selector: str, config: RunConfig, space: StateSpace):
     selector = selector.strip()
     if selector.startswith("irr(") and selector.endswith(")"):
         ref = selector[4:-1]
-    elif selector.startswith("irr:"):
-        ref = selector[4:]
     else:
         return [_load_observable(p, config) for p in selector.split(",") if p]
     target = space if space.label == ref or not ref else space_from_ref(ref, config.context())

@@ -50,8 +50,7 @@ class CommMatrix:
         return len(self.matrix), len(self.matrix[0])
 
 
-def comm_matrix(rows: Sequence[Sequence], ctx: Context | None = None) -> CommMatrix:
-    ctx = ctx or DEFAULT
+def comm_matrix(rows: Sequence[Sequence], ctx: Context = DEFAULT) -> CommMatrix:
     mat = tuple(tuple(ctx.scalar(v) for v in row) for row in rows)
     if not is_row_stochastic(mat, ctx):
         raise ValueError("matrix is not row-stochastic")
@@ -67,15 +66,13 @@ def build_comm_matrix(states: Sequence[Sequence], m: Observable) -> CommMatrix:
     return CommMatrix(tuple(m.probabilities(s) for s in states), space.ctx)
 
 
-def identity_matrix(k: int, ctx: Context | None = None) -> CommMatrix:
-    ctx = ctx or DEFAULT
+def identity_matrix(k: int, ctx: Context = DEFAULT) -> CommMatrix:
     one, zero = ctx.one(), ctx.zero()
     return CommMatrix(tuple(tuple(one if i == j else zero for j in range(k))
                             for i in range(k)), ctx=ctx)
 
 
-def uniform_matrix(n: int, *, ctx: Context | None = None) -> CommMatrix:
-    ctx = ctx or DEFAULT
+def uniform_matrix(n: int, *, ctx: Context = DEFAULT) -> CommMatrix:
     v = ctx.one() / n
     return CommMatrix(tuple(tuple(v for _ in range(n)) for _ in range(n)), ctx=ctx)
 

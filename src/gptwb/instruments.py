@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .numerics import dot
+from .numerics import DEFAULT, Context, dot
 from .observables import (
     Observable,
     is_zero_effect,
@@ -82,7 +82,7 @@ def equiv_indecomposable_check(inst: MPInstrument) -> bool:
     return is_pp_clean(minimally_sufficient(inst.observable))
 
 
-def mp_instrument_from_json(obj: dict, ctx=None) -> MPInstrument:
+def mp_instrument_from_json(obj: dict, ctx: Context = DEFAULT) -> MPInstrument:
     obs = observable_from_json(obj["observable"], ctx)
     out_space = space_from_json(obj["output_space_ref"], ctx) \
         if "output_space_ref" in obj else obs.space

@@ -6,6 +6,10 @@ expression in the context's tolerance ``eps``.  The float context uses IEEE
 doubles with an absolute ``eps``; the exact context is the same code with
 ``fractions.Fraction`` scalars and ``eps`` the integer 0, so it compares
 exactly and serves as the correctness oracle for the float path.
+``Context.scalar`` is the one way an outside number (int, float, Fraction or
+a string such as ``"0.25"`` or ``"1/3"``) enters the field; on the exact
+backend it never rounds, so a float stands for its exact binary value.
+Functions that take a context default it to ``DEFAULT`` (floats).
 """
 
 from __future__ import annotations
@@ -39,17 +43,16 @@ class Context:
         return self.backend == "exact"
 
     def scalar(self, x) -> Scalar:
+        """The one way an outside number enters the field, without rounding
+        on the exact backend: a float becomes its exact binary value, a
+        string ("0.25", "1/3") its rational value; a Fraction comes back
+        as it is."""
         if self.exact:
-            if isinstance(x, Fraction):
-                return x
-            if isinstance(x, int):
-                return Fraction(x)
-            if isinstance(x, str):
-                return Fraction(x)
-            if isinstance(x, float):
-                return Fraction(x).limit_denominator(10**12)
-            return Fraction(x)
-        return float(x)
+            return x if isinstance(x, Fraction) else Fraction(x)
+        try:
+            return float(x)
+        except ValueError:  # a fraction string
+            return float(Fraction(x))
 
     def zero(self) -> Scalar:
         return Fraction(0) if self.exact else 0.0

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from . import Context  # type: ignore  # circular at import time is fine: module attr
+from . import DEFAULT, Context  # defined before this module loads
 
 
 def dot(a: Sequence, b: Sequence):
@@ -55,11 +55,8 @@ def _eliminate(rows: list[list], ctx: Context) -> tuple[list[list], list[int]]:
     return rows, pivots
 
 
-def rank(matrix: Sequence[Sequence], ctx: Context | None = None) -> int:
+def rank(matrix: Sequence[Sequence], ctx: Context = DEFAULT) -> int:
     """Dimension of the row space (Gaussian elimination, tolerance-aware)."""
-    from . import DEFAULT
-
-    ctx = ctx or DEFAULT
     rows = [[ctx.scalar(v) for v in row] for row in matrix]
     if not rows:
         return 0
@@ -67,11 +64,8 @@ def rank(matrix: Sequence[Sequence], ctx: Context | None = None) -> int:
     return len(pivots)
 
 
-def solve_unique(a: Sequence[Sequence], b: Sequence, ctx: Context | None = None) -> Optional[tuple]:
+def solve_unique(a: Sequence[Sequence], b: Sequence, ctx: Context = DEFAULT) -> Optional[tuple]:
     """Unique solution of ``a x = b`` or None (inconsistent or underdetermined)."""
-    from . import DEFAULT
-
-    ctx = ctx or DEFAULT
     n = len(a[0]) if a else 0
     rows = [[ctx.scalar(v) for v in row] + [ctx.scalar(rhs)] for row, rhs in zip(a, b)]
     rows, pivots = _eliminate(rows, ctx)
@@ -89,11 +83,8 @@ def solve_unique(a: Sequence[Sequence], b: Sequence, ctx: Context | None = None)
     return tuple(x)
 
 
-def null_space_vector(rows: Sequence[Sequence], ctx: Context | None = None) -> Optional[tuple]:
+def null_space_vector(rows: Sequence[Sequence], ctx: Context = DEFAULT) -> Optional[tuple]:
     """A nonzero kernel vector when the kernel is one-dimensional, else None."""
-    from . import DEFAULT
-
-    ctx = ctx or DEFAULT
     if not rows:
         return None
     n = len(rows[0])
@@ -110,10 +101,7 @@ def null_space_vector(rows: Sequence[Sequence], ctx: Context | None = None) -> O
     return tuple(x)
 
 
-def is_row_stochastic(matrix: Sequence[Sequence], ctx: Context | None = None) -> bool:
-    from . import DEFAULT
-
-    ctx = ctx or DEFAULT
+def is_row_stochastic(matrix: Sequence[Sequence], ctx: Context = DEFAULT) -> bool:
     for row in matrix:
         if any(not ctx.ge(v, ctx.zero()) for v in row):
             return False
@@ -122,7 +110,7 @@ def is_row_stochastic(matrix: Sequence[Sequence], ctx: Context | None = None) ->
     return True
 
 
-def orthogonal_rows(matrix: Sequence[Sequence], ctx: Context | None = None) -> tuple[int, ...]:
+def orthogonal_rows(matrix: Sequence[Sequence], ctx: Context = DEFAULT) -> tuple[int, ...]:
     """Indices of the lexicographically first largest set of pairwise-orthogonal
     rows.
 
@@ -132,9 +120,6 @@ def orthogonal_rows(matrix: Sequence[Sequence], ctx: Context | None = None) -> t
     keeps a set only when it is strictly larger, so the first largest set
     found is the lexicographically first.
     """
-    from . import DEFAULT
-
-    ctx = ctx or DEFAULT
     supports = [frozenset(j for j, v in enumerate(row) if not ctx.is_zero(v)) for row in matrix]
     n = len(supports)
     conflict = [[bool(supports[i] & supports[j]) for j in range(n)] for i in range(n)]

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from . import Context
+from . import DEFAULT, Context
 
 
 class UnboundedObjective(Exception):
@@ -129,11 +129,8 @@ def _run_simplex(tableau: list[list], basis: list[int], cost: list, ctx: Context
     raise RuntimeError("simplex pivot limit exceeded")
 
 
-def lp_solve(problem: LPProblem, ctx: Context | None = None) -> LPResult:
+def lp_solve(problem: LPProblem, ctx: Context = DEFAULT) -> LPResult:
     """Solve an LPProblem; Feasible results carry a deterministic witness."""
-    from . import DEFAULT
-
-    ctx = ctx or DEFAULT
     scalar = ctx.scalar if ctx.exact else float
     tol = ctx.eps
     n = problem.n

@@ -6,7 +6,9 @@ max/min monotones, plus the minimally sufficient representative used to
 canonicalize post-processing equivalence classes.  The predicates and
 monotones read each effect's range over the states
 (``StateSpace.effect_range``) and the dual-ray test
-(``StateSpace.extreme_ray``) from the space, whatever its kind.
+(``StateSpace.extreme_ray``) from the space, whatever its kind.  On the
+exact backend an invalid observable cannot be built; on floats validity is
+a tolerance judgement that ``validate`` reports.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .numerics import Context, dot, rank
+from .numerics import DEFAULT, Context, dot, rank
 from .spaces import StateSpace, Vector, space_from_json
 
 
@@ -32,13 +34,14 @@ class Observable:
     def __post_init__(self):
         if len(self.effects) != len(self.outcomes):
             raise ValueError("one effect per outcome required")
+        if self.space.ctx.exact:
+            errors = validation_errors(self)
+            if errors:
+                raise ValueError("invalid observable: " + "; ".join(errors))
 
     @property
     def n_outcomes(self) -> int:
         return len(self.effects)
-
-    def effect(self, outcome) -> Vector:
-        return self.effects[self.outcomes.index(outcome)]
 
     def probabilities(self, state: Sequence) -> tuple:
         return tuple(dot(e, state) for e in self.effects)
@@ -221,15 +224,8 @@ def is_extreme_clean(a: Observable) -> bool:
 
 
 # ----------------------------------------------------------------- serialise
-def observable_from_json(obj: dict, ctx: Context | None = None,
+def observable_from_json(obj: dict, ctx: Context = DEFAULT,
                          space: StateSpace | None = None) -> Observable:
     if space is None:
         space = space_from_json(obj["space_ref"], ctx)
-    ctxr = space.ctx
-
-    def dec(x):
-        return ctxr.scalar(Fraction(x)) if isinstance(x, str) else ctxr.scalar(x)
-
-    effects = [tuple(dec(x) for x in e) for e in obj["effects"]]
-    outcomes = tuple(obj.get("outcomes") or range(len(effects)))
-    return Observable(space, tuple(effects), outcomes)
+    return observable(space, obj["effects"], obj.get("outcomes") or None)

@@ -57,10 +57,10 @@ class StateSpace:
     """Compact convex base of a cone, vertex-represented or a norm ball."""
 
     def __init__(self, kind: str, *, vertices=None, unit=None, ball_dim=None,
-                 summands=None, ctx: Context | None = None,
+                 summands=None, ctx: Context = DEFAULT,
                  label: str = "", psym: bool = False):
         self.kind = kind
-        self.ctx = ctx or DEFAULT
+        self.ctx = ctx
         self.label = label
         self.psym = psym
         self.summands: Optional[tuple[Summand, ...]] = tuple(summands) if summands else None
@@ -249,6 +249,14 @@ class StateSpace:
         return self._cache[key]
 
     def _compute_extreme_effects(self) -> tuple[Vector, ...]:
+        if self.summands:
+            # the effect polytope is the product of the summands': an extreme
+            # point picks o, an extreme effect or u in every block; with o
+            # first and u last in each block the product starts at o and
+            # ends at u, the two constant choices
+            blocks = [(s.space.zero_effect(),) + s.space.extreme_effects() + (s.space.unit,)
+                      for s in self.summands]
+            return tuple(sum(combo, ()) for combo in itertools.product(*blocks))[1:-1]
         ctx = self.ctx
         d1 = self.ambient_dim
         n = self.n_vertices
@@ -380,11 +388,10 @@ def effect_block(p: LPProblem, space: StateSpace, k: int) -> EffectBlock:
 
 
 # ------------------------------------------------------------- constructors
-def make_classical(d: int, ctx: Context | None = None) -> StateSpace:
+def make_classical(d: int, ctx: Context = DEFAULT) -> StateSpace:
     """(d-1)-simplex with standard-basis vertices; u sums the coordinates."""
     if d < 1:
         raise ValueError("classical system needs d >= 1")
-    ctx = ctx or DEFAULT
     one, zero = ctx.one(), ctx.zero()
     vertices = [tuple(one if j == i else zero for j in range(d)) for i in range(d)]
     return StateSpace("polytopic", vertices=vertices, unit=tuple([one] * d), ctx=ctx,
@@ -395,11 +402,10 @@ def polygon_radius(n: int) -> float:
     return math.sqrt(1.0 / math.cos(math.pi / n))
 
 
-def make_polygon(n: int, ctx: Context | None = None) -> StateSpace:
+def make_polygon(n: int, ctx: Context = DEFAULT) -> StateSpace:
     """Regular n-gon state space at height 1; float backend only."""
     if n < 3:
         raise ValueError("polygon needs n >= 3")
-    ctx = ctx or DEFAULT
     if ctx.exact:
         raise UnsupportedSpace("polygon coordinates are irrational; use the float backend")
     r = polygon_radius(n)
@@ -409,14 +415,13 @@ def make_polygon(n: int, ctx: Context | None = None) -> StateSpace:
                       label=f"polygon:{n}", psym=(n % 2 == 0))
 
 
-def make_ball(d: int, ctx: Context | None = None) -> StateSpace:
+def make_ball(d: int, ctx: Context = DEFAULT) -> StateSpace:
     """Euclidean unit-ball state space (d=3: qubit Bloch ball, d=2: rebit)."""
-    return StateSpace("ball", ball_dim=d, ctx=ctx or DEFAULT, label=f"ball:{d}")
+    return StateSpace("ball", ball_dim=d, ctx=ctx, label=f"ball:{d}")
 
 
-def make_square(ctx: Context | None = None) -> StateSpace:
+def make_square(ctx: Context = DEFAULT) -> StateSpace:
     """Rational unit square (linearly isomorphic to polygon:4); exact-friendly."""
-    ctx = ctx or DEFAULT
     one = ctx.one()
     vs = [(one, one, one), (-one, one, one), (-one, -one, one), (one, -one, one)]
     return StateSpace("polytopic", vertices=vs, unit=(ctx.zero(), ctx.zero(), one), ctx=ctx,
@@ -456,10 +461,9 @@ def direct_sum(spaces: Sequence[StateSpace]) -> StateSpace:
 
 
 # --------------------------------------------------------------- space refs
-def space_from_ref(ref: str, ctx: Context | None = None) -> StateSpace:
+def space_from_ref(ref: str, ctx: Context = DEFAULT) -> StateSpace:
     """Parse a space literal: classical:d, polygon:n, ball:d, square,
     dsum:<ref>+<ref>."""
-    ctx = ctx or DEFAULT
     ref = ref.strip()
     if ref.startswith("dsum:"):
         parts = ref[len("dsum:"):].split("+")
@@ -476,22 +480,17 @@ def space_from_ref(ref: str, ctx: Context | None = None) -> StateSpace:
     raise ValueError(f"unknown space reference {ref!r}")
 
 
-def space_from_json(obj, ctx: Context | None = None) -> StateSpace:
+def space_from_json(obj, ctx: Context = DEFAULT) -> StateSpace:
     if isinstance(obj, str):
         return space_from_ref(obj, ctx)
-    ctx = ctx or DEFAULT
     if obj.get("kind") == "ball":
         norm = obj.get("norm", "euclidean")
         if norm != "euclidean":
             raise ValueError(f"unsupported ball norm {norm!r}: only the euclidean ball is supported")
         return make_ball(int(obj["dim"]), ctx)
-    def dec(x):
-        return ctx.scalar(Fraction(x)) if isinstance(x, str) else ctx.scalar(x)
-    vertices = [tuple(dec(x) for x in v) for v in obj["vertices"]]
-    unit = tuple(dec(x) for x in obj["unit"])
     if obj.get("summands"):
         raise UnsupportedSpace("direct sums must be built via space references")
-    return StateSpace("polytopic", vertices=vertices, unit=unit, ctx=ctx,
+    return StateSpace("polytopic", vertices=obj["vertices"], unit=obj["unit"], ctx=ctx,
                       label=obj.get("label", ""))
 
 

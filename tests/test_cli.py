@@ -191,6 +191,26 @@ def test_installed_entry_point_runs():
     assert json.loads(proc.stdout)["rows"]
 
 
+def test_exact_compat_reads_decimals_exactly_and_floats_at_their_binary_value(tmp_path, capsys):
+    """On the exact backend decimal strings are read exactly and decide; a
+    JSON float is its binary value, so effects that reach the unit only up
+    to rounding (0.3 + 0.7) are an input error, while floats decide them."""
+    def write(name, effects):
+        path = tmp_path / name
+        path.write_text(json.dumps({"space_ref": "square", "effects": effects}))
+        return str(path)
+    a = write("a.json", [["0.1", "0.2", "0.3"], ["-0.1", "-0.2", "0.7"]])
+    b = write("b.json", [["0.25", "0", "0.5"], ["-0.25", "0", "0.5"]])
+    code, out = run_cli(["--backend", "exact", "check", "compat", a, b], capsys)
+    assert code == 0
+    joint = json.loads(out)["joint"]["effects"]
+    assert [sum(Fraction(e[c]) for e in joint) for c in range(3)] == [0, 0, 1]
+    floats = write("f.json", [[0.1, 0.2, 0.3], [-0.1, -0.2, 0.7]])
+    assert run_cli(["check", "compat", floats, b], capsys)[0] == 0
+    assert main(["--backend", "exact", "check", "compat", floats, b]) == 3
+    assert "unit functional" in capsys.readouterr().err
+
+
 def test_backend_flag_respected_in_both_positions(tmp_path, capsys):
     sq = tmp_path / "sq.json"
     sq.write_text(json.dumps({"space_ref": "square", "outcomes": [0, 1],

@@ -21,8 +21,12 @@ from gptwb.numerics import (
     rank,
 )
 from gptwb.numerics.lp import _run_simplex
-from gptwb.observables import observable
-from gptwb.spaces import StateSpace
+from gptwb.observables import apply_postprocessing, observable
+from gptwb.postprocess import find_postprocessing
+from gptwb.simulation import effect_in_noise_class, is_simulable
+from gptwb.spaces import StateSpace, make_square, space_from_ref
+
+from conftest import random_observable, random_rational_observable
 
 
 # ------------------------------------------------------------- local oracles
@@ -70,6 +74,19 @@ def test_exact_context_compares_with_the_integer_zero():
     for eps in (1e-9, 0.0, Fraction(1, 10**9)):
         with pytest.raises(ValueError):
             Context("exact", eps)
+
+
+def test_scalar_converts_without_rounding():
+    """Context.scalar is lossless on the exact backend: a float becomes its
+    binary value, a string its rational value, and a Fraction is returned
+    as it is; both backends parse fraction strings."""
+    third = Fraction(1, 3)
+    assert EXACT.scalar(0.1) == Fraction(0.1) != Fraction(1, 10)
+    assert EXACT.scalar("1/3") == third and EXACT.scalar("0.25") == Fraction(1, 4)
+    assert EXACT.scalar(third) is third
+    assert type(EXACT.scalar(2)) is Fraction
+    assert FLOAT.scalar("1/3") == 1 / 3 and FLOAT.scalar("0.25") == 0.25
+    assert FLOAT.scalar(third) == 1 / 3
 
 
 def test_float_context_keeps_its_tolerance_band():
@@ -368,3 +385,52 @@ def test_exact_float_agree_on_rational_instances():
                                      for r, b in zip(rows, rhss)],
                            bounds=[(0.0, 2.0)] * nv)
             assert lp_solve(pe, EXACT).feasible == lp_solve(pf, FLOAT).feasible
+
+
+def test_exact_backend_refuses_an_observable_valid_only_up_to_rounding():
+    """Float effects enter the exact field at their binary value: the first
+    of three random square observables then misses the unit by about 5e-17,
+    so building it raises instead of reaching an "incompatible" verdict,
+    while floats find a joint observable for all three."""
+    with pytest.raises(ValueError, match="unit functional"):
+        random_observable(make_square(EXACT), 2, random.Random(3))
+    rng = random.Random(3)
+    sq = make_square(FLOAT)
+    assert are_compatible([random_observable(sq, 2, rng) for _ in range(3)]) is not None
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.sampled_from(["classical:1", "classical:2", "classical:3", "square"]),
+                min_size=2, max_size=2),
+       st.integers(0, 10**6))
+def test_exact_float_agree_on_direct_sums(parts, seed):
+    """Post-processing, simulation, compatibility and the effect noise class
+    give the same verdicts on both backends for small-denominator rational
+    observables on a direct sum: random ones, a planted post-processing and
+    dichotomic ones built from extreme effects mixed with the fair coin."""
+    rng = random.Random(seed)
+    spe = space_from_ref("dsum:" + "+".join(parts), EXACT)
+    u = spe.unit
+
+    def sharp():
+        f, s = rng.choice(spe.extreme_effects()), Fraction(rng.randint(2, 4), 4)
+        f = tuple(s * x + (1 - s) * y / 2 for x, y in zip(f, u))
+        return observable(spe, (f, tuple(y - x for x, y in zip(f, u))))
+
+    a_e = random_rational_observable(spe, rng.randint(2, 3), rng)
+    b_e, d_e = sharp(), sharp()
+    nu = [[Fraction(w, 4), 1 - Fraction(w, 4)] for w in (rng.randint(0, 4) for _ in a_e.effects)]
+    c_e = apply_postprocessing(nu, a_e)
+    t = Fraction(rng.randint(1, 4), 4)
+    verdicts = []
+    for sp in (spe, space_from_ref(spe.label, FLOAT)):
+        a, b, c, d = (observable(sp, o.effects) for o in (a_e, b_e, c_e, d_e))
+        verdicts.append((find_postprocessing(a, c) is not None,
+                         find_postprocessing(b, a) is not None,
+                         is_simulable(a, [b, d]) is not None,
+                         are_compatible([b, d]) is not None,
+                         are_compatible([a, b, d]) is not None,
+                         effect_in_noise_class(sp, a.effects[0], t),
+                         effect_in_noise_class(sp, b.effects[0], t)))
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0][0]  # c is a post-processing of a by construction

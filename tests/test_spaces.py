@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from gptwb.numerics import EXACT, dot, rank
+from gptwb.numerics import EXACT, FLOAT, dot, rank
 from gptwb.spaces import (
     StateSpace,
     UnsupportedSpace,
@@ -209,6 +209,28 @@ def test_extreme_effect_counts():
     assert len(make_polygon(6).extreme_effects()) == 6
     assert len(make_polygon(5).extreme_effects()) == 10   # lower and upper families
     assert len(make_classical(3).extreme_effects()) == 6  # cube vertices minus o, u
+
+
+@pytest.mark.parametrize("ref,ctx", [("dsum:classical:1+square", EXACT),
+                                     ("dsum:classical:2+classical:3", EXACT),
+                                     ("dsum:classical:2+square", FLOAT),
+                                     ("dsum:polygon:5+classical:1", FLOAT)],
+                         ids=["1+square-exact", "2+3-exact", "2+square-float", "pentagon+1-float"])
+def test_direct_sum_extreme_effects_match_vertex_enumeration(ref, ctx):
+    """The blockwise extreme effects of a direct sum are the set that vertex
+    enumeration finds on the same vertices without the summand structure (in
+    another order, so the sets are compared)."""
+    sp = space_from_ref(ref, ctx)
+    flat = StateSpace("polytopic", vertices=sp.vertices, unit=sp.unit, ctx=ctx)
+    got, want = sp.extreme_effects(), flat.extreme_effects()
+    assert len(got) == len(want) == len(set(got))
+    for e in want:
+        assert any(all(ctx.eq(a, b) for a, b in zip(e, f)) for f in got)
+
+
+def test_direct_sum_extreme_effect_count():
+    # (10 + 2)(14 + 2) - 2: o, u or one of the summand's extreme effects per block
+    assert len(space_from_ref("dsum:polygon:5+polygon:7").extreme_effects()) == 190
 
 
 def test_pentagon_extremes_include_complements():
