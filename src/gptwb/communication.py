@@ -12,12 +12,18 @@ The nonnegative-rank and psd-rank monotones are reported as certified
 intervals; the exact values are computationally hard in general.  The upper
 end of the nonnegative-rank interval comes from row-stochastic factorizations
 C = W H found by HALS sweeps in floats (no LP), normalised exactly in the
-matrix's field and re-verified before they count.
+matrix's field and re-verified before they count.  When k equals the rank of
+C, every sweep check also tries an exact-rank finish: C's rows must lie in
+the convex hull of H's rows inside the affine hull of C's rows (Vavasis
+2009), so H's rows are projected there and pushed out to the simplex
+boundary, and W is read off as barycentric coordinates.  For k above the
+rank the sweeps run on their own.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -30,6 +36,7 @@ from .numerics import (
     mat_mul,
     orthogonal_rows,
     rank,
+    solve_unique,
 )
 from .numerics import Context, DEFAULT
 from .observables import Observable, minimally_sufficient, observable
@@ -110,10 +117,7 @@ def monotones(c: CommMatrix, *, seed: int = 0, search_upper: bool = True) -> Mon
 
 
 def _ceil_sqrt(k: int) -> int:
-    r = int(k ** 0.5)
-    while r * r < k:
-        r += 1
-    return r
+    return 0 if k == 0 else math.isqrt(k - 1) + 1
 
 
 def nonneg_factorization(c: CommMatrix, k: int, *, seed: int = 0) -> Optional[tuple]:
@@ -122,10 +126,13 @@ def nonneg_factorization(c: CommMatrix, k: int, *, seed: int = 0) -> Optional[tu
 
     Each restart runs nonnegative HALS sweeps in floats (no LP).  Only the
     product is fitted: once H is rescaled to be row-stochastic, W H = C forces
-    the rows of W to sum to 1, because C is row-stochastic.  The rescaled
-    factors are converted to the context's field, each row divided by its sum
-    there, and returned only if both are row-stochastic in that field and
-    re-substitute within 1e-9."""
+    the rows of W to sum to 1, because C is row-stochastic.  When k equals
+    the rank of C in its context, each error check first tries the hull
+    finish (_hull_finish), which ends the restart when it yields W >= 0
+    within _HALS_TARGET; for k above the rank the sweeps run as they are.
+    The factors are converted to the context's field, each row divided by
+    its sum there, and returned only if both are row-stochastic in that
+    field and re-substitute within 1e-9."""
     ctx = c.ctx
     n, m = c.shape
     if k >= min(n, m):
@@ -137,6 +144,7 @@ def nonneg_factorization(c: CommMatrix, k: int, *, seed: int = 0) -> Optional[tu
         return None
     tol = ctx.eps
     target = [[float(v) for v in row] for row in c.matrix]
+    hull = _row_hull(target, k) if rank(c.matrix, ctx) == k else None
     for attempt in range(_FACTOR_RESTARTS):
         rng = random.Random(seed * 1_000_003 + k * 1009 + attempt)
         if attempt == 0:
@@ -144,7 +152,7 @@ def nonneg_factorization(c: CommMatrix, k: int, *, seed: int = 0) -> Optional[tu
             w = [[1.0 if (i % k) == j else 0.0 for j in range(k)] for i in range(n)]
         else:
             w = _random_stochastic(rng, n, k)
-        fact = _hals_stochastic(target, w)
+        fact = _hals_stochastic(target, w, hull)
         if fact is None or _factor_error(*fact, target) > max(tol, 1e-10):
             continue
         wq, hq = _field_stochastic(fact, ctx)
@@ -166,10 +174,12 @@ _HALS_TARGET = 1e-11      # max error at which the sweeps stop
 _HALS_STALL = 0.9         # a check above this share of the last one is a stall
 
 
-def _hals_stochastic(target, w):
+def _hals_stochastic(target, w, hull=None):
     """Nonnegative HALS (Gillis & Glineur 2012) on target ~ W H from W, then
     rescale to row-stochastic factors: each row of H to sum 1 with the
     matching column of W scaled up, then each row of W divided by its sum.
+    With ``hull`` (from _row_hull, k = rank of the target) each error check
+    first tries _hull_finish and returns its factors when it succeeds.
     Returns float (W, H), or None when a factor row has no mass."""
     m = len(target[0])
     wc = [list(col) for col in zip(*w)]
@@ -180,6 +190,10 @@ def _hals_stochastic(target, w):
         _hals_update(h, wc, ct)       # rows of H for fixed W
         _hals_update(wc, h, target)   # columns of W for fixed H
         if sweep % _HALS_CHECK_EVERY == 0:
+            if hull is not None:
+                fact = _hull_finish(target, h, *hull)
+                if fact is not None:
+                    return fact
             err = _factor_error(list(zip(*wc)), h, target)
             if err <= _HALS_TARGET:
                 break
@@ -203,6 +217,60 @@ def _hals_stochastic(target, w):
             return None
         w.append([v / s for v in row])
     return w, h
+
+
+def _row_hull(target, k) -> tuple:
+    """An orthonormal basis of the span of the target's rows, whose rank is k
+    (Gram-Schmidt, each step taking the row with the largest remaining
+    part), and the centroid of the rows."""
+    mul = operator.mul
+    rest = [list(row) for row in target]
+    basis = []
+    for _ in range(k):
+        norms = [sum(map(mul, r, r)) for r in rest]
+        i = max(range(len(rest)), key=norms.__getitem__)
+        q = [v / norms[i] ** 0.5 for v in rest[i]]
+        basis.append(q)
+        for r in rest:
+            d = sum(map(mul, r, q))
+            r[:] = [a - d * b for a, b in zip(r, q)]
+    centre = [sum(col) / len(target) for col in zip(*target)]
+    return basis, centre
+
+
+def _hull_finish(target, h, basis, centre):
+    """Exact-rank finish (the nested-polytopes view of Vavasis 2009): when
+    k = rank(C), H's rows span the same space as C's rows, so C's rows lie
+    in the convex hull of H's rows inside their affine hull.  Each row of
+    ``h`` is projected onto that affine hull (onto the span, then rescaled
+    to sum 1) and pushed away from the centroid of C's rows out to the
+    simplex boundary; each row of W is then C's row in barycentric
+    coordinates.
+    Returns float (W, H) when W >= 0 and the max error is within
+    _HALS_TARGET, else None."""
+    mul = operator.mul
+    rows = []
+    for row in h:
+        coords = [sum(map(mul, q, row)) for q in basis]
+        p = [sum(map(mul, coords, col)) for col in zip(*basis)]
+        s = sum(p)
+        if s <= 0.0:
+            return None
+        d = [v / s - g for v, g in zip(p, centre)]
+        t = min((g / -v for g, v in zip(centre, d) if v < 0.0 and g > 0.0), default=None)
+        if t is None:
+            return None
+        rows.append([max(0.0, g + t * v) for g, v in zip(centre, d)])
+    cols = list(zip(*rows))
+    w = []
+    for row in target:
+        x = solve_unique(cols, row)
+        if x is None or min(x) < 0.0:
+            return None
+        w.append(x)
+    if _factor_error(w, rows, target) > _HALS_TARGET:
+        return None
+    return w, rows
 
 
 def _hals_update(x, y, data, project=None) -> None:

@@ -20,7 +20,7 @@ from .observables import (
 )
 from .postprocess import find_postprocessing
 from .simulation import SimWitness, enumerate_irreducibles, verify_sim_witness
-from .spaces import StateSpace, UnsupportedSpace, effect_block
+from .spaces import StateSpace, UnsupportedSpace, effect_block, ray_generators
 
 
 MAX_PRODUCT_OUTCOMES = 10_000
@@ -84,10 +84,17 @@ def dichotomic_compat_g(a_obs: Observable, b_obs: Observable) -> Optional[tuple]
     """Single dual vector deciding compatibility of two dichotomic observables:
     g with g >= 0, a >= g, b >= g, u >= a + b - g on all states.  It is the
     (0, 0) effect of the joint observable, whose other effects are a - g,
-    b - g and u - a - b + g."""
-    _check_dichotomic(a_obs, b_obs)
-    joint = are_compatible([a_obs, b_obs])
-    return None if joint is None else joint.effects[0]
+    b - g and u - a - b + g.  Where the dual rays do not generate the dual
+    cone, the four effects would each be free coordinates with vertex rows,
+    so g alone is posed instead: one free functional with the four vertex
+    rows per vertex."""
+    space = _check_dichotomic(a_obs, b_obs)
+    if ray_generators(space) is not None:
+        joint = are_compatible([a_obs, b_obs])
+        return None if joint is None else joint.effects[0]
+    res = lp_solve(_dichotomic_lp(space, a_obs.effects[0], b_obs.effects[0], margin=False),
+                   space.ctx)
+    return res.x if res.feasible else None
 
 
 def dichotomic_compat_margin(a_obs: Observable, b_obs: Observable):
@@ -97,20 +104,28 @@ def dichotomic_compat_margin(a_obs: Observable, b_obs: Observable):
     space = _check_dichotomic(a_obs, b_obs)
     if space.kind != "polytopic":
         raise UnsupportedSpace("the dichotomic LP needs a vertex representation")
-    a, b = a_obs.effects[0], b_obs.effects[0]
+    return lp_solve(_dichotomic_lp(space, a_obs.effects[0], b_obs.effects[0], margin=True),
+                    space.ctx).value
+
+
+def _dichotomic_lp(space: StateSpace, a, b, margin: bool) -> LPProblem:
+    """g free with g >= delta, a - g >= delta, b - g >= delta and
+    u - a - b + g >= delta on every vertex; with ``margin`` delta <= 1 is the
+    last variable and is maximized, otherwise delta = 0."""
     ctx = space.ctx
     dim = space.ambient_dim
     zero, one = ctx.zero(), ctx.one()
-    p = LPProblem(n=dim + 1, objective=[zero] * dim + [one],
-                  bounds=[(None, None)] * dim + [(None, one)])
+    tail = [-one] if margin else []
+    p = LPProblem(n=dim + len(tail), objective=([zero] * dim + [one]) if margin else None,
+                  bounds=[(None, None)] * dim + [(None, one)] * len(tail))
     for v in space.vertices:
-        grow = list(v) + [-one]
-        neg = [-x for x in v] + [-one]
+        grow = list(v) + tail
+        neg = [-x for x in v] + tail
         p.add_ge(grow, zero)                                   # g(v) >= delta
         p.add_ge(neg, -dot(a, v))                              # a(v) - g(v) >= delta
         p.add_ge(neg, -dot(b, v))
         p.add_ge(grow, dot(a, v) + dot(b, v) - one)            # u - a - b + g >= delta
-    return lp_solve(p, ctx).value
+    return p
 
 
 # ------------------------------------------------------------ point-symmetric

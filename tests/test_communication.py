@@ -158,7 +158,8 @@ def _max_error(w, h, target):
 
 def test_nonneg_factorization_hit_rate_on_planted_products():
     # 40 products that factor at k by construction; the search must find
-    # at least 36 of them, each a verified row-stochastic witness
+    # all of them (as it does on the seeds 12-15 too), each a verified
+    # row-stochastic witness
     rng = random.Random(77)
     found = 0
     for n in (4, 5, 6, 7):
@@ -173,7 +174,7 @@ def test_nonneg_factorization_hit_rate_on_planted_products():
                 assert is_row_stochastic(w) and is_row_stochastic(h)
                 assert _max_error(w, h, cm.matrix) <= 1e-9
                 found += 1
-    assert found >= 36
+    assert found == 40
 
 
 def test_nonneg_factorization_is_deterministic():
@@ -207,10 +208,10 @@ def test_nonneg_factorization_exact_witness_is_stochastic():
     assert _max_error(w, h, prod) <= 1e-9
 
 
-def test_hals_gives_up_a_restart_too_slow_to_converge(monkeypatch):
-    # the second planted 5x5 rank-2 product of the comm-search benchmark: the
-    # cyclic restart converges linearly at a rate that cannot reach the
-    # target within 2000 sweeps, so it must stop long before all 100 checks
+def _comm_search_factor_targets():
+    """The four factorization targets (C, k) of the comm-search benchmark,
+    replayed from its planted draws of random.Random(2020): the six
+    ultraweak pairs are drawn first."""
     rng = random.Random(2020)
 
     def stochastic(n, m):
@@ -225,11 +226,19 @@ def test_hals_gives_up_a_restart_too_slow_to_converge(monkeypatch):
                 for row in a]
 
     for k, j, n, m in ((2, 3, 3, 3), (2, 4, 3, 4), (3, 4, 4, 3), (2, 5, 4, 4),
-                       (3, 5, 3, 4), (3, 3, 4, 4)):  # the ultraweak pairs come first
+                       (3, 5, 3, 4), (3, 3, 4, 4)):
         c = mul(stochastic(j, k), stochastic(k, j))
         mul(mul(stochastic(n, j), c), stochastic(j, m))
-    mul(stochastic(5, 2), stochastic(2, 5))
-    target = mul(stochastic(5, 2), stochastic(2, 5))
+    return [(mul(stochastic(n, k), stochastic(k, n)), k)
+            for k, n in ((2, 5), (2, 5), (3, 6), (3, 6))]
+
+
+def test_hals_gives_up_a_restart_too_slow_to_converge(monkeypatch):
+    # the second planted 5x5 rank-2 product of the comm-search benchmark: the
+    # cyclic restart of plain HALS (no exact-rank finish) converges linearly
+    # at a rate that cannot reach the target within 2000 sweeps, so it must
+    # stop long before all 100 checks
+    target = _comm_search_factor_targets()[1][0]
     checks = []
     error = communication._factor_error
     monkeypatch.setattr(communication, "_factor_error",
@@ -239,6 +248,41 @@ def test_hals_gives_up_a_restart_too_slow_to_converge(monkeypatch):
     assert len(checks) <= 20
     monkeypatch.undo()
     assert nonneg_factorization(comm_matrix(target), 2) is not None
+
+
+def test_exact_rank_finish_returns_at_the_first_check(monkeypatch):
+    # k = rank(C) on every comm-search target: the hull finish turns the
+    # first restart's HALS iterate at its first check into a witness
+    sweeps = []
+    update = communication._hals_update
+    monkeypatch.setattr(communication, "_hals_update",
+                        lambda *args: sweeps.append(1) or update(*args))
+    for target, k in _comm_search_factor_targets():
+        sweeps.clear()
+        fact = nonneg_factorization(comm_matrix(target), k)
+        assert fact is not None
+        assert len(sweeps) == 2 * communication._HALS_CHECK_EVERY  # H and W per sweep
+        w, h = fact
+        assert is_row_stochastic(w) and is_row_stochastic(h)
+        assert _max_error(w, h, target) <= 1e-9
+
+
+@pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+def test_exact_rank_finish_fails_safe_on_the_square_slack_matrix(ctx):
+    # the slack matrix of the square has rank 3 and nonnegative rank 4: no
+    # hull of three rows contains its rows, so the finish must not accept one
+    half = Fraction(1, 2)
+    slack = [[half, half, 0, 0], [0, half, half, 0], [0, 0, half, half], [half, 0, 0, half]]
+    cm = comm_matrix(slack, ctx)
+    assert nonneg_factorization(cm, 3) is None
+    assert monotones(cm).nn_rank == (3, 4)
+
+
+def test_ceil_sqrt_is_the_integer_ceiling():
+    for k in range(10_001):
+        r = communication._ceil_sqrt(k)
+        assert r == math.ceil(math.sqrt(k))
+        assert r * r >= k and (r == 0 or (r - 1) ** 2 < k)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -176,6 +176,41 @@ def test_vertex_row_fallback(space):
     assert effect_in_noise_class(space, x_sharp, 1)
 
 
+@pytest.mark.parametrize("space", [cube4(EXACT), cube4(FLOAT), padded_square(FLOAT)],
+                         ids=["cube4-exact", "cube4-float", "padded-square-float"])
+def test_fallback_g_verdict_is_the_margin_sign(space):
+    # without a ray generator g comes from its own one-functional LP; the
+    # margin LP decides the same question with one more variable
+    tol = 1e-8
+    for t in (Fraction(2, 5), Fraction(3, 4), 1):
+        pair = [axis_dichotomic(space, 0, t), axis_dichotomic(space, 1, t)]
+        g = dichotomic_compat_g(*pair)
+        assert (g is not None) == (dichotomic_compat_margin(*pair) > 0)
+        if g is None:
+            continue
+        a, b = pair[0].effects[0], pair[1].effects[0]
+        for v in space.vertices:
+            gv, av, bv = dot(g, v), dot(a, v), dot(b, v)
+            assert -tol <= gv <= min(av, bv) + tol
+            assert av + bv - gv <= 1 + tol
+
+
+def test_fallback_g_agrees_with_the_joint_lp_on_random_pairs():
+    sp = cube4(FLOAT)
+    rng = random.Random(31)
+    verdicts = set()
+    for _ in range(8):
+        a = random_observable(sp, 2, rng, margin=rng.uniform(0.2, 1.2))
+        b = random_observable(sp, 2, rng, margin=rng.uniform(0.2, 1.2))
+        margin = dichotomic_compat_margin(a, b)
+        if abs(margin) <= 1e-7:
+            continue
+        via_g = dichotomic_compat_g(a, b) is not None
+        assert via_g == (are_compatible([a, b]) is not None) == (margin > 0)
+        verdicts.add(via_g)
+    assert verdicts == {True, False}
+
+
 # ----------------------------------------------------- point-symmetric tests
 @pytest.mark.parametrize("eps", [Fraction(0), Fraction(1, 10**20)])
 def test_psym_exact_criterion_at_two_is_not_rounded(eps):
