@@ -13,11 +13,11 @@ intervals; the exact values are computationally hard in general.  The upper
 end of the nonnegative-rank interval comes from row-stochastic factorizations
 C = W H found by HALS sweeps in floats (no LP), normalised exactly in the
 matrix's field and re-verified before they count.  When k equals the rank of
-C, every sweep check also tries an exact-rank finish: C's rows must lie in
-the convex hull of H's rows inside the affine hull of C's rows (Vavasis
-2009), so H's rows are projected there and pushed out to the simplex
-boundary, and W is read off as barycentric coordinates.  For k above the
-rank the sweeps run on their own.
+C, the first sweep check of each restart also tries an exact-rank finish:
+C's rows must lie in the convex hull of H's rows inside the affine hull of
+C's rows (Vavasis 2009), so H's rows are projected there and pushed out to
+the simplex boundary, and W is read off as barycentric coordinates.  For k
+above the rank, and after a failed finish, the sweeps run on their own.
 """
 
 from __future__ import annotations
@@ -127,9 +127,10 @@ def nonneg_factorization(c: CommMatrix, k: int, *, seed: int = 0) -> Optional[tu
     Each restart runs nonnegative HALS sweeps in floats (no LP).  Only the
     product is fitted: once H is rescaled to be row-stochastic, W H = C forces
     the rows of W to sum to 1, because C is row-stochastic.  When k equals
-    the rank of C in its context, each error check first tries the hull
-    finish (_hull_finish), which ends the restart when it yields W >= 0
-    within _HALS_TARGET; for k above the rank the sweeps run as they are.
+    the rank of C in its context, the first error check of each restart
+    first tries the hull finish (_hull_finish), which ends the restart when
+    it yields W >= 0 within _HALS_TARGET; for k above the rank, and after a
+    failed finish, the sweeps run as they are.
     The factors are converted to the context's field, each row divided by
     its sum there, and returned only if both are row-stochastic in that
     field and re-substitute within 1e-9."""
@@ -178,8 +179,8 @@ def _hals_stochastic(target, w, hull=None):
     """Nonnegative HALS (Gillis & Glineur 2012) on target ~ W H from W, then
     rescale to row-stochastic factors: each row of H to sum 1 with the
     matching column of W scaled up, then each row of W divided by its sum.
-    With ``hull`` (from _row_hull, k = rank of the target) each error check
-    first tries _hull_finish and returns its factors when it succeeds.
+    With ``hull`` (from _row_hull, k = rank of the target) the first error
+    check first tries _hull_finish and returns its factors when it succeeds.
     Returns float (W, H), or None when a factor row has no mass."""
     m = len(target[0])
     wc = [list(col) for col in zip(*w)]
@@ -190,10 +191,11 @@ def _hals_stochastic(target, w, hull=None):
         _hals_update(h, wc, ct)       # rows of H for fixed W
         _hals_update(wc, h, target)   # columns of W for fixed H
         if sweep % _HALS_CHECK_EVERY == 0:
-            if hull is not None:
+            if hull is not None:      # the finish is tried at the first check only
                 fact = _hull_finish(target, h, *hull)
                 if fact is not None:
                     return fact
+                hull = None
             err = _factor_error(list(zip(*wc)), h, target)
             if err <= _HALS_TARGET:
                 break

@@ -20,7 +20,7 @@ from .observables import (
 )
 from .postprocess import find_postprocessing
 from .simulation import SimWitness, enumerate_irreducibles, verify_sim_witness
-from .spaces import StateSpace, UnsupportedSpace, effect_block, ray_generators
+from .spaces import StateSpace, UnsupportedSpace, effect_block
 
 
 MAX_PRODUCT_OUTCOMES = 10_000
@@ -82,50 +82,44 @@ def _check_dichotomic(a_obs: Observable, b_obs: Observable) -> StateSpace:
 
 def dichotomic_compat_g(a_obs: Observable, b_obs: Observable) -> Optional[tuple]:
     """Single dual vector deciding compatibility of two dichotomic observables:
-    g with g >= 0, a >= g, b >= g, u >= a + b - g on all states.  It is the
-    (0, 0) effect of the joint observable, whose other effects are a - g,
-    b - g and u - a - b + g.  Where the dual rays do not generate the dual
-    cone, the four effects would each be free coordinates with vertex rows,
-    so g alone is posed instead: one free functional with the four vertex
-    rows per vertex."""
-    space = _check_dichotomic(a_obs, b_obs)
-    if ray_generators(space) is not None:
-        joint = are_compatible([a_obs, b_obs])
-        return None if joint is None else joint.effects[0]
-    res = lp_solve(_dichotomic_lp(space, a_obs.effects[0], b_obs.effects[0], margin=False),
-                   space.ctx)
-    return res.x if res.feasible else None
+    g with g >= 0, a >= g, b >= g, u >= a + b - g on all states, the (0, 0)
+    effect of a joint observable whose other effects are a - g, b - g and
+    u - a - b + g.  It is the g of dichotomic_compat_margin's LP, which meets
+    all four constraints whenever the optimal margin is >= 0."""
+    space, res = _dichotomic_margin_lp(a_obs, b_obs)
+    if not space.ctx.ge(res.value, space.ctx.zero()):
+        return None
+    return tuple(res.x[:space.ambient_dim])
 
 
 def dichotomic_compat_margin(a_obs: Observable, b_obs: Observable):
     """Largest slack delta <= 1 so all four cone constraints of g hold with
     margin delta on every vertex; positive iff strictly compatible, used to
     flag boundary instances."""
+    return _dichotomic_margin_lp(a_obs, b_obs)[1].value
+
+
+def _dichotomic_margin_lp(a_obs: Observable, b_obs: Observable) -> tuple:
+    """(space, solved LP): g free and delta <= 1 maximized, with g >= delta,
+    a - g >= delta, b - g >= delta and u - a - b + g >= delta on every
+    vertex."""
     space = _check_dichotomic(a_obs, b_obs)
     if space.kind != "polytopic":
         raise UnsupportedSpace("the dichotomic LP needs a vertex representation")
-    return lp_solve(_dichotomic_lp(space, a_obs.effects[0], b_obs.effects[0], margin=True),
-                    space.ctx).value
-
-
-def _dichotomic_lp(space: StateSpace, a, b, margin: bool) -> LPProblem:
-    """g free with g >= delta, a - g >= delta, b - g >= delta and
-    u - a - b + g >= delta on every vertex; with ``margin`` delta <= 1 is the
-    last variable and is maximized, otherwise delta = 0."""
+    a, b = a_obs.effects[0], b_obs.effects[0]
     ctx = space.ctx
     dim = space.ambient_dim
     zero, one = ctx.zero(), ctx.one()
-    tail = [-one] if margin else []
-    p = LPProblem(n=dim + len(tail), objective=([zero] * dim + [one]) if margin else None,
-                  bounds=[(None, None)] * dim + [(None, one)] * len(tail))
+    p = LPProblem(n=dim + 1, objective=[zero] * dim + [one],
+                  bounds=[(None, None)] * dim + [(None, one)])
     for v in space.vertices:
-        grow = list(v) + tail
-        neg = [-x for x in v] + tail
+        grow = list(v) + [-one]
+        neg = [-x for x in v] + [-one]
         p.add_ge(grow, zero)                                   # g(v) >= delta
         p.add_ge(neg, -dot(a, v))                              # a(v) - g(v) >= delta
         p.add_ge(neg, -dot(b, v))
         p.add_ge(grow, dot(a, v) + dot(b, v) - one)            # u - a - b + g >= delta
-    return p
+    return space, lp_solve(p, ctx)
 
 
 # ------------------------------------------------------------ point-symmetric
