@@ -20,7 +20,7 @@ from .observables import (
 )
 from .postprocess import find_postprocessing
 from .simulation import SimWitness, enumerate_irreducibles, verify_sim_witness
-from .spaces import StateSpace, UnsupportedSpace, effect_block
+from .spaces import StateSpace, UnsupportedSpace, effect_block, ray_generators
 
 
 MAX_PRODUCT_OUTCOMES = 10_000
@@ -82,11 +82,17 @@ def _check_dichotomic(a_obs: Observable, b_obs: Observable) -> StateSpace:
 
 def dichotomic_compat_g(a_obs: Observable, b_obs: Observable) -> Optional[tuple]:
     """Single dual vector deciding compatibility of two dichotomic observables:
-    g with g >= 0, a >= g, b >= g, u >= a + b - g on all states, the (0, 0)
-    effect of a joint observable whose other effects are a - g, b - g and
-    u - a - b + g.  It is the g of dichotomic_compat_margin's LP, which meets
-    all four constraints whenever the optimal margin is >= 0."""
-    space, res = _dichotomic_margin_lp(a_obs, b_obs)
+    g with g >= 0, a >= g, b >= g, u >= a + b - g on all states.  It is the
+    (0, 0) effect of the joint observable, whose other effects are a - g,
+    b - g and u - a - b + g.  Where the dual rays do not generate the dual
+    cone, the joint LP would carry four free effects with vertex rows, so g
+    is read off dichotomic_compat_margin's LP instead: its g meets all four
+    constraints whenever the optimal margin is >= 0."""
+    space = _check_dichotomic(a_obs, b_obs)
+    if ray_generators(space) is not None:
+        joint = are_compatible([a_obs, b_obs])
+        return None if joint is None else joint.effects[0]
+    res = _dichotomic_margin_lp(a_obs, b_obs)
     if not space.ctx.ge(res.value, space.ctx.zero()):
         return None
     return tuple(res.x[:space.ambient_dim])
@@ -96,13 +102,13 @@ def dichotomic_compat_margin(a_obs: Observable, b_obs: Observable):
     """Largest slack delta <= 1 so all four cone constraints of g hold with
     margin delta on every vertex; positive iff strictly compatible, used to
     flag boundary instances."""
-    return _dichotomic_margin_lp(a_obs, b_obs)[1].value
+    return _dichotomic_margin_lp(a_obs, b_obs).value
 
 
-def _dichotomic_margin_lp(a_obs: Observable, b_obs: Observable) -> tuple:
-    """(space, solved LP): g free and delta <= 1 maximized, with g >= delta,
-    a - g >= delta, b - g >= delta and u - a - b + g >= delta on every
-    vertex."""
+def _dichotomic_margin_lp(a_obs: Observable, b_obs: Observable):
+    """The solved margin LP: g free and delta <= 1 maximized, with
+    g >= delta, a - g >= delta, b - g >= delta and u - a - b + g >= delta on
+    every vertex."""
     space = _check_dichotomic(a_obs, b_obs)
     if space.kind != "polytopic":
         raise UnsupportedSpace("the dichotomic LP needs a vertex representation")
@@ -119,7 +125,7 @@ def _dichotomic_margin_lp(a_obs: Observable, b_obs: Observable) -> tuple:
         p.add_ge(neg, -dot(a, v))                              # a(v) - g(v) >= delta
         p.add_ge(neg, -dot(b, v))
         p.add_ge(grow, dot(a, v) + dot(b, v) - one)            # u - a - b + g >= delta
-    return space, lp_solve(p, ctx)
+    return lp_solve(p, ctx)
 
 
 # ------------------------------------------------------------ point-symmetric

@@ -353,24 +353,30 @@ class EffectBlock:
                      for i in range(self.k))
 
 
+def ray_generators(space: StateSpace) -> Optional[tuple]:
+    """The directions of the dual-cone rays when they generate the dual cone,
+    else None: no enumeration for this space, or vertices that do not span
+    the ambient space."""
+    if space.kind != "polytopic":
+        raise UnsupportedSpace("effect LPs need a vertex representation")
+    if space.affine_dim + 1 == space.ambient_dim:
+        try:
+            return tuple(r.direction for r in space.dual_rays())
+        except UnsupportedSpace:
+            pass
+    return None
+
+
 def effect_block(p: LPProblem, space: StateSpace, k: int) -> EffectBlock:
     """Append k effects to the variables of p; call it before adding rows.
 
     An effect is a nonnegative combination of the dual-cone rays, so it is
     positive by construction.  Where the rays do not generate the dual cone
-    (no enumeration for this space, or vertices that do not span the ambient
-    space) the effect's coordinates are free and one >= row per vertex keeps
-    it nonnegative."""
-    if space.kind != "polytopic":
-        raise UnsupportedSpace("effect LPs need a vertex representation")
+    (``ray_generators`` gives None) the effect's coordinates are free and one
+    >= row per vertex keeps it nonnegative."""
+    rays = ray_generators(space)
     ctx = space.ctx
     dim = space.ambient_dim
-    rays = None
-    if space.affine_dim + 1 == dim:
-        try:
-            rays = tuple(r.direction for r in space.dual_rays())
-        except UnsupportedSpace:
-            pass
     zero, one = ctx.zero(), ctx.one()
     gens = rays or tuple(tuple(one if j == c else zero for j in range(dim)) for c in range(dim))
     blk = EffectBlock(p.n, gens, k)

@@ -106,8 +106,8 @@ def test_dichotomic_g_trivial_cases():
 def test_dichotomic_g_matches_product_lp_on_random_pairs():
     rng = random.Random(23)
     count = 0
-    # the last two spaces have no dual-ray generator: the joint LP takes
-    # the vertex-row fallback there
+    # the last two spaces have no dual-ray generator: g comes from the
+    # margin LP there, and the joint LP takes the vertex-row fallback
     for sp in [make_polygon(n) for n in (4, 5, 6, 7, 8)] + [cube4(FLOAT), padded_square(FLOAT)]:
         for _ in range(12):
             a = random_observable(sp, 2, rng)
