@@ -59,6 +59,8 @@ class CommMatrix:
 
 def comm_matrix(rows: Sequence[Sequence], ctx: Context = DEFAULT) -> CommMatrix:
     mat = tuple(tuple(ctx.scalar(v) for v in row) for row in rows)
+    if len({len(row) for row in mat}) > 1:
+        raise ValueError("matrix rows differ in length")
     if not is_row_stochastic(mat, ctx):
         raise ValueError("matrix is not row-stochastic")
     return CommMatrix(mat, ctx)

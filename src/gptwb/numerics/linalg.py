@@ -32,14 +32,11 @@ def _eliminate(rows: list[list], ctx: Context) -> tuple[list[list], list[int]]:
     for c in range(n):
         if r >= m:
             break
-        if ctx.exact:
-            pivot_row = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        else:
-            pivot_row, best = None, ctx.eps
-            for i in range(r, m):
-                v = abs(rows[i][c])
-                if v > best:
-                    pivot_row, best = i, v
+        pivot_row, best = None, ctx.eps
+        for i in range(r, m):
+            v = abs(rows[i][c])
+            if v > best:
+                pivot_row, best = i, v
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]

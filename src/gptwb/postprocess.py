@@ -17,8 +17,6 @@ def find_postprocessing(source: Observable, target: Observable) -> Optional[tupl
     """Row-stochastic nu (|Lambda| x |Omega|) with target = nu o source, or None."""
     from .simulation import is_simulable
 
-    if source.space is not target.space and source.space.label != target.space.label:
-        raise ValueError("observables live on different spaces")
     witness = is_simulable(target, [source])
     return None if witness is None else witness.matrices[0]
 

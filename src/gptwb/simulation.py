@@ -4,8 +4,9 @@ Membership in the simulation closure of a finite simulator set is an LP after
 the standard linearization M^(i) = p_i nu^(i): the sub-stochastic matrices
 M^(i) and the weights p_i are jointly feasible iff the target is simulable.
 The module also enumerates the extreme simulation-irreducible observables of
-a polytopic space and implements the simulation-closed noise restrictions on
-effects and observables.
+a polytopic space and implements the simulation-closed noise restrictions:
+an effect's noise class is read off its range over the states and an
+observable's off its noise content, so neither solves an LP.
 """
 
 from __future__ import annotations
@@ -24,13 +25,7 @@ from .observables import (
     observable,
 )
 from .postprocess import is_pp_clean
-from .spaces import (
-    StateSpace,
-    UnsupportedSpace,
-    effect_block,
-    make_polygon,
-    polygon_extreme_even,
-)
+from .spaces import StateSpace, UnsupportedSpace, make_polygon, polygon_extreme_even
 
 
 @dataclass(frozen=True)
@@ -43,10 +38,13 @@ class SimWitness:
 
 
 def is_simulable(target: Observable, simulators: Sequence[Observable]) -> Optional[SimWitness]:
-    """LP membership of ``target`` in the simulation closure of ``simulators``."""
+    """LP membership of ``target`` in the simulation closure of ``simulators``;
+    all of them must live on the target's space (the same object or label)."""
     if not simulators:
         raise ValueError("empty simulator list")
     space = target.space
+    if any(b.space is not space and b.space.label != space.label for b in simulators):
+        raise ValueError("observables live on different spaces")
     ctx = space.ctx
     dim = space.ambient_dim
     n_t = target.n_outcomes
@@ -224,21 +222,20 @@ def ntomic_screen(a: Observable, n: int) -> str:
 
 # ------------------------------------------------------------- noise classes
 def effect_in_noise_class(space: StateSpace, e: Sequence, t) -> bool:
-    """Membership of e in {t e' + (1-t) p u : e' an effect, p in [0,1]}."""
+    """Membership of e in N_t = {t e' + (1-t) p u : e' an effect, p in [0,1]}
+    for a mixing weight t in [0, 1], read off e's range [lo, hi] over the
+    states.
+
+    With q = (1-t) p in [0, 1-t], e' = (e - q u) / t is an effect iff
+    hi - t <= q <= lo, and such a q exists iff lo >= 0, hi <= 1 and
+    hi - lo <= t; at t = 0 that says e = q u.
+    """
     ctx = space.ctx
     t = ctx.scalar(t)
-    if ctx.is_zero(t):
-        lo, hi = space.effect_range(e)
-        return ctx.eq(lo, hi) and ctx.ge(lo, ctx.zero()) and ctx.le(hi, ctx.one())
-    p = LPProblem(n=1, bounds=[(ctx.zero(), ctx.one())])  # variable 0 is p
-    eff = effect_block(p, space, 2)  # e' and u - e'
-    eff.sum_eq(p, (0, 1), space.unit)
-    for c, u in enumerate(space.unit):
-        row = [0] * p.n
-        row[0] = (ctx.one() - t) * u
-        eff.add(row, 0, eff.cols[c], t)
-        p.add_eq(row, ctx.scalar(e[c]))
-    return lp_solve(p, ctx).feasible
+    if not 0 <= t <= 1:
+        raise ValueError("the noise weight t must lie in [0, 1]")
+    lo, hi = space.effect_range(e)
+    return ctx.ge(lo, ctx.zero()) and ctx.le(hi, ctx.one()) and ctx.le(hi - lo, t)
 
 
 def effect_in_depolarized_class(space: StateSpace, e: Sequence, t) -> bool:

@@ -329,13 +329,13 @@ class EffectBlock:
         """Generator coefficients of an effect's value at a point."""
         return [dot(g, point) for g in self.gens]
 
-    def add(self, row: list, i: int, coeffs: Sequence, scale=1) -> None:
-        """Add scale * coeffs to the entries of effect i's variables in row;
-        coeffs come from ``at`` or ``cols``."""
+    def add(self, row: list, i: int, coeffs: Sequence) -> None:
+        """Add coeffs to the entries of effect i's variables in row; coeffs
+        come from ``at`` or ``cols``."""
         base = self.start + i * len(self.gens)
         for j, a in enumerate(coeffs):
             if a:
-                row[base + j] += scale * a
+                row[base + j] += a
 
     def sum_eq(self, p: LPProblem, members: Sequence[int], target: Sequence) -> None:
         """Rows: the effects in members sum to the functional target."""

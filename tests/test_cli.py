@@ -107,6 +107,13 @@ def test_check_sim_with_irreducible_literal(hexagon_files, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("ref", ["polygon:5", "classical:2"])
+def test_check_sim_from_another_space_is_an_error(hexagon_files, ref, capsys):
+    code, _ = run_cli(["check", "sim", hexagon_files["t"],
+                       "--simulators", f"irr({ref})"], capsys)
+    assert code == 3
+
+
 def test_check_ultraweak_and_comm_compare(hexagon_files, capsys):
     code, out = run_cli(["check", "ultraweak", hexagon_files["I2"],
                          hexagon_files["V2"]], capsys)
@@ -143,6 +150,12 @@ def test_empty_matrix_is_an_error(hexagon_files, tmp_path, capsys):
     empty.write_text("")
     assert run_cli(["comm", str(empty)], capsys)[0] == 3
     assert run_cli(["comm", "compare", str(empty), hexagon_files["I2"]], capsys)[0] == 3
+
+
+def test_ragged_matrix_is_an_error(tmp_path, capsys):
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("1\n0.5,0.5\n")
+    assert run_cli(["comm", str(ragged)], capsys)[0] == 3
 
 
 def test_error_exit_code(hexagon_files, capsys):

@@ -76,6 +76,11 @@ def test_non_stochastic_matrix_rejected():
         comm_matrix([[0.5, 0.4]])
 
 
+def test_ragged_matrix_rejected():
+    with pytest.raises(ValueError):
+        comm_matrix([[1.0], [0.5, 0.5]])
+
+
 def test_empty_matrix_rejected():
     with pytest.raises(ValueError):
         comm_matrix([])

@@ -399,17 +399,11 @@ def test_exact_backend_refuses_an_observable_valid_only_up_to_rounding():
     assert are_compatible([random_observable(sq, 2, rng) for _ in range(3)]) is not None
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.lists(st.sampled_from(["classical:1", "classical:2", "classical:3", "square"]),
-                min_size=2, max_size=2),
-       st.integers(0, 10**6))
-def test_exact_float_agree_on_direct_sums(parts, seed):
-    """Post-processing, simulation, compatibility and the effect noise class
-    give the same verdicts on both backends for small-denominator rational
-    observables on a direct sum: random ones, a planted post-processing and
+def backend_verdicts(spe, spf, rng):
+    """Post-processing, simulation, compatibility and effect noise-class
+    verdicts on an exact space and on its float twin spf, for small-denominator
+    rational observables: random ones, a planted post-processing and
     dichotomic ones built from extreme effects mixed with the fair coin."""
-    rng = random.Random(seed)
-    spe = space_from_ref("dsum:" + "+".join(parts), EXACT)
     u = spe.unit
 
     def sharp():
@@ -423,7 +417,7 @@ def test_exact_float_agree_on_direct_sums(parts, seed):
     c_e = apply_postprocessing(nu, a_e)
     t = Fraction(rng.randint(1, 4), 4)
     verdicts = []
-    for sp in (spe, space_from_ref(spe.label, FLOAT)):
+    for sp in (spe, spf):
         a, b, c, d = (observable(sp, o.effects) for o in (a_e, b_e, c_e, d_e))
         verdicts.append((find_postprocessing(a, c) is not None,
                          find_postprocessing(b, a) is not None,
@@ -432,5 +426,36 @@ def test_exact_float_agree_on_direct_sums(parts, seed):
                          are_compatible([a, b, d]) is not None,
                          effect_in_noise_class(sp, a.effects[0], t),
                          effect_in_noise_class(sp, b.effects[0], t)))
-    assert verdicts[0] == verdicts[1]
     assert verdicts[0][0]  # c is a post-processing of a by construction
+    return verdicts
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.sampled_from(["classical:1", "classical:2", "classical:3", "square"]),
+                min_size=2, max_size=2),
+       st.integers(0, 10**6))
+def test_exact_float_agree_on_direct_sums(parts, seed):
+    """Both backends give the same verdicts on a direct sum of small spaces."""
+    spe = space_from_ref("dsum:" + "+".join(parts), EXACT)
+    exact, floats = backend_verdicts(spe, space_from_ref(spe.label, FLOAT), random.Random(seed))
+    assert exact == floats
+
+
+SMALL_RATIONALS = sorted({Fraction(p, q) for q in (1, 2, 3) for p in range(-6, 7)})
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.sampled_from(SMALL_RATIONALS), min_size=4, max_size=6, unique=True),
+       st.integers(0, 10**6))
+def test_exact_float_agree_on_rational_circle_polygons(params, seed):
+    """The points ((1 - s^2), 2 s, 1 + s^2) / (1 + s^2) lie on the unit circle,
+    so every one is a vertex; the polygon is neither point-symmetric nor a
+    direct sum in general.  The float twin has the float values of the same
+    vertices."""
+    vertices = [((1 - s * s) / (1 + s * s), 2 * s / (1 + s * s), Fraction(1))
+                for s in sorted(params)]
+    spe = StateSpace("polytopic", vertices=vertices, unit=(0, 0, 1), ctx=EXACT)
+    spf = StateSpace("polytopic", vertices=[tuple(map(float, v)) for v in vertices],
+                     unit=(0, 0, 1), ctx=FLOAT)
+    exact, floats = backend_verdicts(spe, spf, random.Random(seed))
+    assert exact == floats

@@ -1,9 +1,11 @@
 """Simulation closure, irreducible enumeration, and the noise restrictions."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from gptwb.numerics import EXACT, FLOAT, LPProblem, lp_solve
 from gptwb.observables import (
     apply_postprocessing,
     is_trivial,
@@ -13,6 +15,7 @@ from gptwb.observables import (
     trivial_observable,
     uniform_trivial,
 )
+from gptwb.postprocess import find_postprocessing
 from gptwb.simulation import (
     dichotomic_generators,
     effect_in_depolarized_class,
@@ -29,12 +32,16 @@ from gptwb.simulation import (
     verify_sim_witness,
 )
 from gptwb.spaces import (
+    effect_block,
+    make_ball,
     make_classical,
     make_polygon,
+    make_square,
     polygon_extreme_even,
     polygon_extreme_odd,
+    space_from_ref,
 )
-from conftest import random_observable
+from conftest import cube4, padded_square, random_observable
 
 
 def hexagon_pair(k1=1, k2=4):
@@ -69,6 +76,18 @@ def test_empty_simulator_list_rejected():
     _, a = hexagon_pair()
     with pytest.raises(ValueError):
         is_simulable(a, [])
+
+
+@pytest.mark.parametrize("ref", ["polygon:5", "classical:2"])
+def test_simulators_on_another_space_rejected(ref):
+    """A pentagon simulator has the hexagon's ambient dimension, a classical
+    bit a smaller one; both live on another space."""
+    _, a = hexagon_pair()
+    other = enumerate_irreducibles(space_from_ref(ref))
+    with pytest.raises(ValueError):
+        is_simulable(a, other)
+    with pytest.raises(ValueError):
+        find_postprocessing(other[0], a)
 
 
 def test_closure_laws_on_samples():
@@ -199,6 +218,59 @@ def test_noise_class_endpoints():
     assert effect_in_noise_class(sp, tuple(0.3 * u for u in sp.unit), 0.0)
     assert not effect_in_noise_class(sp, e1, 0.0)
     assert not effect_in_noise_class(sp, e1, 0.5)
+    for t in (-0.1, 1.5):
+        with pytest.raises(ValueError):
+            effect_in_noise_class(sp, e1, t)
+
+
+def noise_class_lp(space, e, t):
+    """Reference model: the noise class as an LP.  Variable 0 is p; e' and
+    u - e' are two effects of ``effect_block`` and e = t e' + (1 - t) p u
+    holds coordinatewise."""
+    ctx = space.ctx
+    t = ctx.scalar(t)
+    p = LPProblem(n=1, bounds=[(ctx.zero(), ctx.one())])
+    eff = effect_block(p, space, 2)
+    eff.sum_eq(p, (0, 1), space.unit)
+    for c, u in enumerate(space.unit):
+        row = [0] * p.n
+        row[0] = (ctx.one() - t) * u
+        eff.add(row, 0, [t * a for a in eff.cols[c]])
+        p.add_eq(row, ctx.scalar(e[c]))
+    return lp_solve(p, ctx).feasible
+
+
+def test_noise_class_range_test_matches_the_effect_lp():
+    """e = a f + b u with f a random functional rescaled to the range [0, 1]
+    spreads by a over the states; a and t run over twelfths and t = a in
+    about a third of the draws, so ties are common, and b puts the range
+    inside [0, 1] or just past either end."""
+    twelfths = [Fraction(k, 12) for k in range(13)]
+    spaces = [make_polygon(n) for n in (5, 6, 7, 8)] + [cube4(FLOAT)]
+    for ctx in (FLOAT, EXACT):
+        spaces += [make_square(ctx), make_classical(3, ctx),
+                   space_from_ref("dsum:square+classical:2", ctx), padded_square(ctx)]
+    rng = random.Random(1500)
+    checked, disagree = 0, []
+    for sp in spaces:
+        ctx, unit = sp.ctx, sp.unit
+        for _ in range(120):
+            while True:
+                g = [ctx.scalar(Fraction(rng.randint(-6, 6), rng.randint(1, 6))) for _ in unit]
+                lo, hi = sp.effect_range(g)
+                if not ctx.is_zero(hi - lo):
+                    break
+            f = [(x - lo * y) / (hi - lo) for x, y in zip(g, unit)]
+            a, t = rng.choice(twelfths), rng.choice(twelfths)
+            if rng.random() < 0.3:
+                t = a
+            b = rng.choice([Fraction(-1, 12), 0, (1 - a) / 2, 1 - a, Fraction(13, 12) - a])
+            e = tuple(ctx.scalar(a) * x + ctx.scalar(b) * y for x, y in zip(f, unit))
+            checked += 1
+            if effect_in_noise_class(sp, e, t) != noise_class_lp(sp, e, t):
+                disagree.append((sp.label, a, b, t))
+    assert checked >= 1500
+    assert disagree == []
 
 
 def test_depolarized_class():
@@ -216,16 +288,28 @@ def test_depolarized_class():
         assert effect_in_depolarized_class(sp, a, t) == want
 
 
-def test_depolarized_subset_of_noise_class():
-    sp = make_polygon(6)
+def assert_depolarized_in_noise_class(sp):
+    """Random effects of the depolarized class lie in the noise class."""
     rng = random.Random(13)
+    members = 0
     for _ in range(40):
-        vec = (rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+        vec = tuple(rng.uniform(-0.5, 0.5) for _ in range(sp.ambient_dim - 1))
         alpha = rng.uniform(max(0.3, sp.effect_norm(vec)), 2 - sp.effect_norm(vec))
         e = sp.effect_from_bloch(vec, alpha)
         t = rng.uniform(0.1, 1.0)
         if effect_in_depolarized_class(sp, e, t):
+            members += 1
             assert effect_in_noise_class(sp, e, t)
+    assert members
+
+
+def test_depolarized_subset_of_noise_class():
+    assert_depolarized_in_noise_class(make_polygon(6))
+
+
+def test_noise_class_answers_on_the_ball():
+    """The range test needs no vertex representation."""
+    assert_depolarized_in_noise_class(make_ball(3))
 
 
 def test_observable_noise_class():
