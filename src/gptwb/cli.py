@@ -110,8 +110,6 @@ def _emit(config: RunConfig, payload: dict) -> None:
 def _jsonable(x):
     if isinstance(x, Fraction):
         return str(x)
-    if isinstance(x, tuple):
-        return list(x)
     raise TypeError(f"not serializable: {type(x)}")
 
 
@@ -149,7 +147,7 @@ def _resolve_simulators(selector: str, config: RunConfig, space: StateSpace):
         ref = selector[4:-1]
     else:
         return [_load_observable(p, config) for p in selector.split(",") if p]
-    target = space if space.label == ref or not ref else space_from_ref(ref, config.context())
+    target = space_from_ref(ref, config.context()) if ref else space
     return list(enumerate_irreducibles(target))
 
 
@@ -201,8 +199,7 @@ def cmd_check(relation: str, inputs: list[str], simulators: str | None,
     if relation == "postprocess":
         if len(inputs) != 2:
             raise ValueError("check postprocess SOURCE TARGET")
-        src = _load_observable(inputs[0], config)
-        tgt = observable_from_json(_load_json(inputs[1]), config.context(), space=src.space)
+        src, tgt = [_load_observable(p, config) for p in inputs]
         nu = find_postprocessing(src, tgt)
         _emit(config, {"relation": "postprocess", "verdict": nu is not None,
                        "witness": nu})
@@ -222,10 +219,7 @@ def cmd_check(relation: str, inputs: list[str], simulators: str | None,
     if relation == "compat":
         if len(inputs) < 2:
             raise ValueError("check compat OBS OBS [OBS ...]")
-        obs = [_load_observable(inputs[0], config)]
-        for path in inputs[1:]:
-            obs.append(observable_from_json(_load_json(path), space=obs[0].space))
-        joint = are_compatible(obs)
+        joint = are_compatible([_load_observable(p, config) for p in inputs])
         payload = {"relation": "compat", "verdict": joint is not None}
         if joint is not None:
             payload["joint"] = {"outcomes": [list(z) for z in joint.outcomes],

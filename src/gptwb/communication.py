@@ -40,7 +40,7 @@ from .numerics import (
 )
 from .numerics import Context, DEFAULT
 from .observables import Observable, minimally_sufficient, observable
-from .spaces import StateSpace, UnsupportedSpace, effect_block, in_convex_hull, make_classical
+from .spaces import StateSpace, effect_block, in_convex_hull, make_classical
 
 
 @dataclass(frozen=True)
@@ -469,8 +469,6 @@ def ultraweak_leq(d: CommMatrix, c: CommMatrix, *, seed: int = 0) -> UltraweakRe
                          ("rank", md.rank, mc.rank)]:
         if ctx.gt(ctx.scalar(dv), ctx.scalar(cv)):
             return UltraweakResult("no", violated=name)
-    if md.nn_rank[0] > mc.nn_rank[1]:
-        return UltraweakResult("no", violated="nn_rank")
 
     if all(ctx.eq(a, b) for row in d.matrix for a, b in zip(row, d.matrix[0])):
         # every row of D is one distribution p: L picks C's first row and
@@ -484,7 +482,8 @@ def ultraweak_leq(d: CommMatrix, c: CommMatrix, *, seed: int = 0) -> UltraweakRe
         left, right = _identity_witness(c, orthogonal_rows(c.matrix, ctx)[:d.shape[0]], ctx)
         return UltraweakResult("yes", left, right)
     if _is_identity(c, ctx):  # classical-capacity shortcut
-        # the nn_rank screen already compared D's lower bound with nn_rank(C) = c.shape[0]
+        # the rank and lambda_max screens passed, so D's nn_rank lower bound
+        # max(rank, ceil lambda) is at most c.shape[0] = nn_rank(C)
         fact = nonneg_factorization(d, c.shape[0], seed=seed)
         if fact is not None:
             return UltraweakResult("yes", fact[0], fact[1])
@@ -557,8 +556,6 @@ def space_dims(space: StateSpace) -> SpaceDims:
     largest over the theory's matrices.  rank <= d_lin, attained by the
     vertices against a spanning observable; lambda <= lambda_max, attained by
     the storability LP."""
-    if space.kind != "polytopic":
-        raise UnsupportedSpace("dimensions need a vertex representation")
     ctx = space.ctx
     d_lin = space.affine_dim + 1
     lam_max = _lambda_max_space(space)

@@ -13,6 +13,7 @@ from typing import Optional, Sequence
 from .numerics import LPProblem, dot, lp_solve
 from .observables import (
     Observable,
+    common_space,
     is_trivial,
     mix_observables,
     noise_content,
@@ -28,18 +29,10 @@ FC_BISECTION_STEPS = 9  # halvings of t per irreducible in find_nontrivial_fully
 FC_MIN_T = 1e-3         # smallest irreducible weight t it returns
 
 
-def _common_space(obs: Sequence[Observable]) -> StateSpace:
-    space = obs[0].space
-    for o in obs[1:]:
-        if o.space is not space:
-            raise ValueError("observables live on different spaces")
-    return space
-
-
 def are_compatible(obs: Sequence[Observable]) -> Optional[Observable]:
     """Joint observable on the product outcome set with matching marginals,
     or None when the LP is infeasible."""
-    space = _common_space(obs)
+    space = common_space(obs)
     sizes = [o.n_outcomes for o in obs]
     total = math.prod(sizes)
     if total > MAX_PRODUCT_OUTCOMES:
@@ -74,7 +67,7 @@ def marginal(joint: Observable, which: int) -> Observable:
 
 # ---------------------------------------------------------------- dichotomic
 def _check_dichotomic(a_obs: Observable, b_obs: Observable) -> StateSpace:
-    space = _common_space([a_obs, b_obs])
+    space = common_space([a_obs, b_obs])
     if a_obs.n_outcomes != 2 or b_obs.n_outcomes != 2:
         raise ValueError("both observables must be dichotomic")
     return space
@@ -110,8 +103,6 @@ def _dichotomic_margin_lp(a_obs: Observable, b_obs: Observable):
     g >= delta, a - g >= delta, b - g >= delta and u - a - b + g >= delta on
     every vertex."""
     space = _check_dichotomic(a_obs, b_obs)
-    if space.kind != "polytopic":
-        raise UnsupportedSpace("the dichotomic LP needs a vertex representation")
     a, b = a_obs.effects[0], b_obs.effects[0]
     ctx = space.ctx
     dim = space.ambient_dim
@@ -142,8 +133,6 @@ PSYM_BOUNDARY_BAND = 1e-7
 def psym_compat_test(space: StateSpace, a, b) -> PsymVerdict:
     """Norm criterion ||a+b||_E + ||a-b||_E <= 2 on a point-symmetric space:
     necessary in general, necessary and sufficient for unbiased effects."""
-    if not space.psym:
-        raise UnsupportedSpace("criterion needs a point-symmetric embedding")
     avec, alpha = space.bloch(a)
     bvec, beta = space.bloch(b)
     plus = space.effect_norm([x + y for x, y in zip(avec, bvec)])
@@ -161,8 +150,6 @@ def psym_compat_test(space: StateSpace, a, b) -> PsymVerdict:
 def construct_joint_unbiased(space: StateSpace, a, b) -> Observable:
     """Explicit four-effect joint observable for two unbiased effects passing
     the norm criterion; degenerate directions fall back to zero components."""
-    if not space.psym:
-        raise UnsupportedSpace("construction needs a point-symmetric embedding")
     ctx = space.ctx
     avec, alpha = space.bloch(a)
     bvec, beta = space.bloch(b)
@@ -201,7 +188,7 @@ def noise_sufficient_compat(obs: Sequence[Observable]) -> NoiseCompatReport:
     least m - 1 the inputs are simulable from one simulator set under a shared
     weight distribution, hence compatible.  The witness is built explicitly
     and re-verified."""
-    space = _common_space(obs)
+    space = common_space(obs)
     ctx = space.ctx
     m = len(obs)
     reports = [noise_content(o) for o in obs]
@@ -290,8 +277,6 @@ def is_nondisturbing(a: Observable, blocks: Sequence[Sequence[int]] | None = Non
     """Measurable without disturbance: every effect is constant on each summand
     of the given (or stored) direct-sum decomposition of the state space."""
     space = a.space
-    if space.kind != "polytopic":
-        raise UnsupportedSpace("non-disturbance test needs a vertex representation")
     if blocks is None:
         if space.summands:
             blocks = [s.vertex_indices for s in space.summands]

@@ -17,7 +17,7 @@ from .observables import (
     observable_from_json,
 )
 from .postprocess import find_postprocessing, is_pp_clean
-from .spaces import StateSpace, UnsupportedSpace, space_from_json
+from .spaces import StateSpace, space_from_json
 
 
 @dataclass(frozen=True)
@@ -55,12 +55,6 @@ def mp_postprocess_check(source: MPInstrument, target: MPInstrument) -> bool:
     return find_postprocessing(source.observable, target.observable) is not None
 
 
-def _is_pure(space: StateSpace, state: Sequence) -> bool:
-    if space.kind != "polytopic":
-        raise UnsupportedSpace("purity test needs a vertex representation")
-    return space.vertex_index_of(state) is not None
-
-
 def is_indecomposable_mp(inst: MPInstrument) -> bool:
     """Indecomposable iff the induced observable is indecomposable and every
     state attached to a nonzero effect is pure."""
@@ -70,7 +64,7 @@ def is_indecomposable_mp(inst: MPInstrument) -> bool:
     for e, prep in zip(obs.effects, inst.prepared_states):
         if is_zero_effect(obs.space, e):
             continue
-        if not _is_pure(inst.output_space, prep):
+        if inst.output_space.vertex_index_of(prep) is None:
             return False
     return True
 

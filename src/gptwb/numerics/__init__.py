@@ -73,10 +73,6 @@ class Context:
     def ge(self, a, b) -> bool:
         return a >= b or a >= b - self.eps
 
-    def lt(self, a, b) -> bool:
-        """Strictly less, by more than the tolerance."""
-        return a < b and a < b - self.eps
-
     def gt(self, a, b) -> bool:
         return a > b and a > b + self.eps
 

@@ -72,9 +72,24 @@ def uniform_trivial(space: StateSpace, k: int) -> Observable:
     return trivial_observable(space, [p] * k)
 
 
+def common_space(obs: Sequence[Observable]) -> StateSpace:
+    """The state space of all the observables, or ValueError.  Two spaces are
+    the same when they are one object, or share the context, kind, unit and,
+    on polytopes, the vertex list (a ball's unit fixes its dimension); labels
+    do not count."""
+    space = obs[0].space
+    key = (space.ctx, space.kind, space.unit)
+    for o in obs[1:]:
+        sp = o.space
+        if sp is not space and ((sp.ctx, sp.kind, sp.unit) != key or
+                                sp.kind == "polytopic" and sp.vertices != space.vertices):
+            raise ValueError("observables live on different spaces")
+    return space
+
+
 def mix_observables(weights: Sequence, parts: Sequence[Observable]) -> Observable:
-    """Convex mixture; all parts must share the outcome set."""
-    space = parts[0].space
+    """Convex mixture; all parts must share the space and the outcome set."""
+    space = common_space(parts)
     ctx = space.ctx
     k = parts[0].n_outcomes
     if any(p.n_outcomes != k for p in parts):
@@ -224,8 +239,6 @@ def is_extreme_clean(a: Observable) -> bool:
 
 
 # ----------------------------------------------------------------- serialise
-def observable_from_json(obj: dict, ctx: Context = DEFAULT,
-                         space: StateSpace | None = None) -> Observable:
-    if space is None:
-        space = space_from_json(obj["space_ref"], ctx)
+def observable_from_json(obj: dict, ctx: Context = DEFAULT) -> Observable:
+    space = space_from_json(obj["space_ref"], ctx)
     return observable(space, obj["effects"], obj.get("outcomes") or None)

@@ -18,6 +18,7 @@ from typing import Callable, Optional, Sequence
 from .numerics import LPProblem, lp_solve, solve_unique
 from .observables import (
     Observable,
+    common_space,
     is_extreme_clean,
     lambda_max_obs,
     minimally_sufficient,
@@ -39,12 +40,10 @@ class SimWitness:
 
 def is_simulable(target: Observable, simulators: Sequence[Observable]) -> Optional[SimWitness]:
     """LP membership of ``target`` in the simulation closure of ``simulators``;
-    all of them must live on the target's space (the same object or label)."""
+    all of them must live on the target's space (``common_space``)."""
     if not simulators:
         raise ValueError("empty simulator list")
-    space = target.space
-    if any(b.space is not space and b.space.label != space.label for b in simulators):
-        raise ValueError("observables live on different spaces")
+    space = common_space([target, *simulators])
     ctx = space.ctx
     dim = space.ambient_dim
     n_t = target.n_outcomes
@@ -132,8 +131,6 @@ def enumerate_irreducibles(space: StateSpace) -> tuple[Observable, ...]:
     positive solution are mixtures, so both are dropped.  Results are cached
     on the space.
     """
-    if space.kind != "polytopic":
-        raise UnsupportedSpace("irreducible enumeration needs a vertex representation")
     key = "irreducibles"
     if key in space._cache:
         return space._cache[key]
@@ -221,6 +218,14 @@ def ntomic_screen(a: Observable, n: int) -> str:
 
 
 # ------------------------------------------------------------- noise classes
+def _noise_weight(ctx, t):
+    """The mixing weight t in the context's field; ValueError outside [0, 1]."""
+    t = ctx.scalar(t)
+    if not 0 <= t <= 1:
+        raise ValueError("the noise weight t must lie in [0, 1]")
+    return t
+
+
 def effect_in_noise_class(space: StateSpace, e: Sequence, t) -> bool:
     """Membership of e in N_t = {t e' + (1-t) p u : e' an effect, p in [0,1]}
     for a mixing weight t in [0, 1], read off e's range [lo, hi] over the
@@ -231,9 +236,7 @@ def effect_in_noise_class(space: StateSpace, e: Sequence, t) -> bool:
     hi - lo <= t; at t = 0 that says e = q u.
     """
     ctx = space.ctx
-    t = ctx.scalar(t)
-    if not 0 <= t <= 1:
-        raise ValueError("the noise weight t must lie in [0, 1]")
+    t = _noise_weight(ctx, t)
     lo, hi = space.effect_range(e)
     return ctx.ge(lo, ctx.zero()) and ctx.le(hi, ctx.one()) and ctx.le(hi - lo, t)
 
@@ -244,7 +247,7 @@ def effect_in_depolarized_class(space: StateSpace, e: Sequence, t) -> bool:
     if not space.psym:
         raise UnsupportedSpace("depolarized class needs a point-symmetric embedding")
     ctx = space.ctx
-    t = ctx.scalar(t)
+    t = _noise_weight(ctx, t)
     if ctx.is_zero(t):
         # degenerate family {p u}: same as the noise class at t = 0
         return effect_in_noise_class(space, e, 0)
@@ -256,7 +259,7 @@ def effect_in_depolarized_class(space: StateSpace, e: Sequence, t) -> bool:
 def observable_in_noise_class(a: Observable, t) -> bool:
     """Membership of a in {t B + (1-t) T}: noise content at least 1 - t."""
     ctx = a.space.ctx
-    return ctx.ge(noise_content(a).w_trivial, ctx.one() - ctx.scalar(t))
+    return ctx.ge(noise_content(a).w_trivial, ctx.one() - _noise_weight(ctx, t))
 
 
 def range_in_effect_class(a: Observable, predicate: Callable[[Sequence], bool]) -> bool:

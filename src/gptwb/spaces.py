@@ -6,7 +6,8 @@ reduces to vertex evaluations, which turns all downstream relation checks into
 finite LPs; ``effect_block`` is the one way those LPs encode an effect.
 Norm-ball spaces (Euclidean unit balls, the qubit/rebit Bloch
 bodies) are kept alongside for the closed-form compatibility criteria; they
-have no vertices and support only the operations with closed forms.
+have no vertices and support only the operations with closed forms: the
+others read ``StateSpace.vertices``, which raises ``UnsupportedSpace``.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class StateSpace:
         self.summands: Optional[tuple[Summand, ...]] = tuple(summands) if summands else None
         if kind == "polytopic":
             vs = tuple(tuple(self.ctx.scalar(x) for x in v) for v in vertices)
-            self.vertices = vs
+            self._vertices = vs
             self.unit = tuple(self.ctx.scalar(x) for x in unit)
             for v in vs:
                 if not self.ctx.eq(dot(self.unit, v), self.ctx.one()):
@@ -79,7 +80,7 @@ class StateSpace:
         elif kind == "ball":
             if ball_dim is None or ball_dim < 1:
                 raise ValueError("ball dimension must be >= 1")
-            self.vertices = None
+            self._vertices = None
             self.ball_dim = ball_dim
             self.unit = tuple([self.ctx.scalar(0)] * ball_dim + [self.ctx.scalar(1)])
             self.psym = True
@@ -104,9 +105,15 @@ class StateSpace:
         return self._cache[key]
 
     @property
-    def n_vertices(self) -> int:
-        if self.vertices is None:
+    def vertices(self) -> tuple:
+        """The vertex list, which vertex-only operations read: on a norm
+        ball it raises UnsupportedSpace."""
+        if self._vertices is None:
             raise UnsupportedSpace("norm balls have no vertex list")
+        return self._vertices
+
+    @property
+    def n_vertices(self) -> int:
         return len(self.vertices)
 
     def is_simplex(self) -> bool:
@@ -166,8 +173,6 @@ class StateSpace:
     # ----------------------------------------------------------- dual rays
     def dual_rays(self) -> tuple[DualRay, ...]:
         """All extreme rays of the dual cone (polytopic spaces)."""
-        if self.kind != "polytopic":
-            raise UnsupportedSpace("dual rays need a vertex representation")
         key = "dual_rays"
         if key not in self._cache:
             self._cache[key] = self._compute_dual_rays()
@@ -215,8 +220,6 @@ class StateSpace:
         """The dual ray through the functional (or through its negative), or
         None when it is zero, changes sign on the vertices, or its vanishing
         vertices do not span a facet."""
-        if self.kind != "polytopic":
-            raise UnsupportedSpace("the extreme-ray test needs a vertex representation")
         ctx = self.ctx
         evals = [dot(direction, v) for v in self.vertices]
         if all(ctx.is_zero(e) for e in evals):
@@ -241,8 +244,6 @@ class StateSpace:
     # ------------------------------------------------- extreme effect points
     def extreme_effects(self) -> tuple[Vector, ...]:
         """Nontrivial extreme points of the effect polytope (o, u excluded)."""
-        if self.kind != "polytopic":
-            raise UnsupportedSpace("extreme effects need a vertex representation")
         key = "extreme_effects"
         if key not in self._cache:
             self._cache[key] = self._compute_extreme_effects()
@@ -357,8 +358,6 @@ def ray_generators(space: StateSpace) -> Optional[tuple]:
     """The directions of the dual-cone rays when they generate the dual cone,
     else None: no enumeration for this space, or vertices that do not span
     the ambient space."""
-    if space.kind != "polytopic":
-        raise UnsupportedSpace("effect LPs need a vertex representation")
     if space.affine_dim + 1 == space.ambient_dim:
         try:
             return tuple(r.direction for r in space.dual_rays())

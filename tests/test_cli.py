@@ -114,6 +114,18 @@ def test_check_sim_from_another_space_is_an_error(hexagon_files, ref, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("relation", ["postprocess", "compat"])
+def test_check_on_files_of_two_spaces_is_an_error(hexagon_files, tmp_path, relation, capsys):
+    """Each file is read on its own space_ref, and a polygon:6 file and a
+    polygon:4 file are on two spaces."""
+    sq = make_polygon(4)
+    path = tmp_path / "sq.json"
+    path.write_text(json.dumps(observable(
+        sq, (polygon_extreme_even(4, 1), polygon_extreme_even(4, 3))).to_json_dict()))
+    assert main(["check", relation, hexagon_files["a"], str(path)]) == 3
+    assert "different spaces" in capsys.readouterr().err
+
+
 def test_check_ultraweak_and_comm_compare(hexagon_files, capsys):
     code, out = run_cli(["check", "ultraweak", hexagon_files["I2"],
                          hexagon_files["V2"]], capsys)
@@ -163,6 +175,10 @@ def test_error_exit_code(hexagon_files, capsys):
                  hexagon_files["a"]])
     capsys.readouterr()
     assert code == 3
+    with pytest.raises(SystemExit) as exc:  # a usage error, not an inconclusive 2
+        main(["tables", "bogus"])
+    assert exc.value.code == 3
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_ball_with_unknown_norm_is_an_error(tmp_path, capsys):
@@ -180,12 +196,24 @@ def test_reports_bit_identical_across_runs(hexagon_files, capsys):
     assert out1 == out2
 
 
-def test_env_seed_override(hexagon_files, capsys, monkeypatch):
+def test_env_seed_override(tmp_path, capsys, monkeypatch):
+    """GPTWB_SEED wins over --seed.  The ultraweak search's witness for this
+    planted pair D = L C R depends on the seed, so without the variable the
+    reports of two seeds differ."""
+    d, c = tmp_path / "D.csv", tmp_path / "C.csv"
+    d.write_text("0.425,0.575\n0.565,0.435\n0.5825,0.4175\n")
+    c.write_text("0.6,0.3,0.1\n0.1,0.7,0.2\n0.2,0.2,0.6\n")
+
+    def report(seed):
+        code, out = run_cli(["check", "ultraweak", str(d), str(c), "--seed", seed], capsys)
+        assert code == 0
+        return out
+
+    monkeypatch.delenv("GPTWB_SEED", raising=False)
+    plain = {seed: report(seed) for seed in ("5", "9", "17")}
+    assert plain["5"] != plain["9"] and plain["5"] != plain["17"]
     monkeypatch.setenv("GPTWB_SEED", "17")
-    _, out1 = run_cli(["tables", "dims", "--seed", "5"], capsys)
-    monkeypatch.setenv("GPTWB_SEED", "17")
-    _, out2 = run_cli(["tables", "dims", "--seed", "9"], capsys)
-    assert out1 == out2
+    assert report("5") == report("9") == plain["17"]
 
 
 def test_out_file_and_formats(hexagon_files, tmp_path, capsys):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from gptwb.numerics import EXACT, dot
 from gptwb.observables import (
     PreconditionViolated,
+    common_space,
     is_extreme_clean,
     is_indecomposable_effect,
     is_trivial,
@@ -25,6 +26,7 @@ from gptwb.observables import (
     validate,
 )
 from gptwb.spaces import (
+    StateSpace,
     make_ball,
     make_classical,
     make_polygon,
@@ -85,6 +87,23 @@ def test_mixture_with_trivial_raises_noise():
     sp, a = hexagon_pair()
     mixed = mix_observables((0.5, 0.5), (a, uniform_trivial(sp, 2)))
     assert noise_content(mixed).w_trivial >= 0.5 - 1e-12
+
+
+def test_common_space_compares_geometry_not_labels():
+    """Spaces built apart with one context, kind, unit and vertex list are one
+    space whatever their labels; a change of field, polygon or kind is not,
+    and mix_observables refuses parts on two spaces."""
+    sp, a = hexagon_pair()
+    twin = StateSpace("polytopic", vertices=sp.vertices, unit=sp.unit)
+    assert common_space([a, observable(twin, a.effects)]) is sp
+    balls = [uniform_trivial(make_ball(3), 2) for _ in range(2)]
+    assert common_space(balls) is balls[0].space
+    for x, y in ((make_square(), make_square(EXACT)), (make_square(), make_polygon(4)),
+                 (make_ball(3), make_ball(2)), (sp, make_ball(2))):
+        with pytest.raises(ValueError, match="different spaces"):
+            common_space([uniform_trivial(x, 2), uniform_trivial(y, 2)])
+    with pytest.raises(ValueError, match="different spaces"):
+        mix_observables((0.5, 0.5), (a, uniform_trivial(make_polygon(4), 2)))
 
 
 def test_noise_content_on_ball_closed_form():

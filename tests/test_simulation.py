@@ -32,6 +32,7 @@ from gptwb.simulation import (
     verify_sim_witness,
 )
 from gptwb.spaces import (
+    StateSpace,
     effect_block,
     make_ball,
     make_classical,
@@ -54,6 +55,18 @@ def test_self_simulation():
     _, a = hexagon_pair()
     w = is_simulable(a, [a])
     assert w is not None and verify_sim_witness(a, [a], w)
+
+
+def test_simulation_needs_one_space_whatever_the_labels():
+    """An unlabelled square and an unlabelled triangle share the empty label
+    and both admit these effects, but they are two spaces."""
+    effects = ((0.2, 0, 0.4), (-0.2, 0, 0.6))
+    square = StateSpace("polytopic", vertices=[(1, 1, 1), (-1, 1, 1), (-1, -1, 1), (1, -1, 1)],
+                        unit=(0, 0, 1))
+    triangle = StateSpace("polytopic", vertices=[(2, 0, 1), (-1, 2, 1), (-1, -2, 1)],
+                          unit=(0, 0, 1))
+    with pytest.raises(ValueError, match="different spaces"):
+        is_simulable(observable(square, effects), [observable(triangle, effects)])
 
 
 def test_square_random_observables_from_two_irreducibles():
@@ -186,6 +199,15 @@ def test_lp_verdict_carries_verified_witness():
     if v.via == "lp" and v.value:
         assert verify_sim_witness(target, list(dichotomic_generators(sp)), v.witness)
     assert v.value  # the square state space is two-outcome simulable
+    # an even mixture of two sharp dichotomic observables on four outcomes:
+    # every outcome peaks at 1/2, so the max monotone is 2 and no screen applies
+    x, y = (0.5, 0, 0.5), (0, 0.5, 0.5)
+    sq = make_square()
+    mixed = observable(sq, [tuple(0.5 * c for c in e)
+                            for e in (x, (-0.5, 0, 0.5), y, (0, -0.5, 0.5))])
+    v = is_effectively_dichotomic(mixed)
+    assert v.via == "lp" and v.value
+    assert verify_sim_witness(mixed, list(dichotomic_generators(sq)), v.witness)
 
 
 def test_hexagon_trichotomic_irreducible_needs_three_outcomes():
@@ -286,6 +308,9 @@ def test_depolarized_class():
         scale = s / sp.effect_norm(direction)
         a = sp.effect_from_bloch((scale, 0.0), 1)
         assert effect_in_depolarized_class(sp, a, t) == want
+    for t in (-0.1, 1.5):  # at 1.5 the sharp e1 would pass
+        with pytest.raises(ValueError):
+            effect_in_depolarized_class(sp, e1, t)
 
 
 def assert_depolarized_in_noise_class(sp):
@@ -318,6 +343,9 @@ def test_observable_noise_class():
     assert not observable_in_noise_class(a, 0.5)
     mixed = mix_observables((0.4, 0.6), (a, uniform_trivial(sp, 2)))
     assert observable_in_noise_class(mixed, 0.4)
+    for t in (-0.1, 1.5):  # at 1.5 the sharp a would pass
+        with pytest.raises(ValueError):
+            observable_in_noise_class(a, t)
 
 
 def test_noise_class_simulation_closed_on_samples():

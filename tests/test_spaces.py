@@ -6,11 +6,24 @@ from fractions import Fraction
 
 import pytest
 
-from gptwb.numerics import EXACT, FLOAT, dot, rank
+from gptwb.communication import space_dims
+from gptwb.compatibility import (
+    are_compatible,
+    construct_joint_unbiased,
+    dichotomic_compat_g,
+    dichotomic_compat_margin,
+    is_nondisturbing,
+    psym_compat_test,
+)
+from gptwb.instruments import is_indecomposable_mp, mp_instrument
+from gptwb.numerics import EXACT, FLOAT, LPProblem, dot, rank
+from gptwb.observables import observable
+from gptwb.simulation import enumerate_irreducibles, is_effectively_dichotomic
 from gptwb.spaces import (
     StateSpace,
     UnsupportedSpace,
     direct_sum,
+    effect_block,
     make_ball,
     make_classical,
     make_polygon,
@@ -176,6 +189,47 @@ def test_pentagon_plus_heptagon():
 def test_direct_sum_rejects_balls():
     with pytest.raises(UnsupportedSpace):
         direct_sum([make_ball(2), make_classical(2)])
+
+
+BALL = make_ball(3)
+BALL_X = observable(BALL, (BALL.effect_from_bloch((1, 0, 0), 1),
+                           BALL.effect_from_bloch((-1, 0, 0), 1)))
+BALL_Y = observable(BALL, (BALL.effect_from_bloch((0, 1, 0), 1),
+                           BALL.effect_from_bloch((0, -1, 0), 1)))
+HEXAGON_PAIR = observable(make_polygon(6), (polygon_extreme_even(6, 1),
+                                            polygon_extreme_even(6, 4)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: BALL.dual_rays(),
+    lambda: BALL.extreme_ray(BALL.unit),
+    lambda: BALL.extreme_effects(),
+    lambda: BALL.n_vertices,
+    lambda: BALL.vertex_index_of((0, 0, 0, 1)),
+    lambda: effect_block(LPProblem(n=0), BALL, 2),
+    lambda: are_compatible([BALL_X, BALL_Y]),
+    lambda: dichotomic_compat_g(BALL_X, BALL_Y),
+    lambda: dichotomic_compat_margin(BALL_X, BALL_Y),
+    lambda: enumerate_irreducibles(BALL),
+    lambda: is_effectively_dichotomic(BALL_X),
+    lambda: is_nondisturbing(BALL_X),
+    lambda: space_dims(BALL),
+    lambda: is_indecomposable_mp(mp_instrument(HEXAGON_PAIR, [BALL.unit] * 2, BALL)),
+    lambda: direct_sum([BALL]),
+    lambda: psym_compat_test(make_polygon(5), polygon_extreme_odd(5, 1),
+                             polygon_extreme_odd(5, 2)),
+    lambda: construct_joint_unbiased(make_polygon(5), polygon_extreme_odd(5, 1),
+                                     polygon_extreme_odd(5, 2)),
+], ids=["dual_rays", "extreme_ray", "extreme_effects", "n_vertices", "vertex_index_of",
+        "effect_block", "are_compatible", "dichotomic_compat_g", "dichotomic_compat_margin",
+        "enumerate_irreducibles", "is_effectively_dichotomic", "is_nondisturbing",
+        "space_dims", "is_indecomposable_mp", "direct_sum", "psym_compat_test",
+        "construct_joint_unbiased"])
+def test_vertex_and_psym_operations_refuse_other_spaces(call):
+    """Operations that read the vertex list raise UnsupportedSpace on the
+    qubit ball, and the point-symmetric criteria on the pentagon."""
+    with pytest.raises(UnsupportedSpace):
+        call()
 
 
 def test_direct_sum_effect_validity_is_blockwise():
