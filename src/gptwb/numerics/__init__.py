@@ -90,10 +90,11 @@ DEFAULT = FLOAT
 
 
 from .linalg import (  # noqa: E402
+    Echelon,
     dot,
+    independent_subsets,
     is_row_stochastic,
     mat_mul,
-    null_space_vector,
     orthogonal_rows,
     rank,
     solve_unique,
@@ -104,16 +105,17 @@ __all__ = [
     "Context",
     "DEFAULT",
     "EXACT",
+    "Echelon",
     "FLOAT",
     "LPProblem",
     "LPResult",
     "Scalar",
     "UnboundedObjective",
     "dot",
+    "independent_subsets",
     "is_row_stochastic",
     "lp_solve",
     "mat_mul",
-    "null_space_vector",
     "orthogonal_rows",
     "rank",
     "solve_unique",

@@ -80,22 +80,113 @@ def solve_unique(a: Sequence[Sequence], b: Sequence, ctx: Context = DEFAULT) -> 
     return tuple(x)
 
 
-def null_space_vector(rows: Sequence[Sequence], ctx: Context = DEFAULT) -> Optional[tuple]:
-    """A nonzero kernel vector when the kernel is one-dimensional, else None."""
-    if not rows:
-        return None
-    n = len(rows[0])
-    work = [[ctx.scalar(v) for v in row] for row in rows]
-    work, pivots = _eliminate(work, ctx)
-    free = [c for c in range(n) if c not in pivots]
-    if len(free) != 1:
-        return None
-    f = free[0]
-    x = [ctx.zero()] * n
-    x[f] = ctx.one()
-    for i, c in enumerate(pivots):
-        x[c] = -work[i][f]
-    return tuple(x)
+class Echelon:
+    """Reduced row echelon form of linearly independent vectors, grown one
+    vector at a time by ``extend``; a form is never changed once built, so
+    the forms of several extensions can share their prefix's rows.
+
+    Row i is a combination of the vectors with entry 1 in column
+    ``pivots[i]`` and 0 in every other pivot column.  With ``slots`` > 0 each
+    row also carries that combination's coefficients in ``slots`` trailing
+    entries, one per vector in the order added.  ``residual`` is ``target``,
+    padded with ``slots`` zeros, reduced against the rows: its first ``dim``
+    entries vanish exactly when the target lies in their span, and its
+    trailing entries are then minus the target's coefficients.
+    """
+
+    __slots__ = ("ctx", "dim", "slots", "rows", "pivots", "residual")
+
+    def __init__(self, dim: int, ctx: Context = DEFAULT, slots: int = 0,
+                 target: Optional[Sequence] = None):
+        self.ctx, self.dim, self.slots = ctx, dim, slots
+        self.rows: tuple = ()
+        self.pivots: tuple = ()
+        self.residual = None if target is None else list(target) + [ctx.zero()] * slots
+
+    def extend(self, vector: Sequence) -> Optional["Echelon"]:
+        """The form of the vectors and one more, or None when the new vector
+        lies in the span of the others (within the tolerance)."""
+        ctx, dim = self.ctx, self.dim
+        w = list(vector)
+        if self.slots:
+            w += [ctx.zero()] * self.slots
+            w[dim + len(self.rows)] = ctx.one()
+        for row, p in zip(self.rows, self.pivots):
+            if w[p]:
+                w = _sub_multiple(w, w[p], row)
+        p = max(range(dim), key=lambda c: abs(w[c]))
+        piv = w[p]
+        if ctx.is_zero(piv):
+            return None
+        w = [a / piv if a else a for a in w]  # w[p] is exactly 1, so row - row[p] * w is 0 at p
+        out = object.__new__(Echelon)
+        out.ctx, out.dim, out.slots = ctx, dim, self.slots
+        out.rows = tuple(_sub_multiple(row, row[p], w) if row[p] else row
+                         for row in self.rows) + (w,)
+        out.pivots = self.pivots + (p,)
+        res = self.residual
+        out.residual = _sub_multiple(res, res[p], w) if res is not None and res[p] else res
+        return out
+
+    def spans_target(self) -> bool:
+        return self.residual is not None and all(self.ctx.is_zero(x) for x in self.residual[:self.dim])
+
+    def coefficients(self) -> Optional[tuple]:
+        """The target's coefficients over the vectors, in the order added,
+        when it lies in their span, else None."""
+        if not self.spans_target():
+            return None
+        return tuple(-x for x in self.residual[self.dim:self.dim + len(self.rows)])
+
+    def kernel(self) -> tuple:
+        """The nonzero vector, 1 in the one non-pivot column, that every
+        vector annihilates; needs exactly ``dim - 1`` vectors."""
+        (free,) = set(range(self.dim)) - set(self.pivots)
+        x = [self.ctx.zero()] * self.dim
+        x[free] = self.ctx.one()
+        for row, p in zip(self.rows, self.pivots):
+            x[p] = -row[free]
+        return tuple(x)
+
+    def dual_basis(self) -> tuple:
+        """The functionals h_j with h_j . v_i = 1 if i == j else 0, one per
+        vector in the order added; needs ``dim`` vectors and ``slots`` >= dim.
+        The rows are then the unit vectors, so the coefficient block is the
+        inverse of the vectors' matrix up to the order of its rows."""
+        by_pivot = sorted(range(self.dim), key=self.pivots.__getitem__)
+        return tuple(tuple(self.rows[i][self.dim + j] for i in by_pivot) for j in range(self.dim))
+
+
+def _sub_multiple(a: list, f, b: list) -> list:
+    """a - f * b, leaving the entries where b is zero untouched: the rows are
+    sparse, and an exact product costs a Fraction."""
+    return [x - f * y if y else x for x, y in zip(a, b)]
+
+
+def independent_subsets(vectors: Sequence[Sequence], max_size: int, ctx: Context = DEFAULT,
+                        slots: int = 0, target: Optional[Sequence] = None) -> list:
+    """Every linearly independent subset of at most ``max_size`` vectors, by
+    size, then lexicographically, as (index tuple, ``Echelon``) pairs.
+
+    One walk replaces an elimination per subset: a subset's form is its
+    prefix's with one vector reduced into it.  A dependent subset is dropped
+    with its extensions, since none of them is independent.  A subset whose
+    span holds ``target`` is kept but not extended, since every extension
+    gives the added vectors zero coefficients in the target."""
+    found: list = []
+    level = [((), Echelon(len(vectors[0]), ctx, slots, target))] if vectors else []
+    for _ in range(max_size):
+        grown = []
+        for subset, ech in level:
+            if ech.spans_target():
+                continue
+            for j in range(subset[-1] + 1 if subset else 0, len(vectors)):
+                ext = ech.extend(vectors[j])
+                if ext is not None:
+                    grown.append((subset + (j,), ext))
+        found += grown
+        level = grown
+    return found
 
 
 def is_row_stochastic(matrix: Sequence[Sequence], ctx: Context = DEFAULT) -> bool:

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .numerics import LPProblem, lp_solve, solve_unique
+from .numerics import LPProblem, independent_subsets, lp_solve
 from .observables import (
     Observable,
     common_space,
@@ -123,34 +123,32 @@ def is_simulation_irreducible(a: Observable) -> bool:
 
 
 def enumerate_irreducibles(space: StateSpace) -> tuple[Observable, ...]:
-    """All extreme simulation-irreducible observables up to equivalence.
+    """All extreme simulation-irreducible observables up to equivalence, by
+    number of outcomes, then by ray indices.
 
     Every candidate is a linearly independent set of dual-cone rays carrying a
-    strictly positive solution of sum(c_i r_i) = u; ``solve_unique`` finds no
-    unique solution on a dependent set, and subsets without a strictly
-    positive solution are mixtures, so both are dropped.  Results are cached
-    on the space.
+    strictly positive solution of sum(c_i r_i) = u; subsets without one are
+    mixtures.  ``independent_subsets`` walks the independent ray sets and
+    reads c off each set whose span holds u; it drops dependent sets and
+    does not extend a set whose span holds u, since every superset would give
+    the added rays zero coefficients.  Results are cached on the space.
     """
     key = "irreducibles"
     if key in space._cache:
         return space._cache[key]
     ctx = space.ctx
-    rays = space.dual_rays()
-    d1 = space.ambient_dim
-    columns = [r.direction for r in rays]
+    columns = [r.direction for r in space.dual_rays()]
+    size = min(space.ambient_dim, len(columns))
     found: list[Observable] = []
     # Equivalent observables have pairwise proportional effects, so they live
     # on identical ray sets; distinct ray subsets therefore never collide and
     # the subset enumeration needs no pairwise-equivalence dedup.
-    for k in range(1, min(d1, len(rays)) + 1):
-        for combo in itertools.combinations(range(len(rays)), k):
-            dirs = [columns[i] for i in combo]
-            system = [[dirs[j][c] for j in range(k)] for c in range(d1)]
-            coeff = solve_unique(system, space.unit, ctx)
-            if coeff is None or not all(ctx.pos(c) for c in coeff):
-                continue
-            effects = tuple(tuple(c * x for x in dirs[j]) for j, c in enumerate(coeff))
-            found.append(observable(space, effects))
+    for subset, ech in independent_subsets(columns, size, ctx, slots=size, target=space.unit):
+        coeff = ech.coefficients()
+        if coeff is None or not all(ctx.pos(c) for c in coeff):
+            continue
+        effects = tuple(tuple(c * x for x in columns[j]) for j, c in zip(subset, coeff))
+        found.append(observable(space, effects))
     space._cache[key] = tuple(found)
     return space._cache[key]
 

@@ -21,12 +21,12 @@ from typing import Optional, Sequence
 from .numerics import (
     DEFAULT,
     Context,
+    Echelon,
     LPProblem,
     dot,
+    independent_subsets,
     lp_solve,
-    null_space_vector,
     rank,
-    solve_unique,
 )
 
 Vector = tuple
@@ -179,6 +179,13 @@ class StateSpace:
         return self._cache[key]
 
     def _compute_dual_rays(self) -> tuple[DualRay, ...]:
+        """A direct sum's rays are its summands' rays, each padded with zeros.
+        A simplex's are the dual basis of its vertices.  Otherwise every facet
+        is the zero set of the kernel of d affinely independent vertices (d
+        the affine dimension): ``independent_subsets`` reads that kernel off
+        each independent d-subset, and a kernel that changes sign on the
+        vertices is no ray.  A ray is kept once, at the first subset of its
+        vanishing vertices."""
         ctx = self.ctx
         if self.summands:
             rays = []
@@ -187,59 +194,69 @@ class StateSpace:
                     direction = [ctx.zero()] * self.ambient_dim
                     for k, x in enumerate(ray.direction):
                         direction[s.coord_offset + k] = x
-                    rays.append(self.extreme_ray(tuple(direction)))
-            return tuple(r for r in rays if r is not None)
-        if self.is_simplex():
-            # vertex-indicator functionals: solve h_i(v_j) = delta_ij
-            n = self.n_vertices
-            rays = []
-            for i in range(n):
-                rhs = [ctx.one() if j == i else ctx.zero() for j in range(n)]
-                h = solve_unique(self.vertices, rhs, ctx)
-                if h is None:
-                    raise UnsupportedSpace("degenerate simplex")
-                rays.append(DualRay(h, tuple(j for j in range(n) if j != i)))
+                    # it vanishes on the other summands' vertices, so its
+                    # vanishing vertices span a facet without a rank test
+                    rays.append(self._nonnegative_ray(tuple(direction)))
             return tuple(rays)
+        if self.is_simplex():
+            n = self.n_vertices
+            ech = Echelon(self.ambient_dim, ctx, slots=n)
+            for v in self.vertices:
+                ech = ech.extend(v)
+                if ech is None:
+                    break
+            if ech is None or n != self.ambient_dim:
+                raise UnsupportedSpace("degenerate simplex")
+            return tuple(DualRay(h, tuple(j for j in range(n) if j != i))
+                         for i, h in enumerate(ech.dual_basis()))
         d = self.affine_dim
         if d > 3:
             raise UnsupportedSpace("dual-ray enumeration supports affine dimension <= 3")
-        found: list[DualRay] = []
-        for subset in itertools.combinations(range(self.n_vertices), d):
-            rows = [self.vertices[i] for i in subset]
-            direction = null_space_vector(rows, ctx)
-            if direction is None:
+        if self.ambient_dim != d + 1:
+            return ()  # the vertices' kernel has dimension 2 or more: no facet has a ray
+        rays, facets = [], []
+        for subset, ech in independent_subsets(self.vertices, d, ctx):
+            # a subset on a facet already found has that facet's ray as kernel
+            if len(subset) < d or any(facet.issuperset(subset) for facet in facets):
                 continue
-            ray = self.extreme_ray(direction)
-            if ray is None:
-                continue
-            if not any(self._same_direction(ray.direction, r.direction) for r in found):
-                found.append(ray)
-        return tuple(found)
+            ray = self._nonnegative_ray(ech.kernel())
+            if ray is not None:
+                facets.append(frozenset(ray.vanishing_vertices))
+                rays.append(ray)
+        return tuple(rays)
 
     def extreme_ray(self, direction: Vector) -> Optional[DualRay]:
         """The dual ray through the functional (or through its negative), or
         None when it is zero, changes sign on the vertices, or its vanishing
         vertices do not span a facet."""
-        ctx = self.ctx
-        evals = [dot(direction, v) for v in self.vertices]
-        if all(ctx.is_zero(e) for e in evals):
+        ray = self._nonnegative_ray(direction)
+        if ray is None or rank([self.vertices[j] for j in ray.vanishing_vertices],
+                               self.ctx) != self.affine_dim:
             return None
-        if all(ctx.ge(e, ctx.zero()) for e in evals):
-            pass
-        elif all(ctx.le(e, ctx.zero()) for e in evals):
+        return ray
+
+    def _nonnegative_ray(self, direction: Vector) -> Optional[DualRay]:
+        """The functional or its negative, whichever is nonnegative on the
+        vertices, scaled to a largest vertex value of 1; None when it is zero
+        or changes sign."""
+        ctx = self.ctx
+        evals, sign = [], 0
+        for v in self.vertices:
+            e = dot(direction, v)
+            if not ctx.is_zero(e):
+                if sign and (e > 0) != (sign > 0):
+                    return None
+                sign = 1 if e > 0 else -1
+            evals.append(e)
+        if not sign:
+            return None
+        if sign < 0:
             direction = tuple(-x for x in direction)
             evals = [-e for e in evals]
-        else:
-            return None
         top = max(evals)
         direction = tuple(x / top for x in direction)
         vanishing = tuple(j for j, e in enumerate(evals) if ctx.is_zero(e / top))
-        if rank([self.vertices[j] for j in vanishing], ctx) != self.affine_dim:
-            return None
         return DualRay(direction, vanishing)
-
-    def _same_direction(self, a: Vector, b: Vector) -> bool:
-        return all(self.ctx.eq(x, y) for x, y in zip(a, b))
 
     # ------------------------------------------------- extreme effect points
     def extreme_effects(self) -> tuple[Vector, ...]:
@@ -250,6 +267,13 @@ class StateSpace:
         return self._cache[key]
 
     def _compute_extreme_effects(self) -> tuple[Vector, ...]:
+        """An extreme effect meets d+1 independent bound constraints
+        e(v_j) = 0 or 1 at equality (d+1 the ambient dimension): it is a 0/1
+        sum of the dual basis of d+1 independent vertices, which
+        ``independent_subsets`` reads off each such vertex set, and it counts
+        when it stays in [0, 1] on the other vertices.  The sums with all
+        bounds 0 or all 1 are o and u.  Points come in the order of their
+        first constraint combination, each solved from that combination."""
         if self.summands:
             # the effect polytope is the product of the summands': an extreme
             # point picks o, an extreme effect or u in every block; with o
@@ -259,21 +283,31 @@ class StateSpace:
                       for s in self.summands]
             return tuple(sum(combo, ()) for combo in itertools.product(*blocks))[1:-1]
         ctx = self.ctx
-        d1 = self.ambient_dim
-        n = self.n_vertices
-        constraints = [(j, bound) for j in range(n) for bound in (0, 1)]
-        points: list[Vector] = []
-        for combo in itertools.combinations(constraints, d1):
-            rows = [self.vertices[j] for j, _ in combo]
-            rhs = [ctx.scalar(bound) for _, bound in combo]
-            e = solve_unique(rows, rhs, ctx)
-            if e is None or not self.is_valid_effect(e):
+        d1, verts = self.ambient_dim, self.vertices
+        zero, one = ctx.zero(), ctx.one()
+        # the tight constraints of a point determine it, so they key its
+        # first constraint combination (vertex j at bound b is constraint
+        # 2j + b) and the dual basis and bounds that solve it
+        first: dict = {}
+        nonconstant = list(itertools.product((0, 1), repeat=d1))[1:-1]  # not o, u
+        for subset, ech in independent_subsets(verts, d1, ctx, slots=d1):
+            if len(subset) < d1:
                 continue
-            if ctx.eq(*self.effect_range(e)):
-                continue  # constant on the states: o, u or a multiple of u
-            if not any(all(ctx.eq(a, b) for a, b in zip(e, p)) for p in points):
-                points.append(e)
-        return tuple(points)
+            basis = ech.dual_basis()
+            others = [j for j in range(len(verts)) if j not in subset]
+            vals = [[dot(h, verts[j]) for j in others] for h in basis]
+            for bounds in nonconstant:
+                evals = [sum(col) for col in zip(*(v for v, b in zip(vals, bounds) if b))]
+                if not all(ctx.ge(x, zero) and ctx.le(x, one) for x in evals):
+                    continue
+                tight = frozenset(zip(subset, bounds)) | frozenset(
+                    (j, 0 if ctx.is_zero(x) else 1)
+                    for j, x in zip(others, evals) if ctx.is_zero(x) or ctx.eq(x, one))
+                combo = tuple(2 * j + b for j, b in zip(subset, bounds))
+                if tight not in first or combo < first[tight][0]:
+                    first[tight] = (combo, bounds, basis)
+        return tuple(tuple(sum(c) for c in zip(*(h for h, b in zip(basis, bounds) if b)))
+                     for _, bounds, basis in sorted(first.values(), key=lambda t: t[0]))
 
     # --------------------------------------------------------------- states
     def contains_state(self, state: Sequence) -> bool:
