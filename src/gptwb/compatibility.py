@@ -158,7 +158,7 @@ def construct_joint_unbiased(space: StateSpace, a, b) -> Observable:
     plus_vec = [x + y for x, y in zip(avec, bvec)]
     minus_vec = [x - y for x, y in zip(avec, bvec)]
     np_, nm = space.effect_norm(plus_vec), space.effect_norm(minus_vec)
-    if np_ + nm > 2 + (0 if ctx.exact else 1e-7):
+    if ctx.gt(np_ + nm, 2):  # the test psym_compat_test calls incompatible
         raise ValueError("norm criterion violated")
     d = space.ambient_dim - 1
     cplus = [x / np_ for x in plus_vec] if np_ > 0 else [ctx.zero()] * d

@@ -1,7 +1,8 @@
 """Dense linear algebra over the context's scalar field.
 
 Matrices are sequences of row sequences.  All functions are pure; desk-scale
-sizes only (tens of rows/columns), so plain Gaussian elimination is enough.
+sizes only (tens of rows/columns), so plain Gaussian elimination is enough;
+``Echelon``, grown one vector at a time, is its one engine.
 """
 
 from __future__ import annotations
@@ -23,61 +24,23 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
     return tuple(tuple(dot(row, col) for col in cols) for row in a)
 
 
-def _eliminate(rows: list[list], ctx: Context) -> tuple[list[list], list[int]]:
-    """Row echelon form in place; returns (matrix, pivot column list)."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        if r >= m:
-            break
-        pivot_row, best = None, ctx.eps
-        for i in range(r, m):
-            v = abs(rows[i][c])
-            if v > best:
-                pivot_row, best = i, v
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [inv * v for v in rows[r]]
-        for i in range(m):
-            if i != r:
-                f = rows[i][c]
-                if not ctx.is_zero(f):
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
-
-
 def rank(matrix: Sequence[Sequence], ctx: Context = DEFAULT) -> int:
-    """Dimension of the row space (Gaussian elimination, tolerance-aware)."""
-    rows = [[ctx.scalar(v) for v in row] for row in matrix]
-    if not rows:
-        return 0
-    _, pivots = _eliminate(rows, ctx)
-    return len(pivots)
+    """Dimension of the row space: the rows are reduced into one ``Echelon``
+    in turn, a dependent row is skipped, and a full form ends the walk."""
+    ech = Echelon(len(matrix[0]) if matrix else 0, ctx)
+    for row in matrix:
+        if len(ech.rows) == ech.dim:
+            break
+        ech = ech.extend([ctx.scalar(v) for v in row]) or ech
+    return len(ech.rows)
 
 
 def solve_unique(a: Sequence[Sequence], b: Sequence, ctx: Context = DEFAULT) -> Optional[tuple]:
-    """Unique solution of ``a x = b`` or None (inconsistent or underdetermined)."""
-    n = len(a[0]) if a else 0
-    rows = [[ctx.scalar(v) for v in row] + [ctx.scalar(rhs)] for row, rhs in zip(a, b)]
-    rows, pivots = _eliminate(rows, ctx)
-    var_pivots = [(i, c) for i, c in enumerate(pivots) if c < n]
-    if len(var_pivots) < n:
-        return None  # underdetermined (or inconsistent via rhs pivot)
-    x = [ctx.zero()] * n
-    for i, c in var_pivots:
-        x[c] = rows[i][-1]
-    # residual check catches inconsistent systems in one place
-    for row, rhs in zip(a, b):
-        resid = dot([ctx.scalar(v) for v in row], x) - ctx.scalar(rhs)
-        if not ctx.is_zero(resid):
-            return None
-    return tuple(x)
+    """Unique solution of ``a x = b`` or None (inconsistent or underdetermined):
+    x holds b's coefficients over the columns of a, which must be independent."""
+    cols = [[ctx.scalar(v) for v in col] for col in zip(*a)]
+    ech = Echelon.of(cols, len(a), ctx, slots=len(cols), target=[ctx.scalar(x) for x in b])
+    return None if ech is None else ech.coefficients()
 
 
 class Echelon:
@@ -103,6 +66,17 @@ class Echelon:
         self.pivots: tuple = ()
         self.residual = None if target is None else list(target) + [ctx.zero()] * slots
 
+    @classmethod
+    def of(cls, vectors: Sequence[Sequence], dim: int, ctx: Context = DEFAULT, slots: int = 0,
+           target: Optional[Sequence] = None) -> Optional["Echelon"]:
+        """The form of all the vectors, in order, or None if they are dependent."""
+        ech = cls(dim, ctx, slots, target)
+        for v in vectors:
+            ech = ech.extend(v)
+            if ech is None:
+                return None
+        return ech
+
     def extend(self, vector: Sequence) -> Optional["Echelon"]:
         """The form of the vectors and one more, or None when the new vector
         lies in the span of the others (within the tolerance)."""
@@ -114,7 +88,8 @@ class Echelon:
         for row, p in zip(self.rows, self.pivots):
             if w[p]:
                 w = _sub_multiple(w, w[p], row)
-        p = max(range(dim), key=lambda c: abs(w[c]))
+        mags = list(map(abs, w[:dim]))
+        p = mags.index(max(mags))  # the first largest entry
         piv = w[p]
         if ctx.is_zero(piv):
             return None

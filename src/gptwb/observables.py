@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .numerics import DEFAULT, Context, dot, rank
-from .spaces import StateSpace, Vector, space_from_json
+from .spaces import StateSpace, UnsupportedSpace, Vector, space_from_json, space_from_ref
 
 
 class PreconditionViolated(Exception):
@@ -49,7 +49,7 @@ class Observable:
     def to_json_dict(self) -> dict:
         def enc(x):
             return str(x) if isinstance(x, Fraction) else x
-        return {"space_ref": self.space.label or self.space.to_json_dict(),
+        return {"space_ref": _space_ref(self.space),
                 "outcomes": list(self.outcomes),
                 "effects": [[enc(x) for x in e] for e in self.effects]}
 
@@ -72,19 +72,31 @@ def uniform_trivial(space: StateSpace, k: int) -> Observable:
     return trivial_observable(space, [p] * k)
 
 
+def _same_space(a: StateSpace, b: StateSpace) -> bool:
+    """Two spaces are the same when they are one object, or share the
+    context, kind, unit and, on polytopes, the vertex list (a ball's unit
+    fixes its dimension); labels do not count."""
+    return a is b or ((a.ctx, a.kind, a.unit) == (b.ctx, b.kind, b.unit) and
+                      (a.kind != "polytopic" or a.vertices == b.vertices))
+
+
 def common_space(obs: Sequence[Observable]) -> StateSpace:
-    """The state space of all the observables, or ValueError.  Two spaces are
-    the same when they are one object, or share the context, kind, unit and,
-    on polytopes, the vertex list (a ball's unit fixes its dimension); labels
-    do not count."""
+    """The state space of all the observables (``_same_space``), or ValueError."""
     space = obs[0].space
-    key = (space.ctx, space.kind, space.unit)
-    for o in obs[1:]:
-        sp = o.space
-        if sp is not space and ((sp.ctx, sp.kind, sp.unit) != key or
-                                sp.kind == "polytopic" and sp.vertices != space.vertices):
-            raise ValueError("observables live on different spaces")
+    if not all(_same_space(o.space, space) for o in obs[1:]):
+        raise ValueError("observables live on different spaces")
     return space
+
+
+def _space_ref(space: StateSpace):
+    """The space's label where ``space_from_ref`` rebuilds the same space
+    from it, else the space's JSON dict."""
+    try:
+        if space.label and _same_space(space_from_ref(space.label, space.ctx), space):
+            return space.label
+    except (ValueError, UnsupportedSpace):  # a label that is no space reference
+        pass
+    return space.to_json_dict()
 
 
 def mix_observables(weights: Sequence, parts: Sequence[Observable]) -> Observable:

@@ -132,10 +132,13 @@ def enumerate_irreducibles(space: StateSpace) -> tuple[Observable, ...]:
     reads c off each set whose span holds u; it drops dependent sets and
     does not extend a set whose span holds u, since every superset would give
     the added rays zero coefficients.  Results are cached on the space.
+    UnsupportedSpace where the vertices do not span: there are no rays.
     """
     key = "irreducibles"
     if key in space._cache:
         return space._cache[key]
+    if not space.spans_ambient():
+        raise UnsupportedSpace("the vertices do not span the ambient space")
     ctx = space.ctx
     columns = [r.direction for r in space.dual_rays()]
     size = min(space.ambient_dim, len(columns))
@@ -168,8 +171,11 @@ def dichotomic_generators(space: StateSpace) -> tuple[Observable, ...]:
     Every dichotomic (e, u-e) is a mixture of these together with (u, o) and
     (o, u), and the latter two are post-processings of any generator, so the
     closure of this finite set equals the closure of all dichotomic
-    observables on a polytopic space.
+    observables on a polytopic space.  UnsupportedSpace where the vertices do
+    not span: there are no extreme effects.
     """
+    if not space.spans_ambient():
+        raise UnsupportedSpace("the vertices do not span the ambient space")
     gens = []
     for f in space.extreme_effects():
         comp = tuple(u - x for u, x in zip(space.unit, f))

@@ -116,6 +116,12 @@ class StateSpace:
     def n_vertices(self) -> int:
         return len(self.vertices)
 
+    def spans_ambient(self) -> bool:
+        """Whether the vertices span the ambient space; if not, the dual cone
+        holds a line (the direction every state annihilates), so it has no
+        extreme rays and the effects have no extreme points."""
+        return self.affine_dim + 1 == self.ambient_dim
+
     def is_simplex(self) -> bool:
         return self.kind == "polytopic" and self.n_vertices == self.affine_dim + 1
 
@@ -179,7 +185,8 @@ class StateSpace:
         return self._cache[key]
 
     def _compute_dual_rays(self) -> tuple[DualRay, ...]:
-        """A direct sum's rays are its summands' rays, each padded with zeros.
+        """A space whose vertices do not span the ambient space has none.  A
+        direct sum's rays are its summands' rays, each padded with zeros.
         A simplex's are the dual basis of its vertices.  Otherwise every facet
         is the zero set of the kernel of d affinely independent vertices (d
         the affine dimension): ``independent_subsets`` reads that kernel off
@@ -187,6 +194,8 @@ class StateSpace:
         vertices is no ray.  A ray is kept once, at the first subset of its
         vanishing vertices."""
         ctx = self.ctx
+        if not self.spans_ambient():
+            return ()
         if self.summands:
             rays = []
             for s in self.summands:
@@ -198,22 +207,14 @@ class StateSpace:
                     # vanishing vertices span a facet without a rank test
                     rays.append(self._nonnegative_ray(tuple(direction)))
             return tuple(rays)
-        if self.is_simplex():
+        if self.is_simplex():  # n independent vertices in R^n
             n = self.n_vertices
-            ech = Echelon(self.ambient_dim, ctx, slots=n)
-            for v in self.vertices:
-                ech = ech.extend(v)
-                if ech is None:
-                    break
-            if ech is None or n != self.ambient_dim:
-                raise UnsupportedSpace("degenerate simplex")
+            ech = Echelon.of(self.vertices, n, ctx, slots=n)
             return tuple(DualRay(h, tuple(j for j in range(n) if j != i))
                          for i, h in enumerate(ech.dual_basis()))
         d = self.affine_dim
         if d > 3:
             raise UnsupportedSpace("dual-ray enumeration supports affine dimension <= 3")
-        if self.ambient_dim != d + 1:
-            return ()  # the vertices' kernel has dimension 2 or more: no facet has a ray
         rays, facets = [], []
         for subset, ech in independent_subsets(self.vertices, d, ctx):
             # a subset on a facet already found has that facet's ray as kernel
@@ -392,7 +393,7 @@ def ray_generators(space: StateSpace) -> Optional[tuple]:
     """The directions of the dual-cone rays when they generate the dual cone,
     else None: no enumeration for this space, or vertices that do not span
     the ambient space."""
-    if space.affine_dim + 1 == space.ambient_dim:
+    if space.spans_ambient():
         try:
             return tuple(r.direction for r in space.dual_rays())
         except UnsupportedSpace:

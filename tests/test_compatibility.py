@@ -288,6 +288,18 @@ def test_joint_construction_boundary_case():
                 assert all(abs(x - y) < 1e-10 for x, y in zip(e, f))
 
 
+def test_joint_construction_refuses_what_the_criterion_calls_incompatible():
+    # a +/- b = (2x, 0, 0), (0, 2x, 0): criterion 4x = 2 + 5e-8, above the
+    # float tolerance, so the pair is incompatible and no joint is built
+    sp = make_ball(3)
+    x = (2 + 5e-8) / 4
+    a, b = sp.effect_from_bloch((x, x, 0.0), 1), sp.effect_from_bloch((x, -x, 0.0), 1)
+    v = psym_compat_test(sp, a, b)
+    assert v.verdict == "incompatible" and abs(v.criterion - (2 + 5e-8)) < 1e-12
+    with pytest.raises(ValueError):
+        construct_joint_unbiased(sp, a, b)
+
+
 def test_joint_construction_random_pairs_marginal_error():
     rng = random.Random(7)
     for space in (make_polygon(6), make_ball(3)):

@@ -3,17 +3,19 @@
 The oracle below is the enumeration as it stood before the walk: a fresh
 elimination for every vertex d-subset (dual rays), every (d+1)-subset of the
 2n bound constraints (extreme effects) and every ray subset up to size d+1
-(irreducibles).  Exact results must be the identical tuples in the identical
-order; float results must agree within 1e-12, in the same order.
+(irreducibles).  Its rank and solves run on its own Gauss-Jordan elimination,
+so it shares no code with ``Echelon``.  Exact results must be the identical
+tuples in the identical order; float results must agree within 1e-12, in the
+same order.
 """
 
 import itertools
 
 import pytest
 
-from gptwb.numerics import EXACT, FLOAT, Echelon, dot, independent_subsets, rank, solve_unique
+from gptwb.numerics import EXACT, FLOAT, Echelon, dot, independent_subsets
 from gptwb.simulation import enumerate_irreducibles
-from gptwb.spaces import DualRay, StateSpace, make_polygon, space_from_ref
+from gptwb.spaces import DualRay, StateSpace, UnsupportedSpace, make_polygon, space_from_ref
 from conftest import padded_square
 
 
@@ -42,6 +44,31 @@ def _eliminate(rows, ctx):
     return rows, pivots
 
 
+def _rank(rows, ctx):
+    return len(_eliminate([[ctx.scalar(v) for v in row] for row in rows], ctx)[1])
+
+
+def _affine_dim(sp):
+    return _rank(sp.vertices, sp.ctx) - 1
+
+
+def _solve_unique(a, b, ctx):
+    """The unique solution of a x = b, or None; the residual is re-checked."""
+    n = len(a[0])
+    work, pivots = _eliminate([[ctx.scalar(v) for v in row] + [ctx.scalar(rhs)]
+                               for row, rhs in zip(a, b)], ctx)
+    var_pivots = [(i, c) for i, c in enumerate(pivots) if c < n]
+    if len(var_pivots) < n:
+        return None
+    x = [ctx.zero()] * n
+    for i, c in var_pivots:
+        x[c] = work[i][-1]
+    for row, rhs in zip(a, b):
+        if not ctx.is_zero(dot([ctx.scalar(v) for v in row], x) - ctx.scalar(rhs)):
+            return None
+    return tuple(x)
+
+
 def _null_space_vector(rows, ctx):
     n = len(rows[0])
     work, pivots = _eliminate([list(row) for row in rows], ctx)
@@ -68,7 +95,7 @@ def _extreme_ray(sp, direction):
     top = max(evals)
     direction = tuple(x / top for x in direction)
     vanishing = tuple(j for j, e in enumerate(evals) if ctx.is_zero(e / top))
-    if rank([sp.vertices[j] for j in vanishing], ctx) != sp.affine_dim:
+    if _rank([sp.vertices[j] for j in vanishing], ctx) != _affine_dim(sp):
         return None
     return DualRay(direction, vanishing)
 
@@ -85,12 +112,12 @@ def oracle_dual_rays(sp):
                 rays.append(_extreme_ray(sp, tuple(direction)))
         return tuple(r for r in rays if r is not None)
     n = sp.n_vertices
-    if sp.is_simplex():
-        return tuple(DualRay(solve_unique(sp.vertices, [ctx.one() if j == i else ctx.zero()
-                                                        for j in range(n)], ctx),
+    if n == _affine_dim(sp) + 1:  # a simplex
+        return tuple(DualRay(_solve_unique(sp.vertices, [ctx.one() if j == i else ctx.zero()
+                                                         for j in range(n)], ctx),
                              tuple(j for j in range(n) if j != i)) for i in range(n))
     found = []
-    for subset in itertools.combinations(range(n), sp.affine_dim):
+    for subset in itertools.combinations(range(n), _affine_dim(sp)):
         direction = _null_space_vector([sp.vertices[i] for i in subset], ctx)
         ray = None if direction is None else _extreme_ray(sp, direction)
         if ray is not None and not any(all(ctx.eq(a, b) for a, b in zip(ray.direction, r.direction))
@@ -108,7 +135,7 @@ def oracle_extreme_effects(sp):
     constraints = [(j, bound) for j in range(sp.n_vertices) for bound in (0, 1)]
     points = []
     for combo in itertools.combinations(constraints, sp.ambient_dim):
-        e = solve_unique([sp.vertices[j] for j, _ in combo], [ctx.scalar(b) for _, b in combo], ctx)
+        e = _solve_unique([sp.vertices[j] for j, _ in combo], [ctx.scalar(b) for _, b in combo], ctx)
         if e is None or not sp.is_valid_effect(e) or ctx.eq(*sp.effect_range(e)):
             continue
         if not any(all(ctx.eq(a, b) for a, b in zip(e, p)) for p in points):
@@ -123,7 +150,7 @@ def oracle_irreducibles(sp):
     for k in range(1, min(sp.ambient_dim, len(columns)) + 1):
         for combo in itertools.combinations(range(len(columns)), k):
             system = [[columns[j][c] for j in combo] for c in range(sp.ambient_dim)]
-            coeff = solve_unique(system, sp.unit, ctx)
+            coeff = _solve_unique(system, sp.unit, ctx)
             if coeff is not None and all(ctx.pos(c) for c in coeff):
                 found.append(tuple(tuple(c * x for x in columns[j]) for j, c in zip(combo, coeff)))
     return tuple(found)
@@ -173,6 +200,10 @@ def test_exact_enumerations_match_the_per_subset_oracle(make):
     sp = make()  # repr tells a Fraction from an int of equal value
     assert repr(sp.dual_rays()) == repr(oracle_dual_rays(sp))
     assert repr(sp.extreme_effects()) == repr(oracle_extreme_effects(sp))
+    if _affine_dim(sp) + 1 < sp.ambient_dim:  # the padded square: no rays generate its effects
+        with pytest.raises(UnsupportedSpace):
+            enumerate_irreducibles(sp)
+        return
     assert repr(tuple(o.effects for o in enumerate_irreducibles(sp))) == repr(oracle_irreducibles(sp))
 
 
@@ -195,7 +226,7 @@ def test_walk_visits_independent_subsets_by_size_then_lexicographically():
     vs = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)]
     got = [s for s, _ in independent_subsets(vs, 3, EXACT)]
     want = [s for k in (1, 2, 3) for s in itertools.combinations(range(4), k)
-            if rank([vs[i] for i in s], EXACT) == k]
+            if _rank([vs[i] for i in s], EXACT) == k]
     assert got == want
 
 

@@ -19,6 +19,7 @@ from gptwb.numerics import (
     lp_solve,
     orthogonal_rows,
     rank,
+    solve_unique,
 )
 from gptwb.numerics.lp import _run_simplex
 from gptwb.observables import apply_postprocessing, observable
@@ -129,6 +130,52 @@ def test_rank_submultiplicative(n, k, m, seed):
     b = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(k)]
     prod = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
     assert rank(prod) <= min(rank(a), rank(b))
+
+
+def _product(rng, n, k, m):
+    """An n x m integer matrix of rank at most k, as a product of factors."""
+    a = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)]
+    b = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(k)]
+    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 5), st.integers(0, 10**6))
+def test_rank_matches_the_oracle(n, m, k, seed):
+    rng = random.Random(seed)
+    rational = [[Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(m)]
+                for _ in range(n)]
+    assert rank(rational, EXACT) == oracle_rank(rational)
+    low = _product(rng, n, k, m)
+    scaled = [[Fraction(v, 3) for v in row] for row in low]
+    assert rank(scaled, EXACT) == oracle_rank(scaled) <= k
+    floats = [[v / 3 for v in row] for row in low]
+    assert rank(floats, FLOAT) == oracle_rank(low)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 4), st.booleans(),
+       st.integers(0, 10**6))
+def test_solve_unique_matches_the_oracle(m, n, k, consistent, seed):
+    """a is m x n of rank at most k; b lies in its column space or is drawn
+    at random.  The solution is unique exactly when the oracle ranks of a and
+    of (a | b) are both n, and then it solves the system exactly."""
+    rng = random.Random(seed)
+    a = _product(rng, m, k, n)
+    if consistent:
+        x0 = [Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(n)]
+        b = [sum(r * x for r, x in zip(row, x0)) for row in a]
+    else:
+        b = [Fraction(rng.randint(-5, 5)) for _ in range(m)]
+    unique = oracle_rank(a) == n == oracle_rank([row + [rhs] for row, rhs in zip(a, b)])
+    x = solve_unique(a, b, EXACT)
+    assert (x is not None) == unique
+    if unique:
+        assert [sum(r * v for r, v in zip(row, x)) for row in a] == b
+    xf = solve_unique([[float(v) for v in row] for row in a], [float(v) for v in b], FLOAT)
+    assert (xf is not None) == unique
+    if unique:
+        assert all(abs(u - v) <= 1e-9 for u, v in zip(xf, x))
 
 
 # ----------------------------------------------------------------------- lp

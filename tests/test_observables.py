@@ -1,12 +1,14 @@
 """Observable predicates: validation, triviality, noise content, minimal
 sufficiency, extremality, and the per-observable monotones."""
 
+import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gptwb.numerics import EXACT, dot
+from gptwb.numerics import EXACT, FLOAT, dot
 from gptwb.observables import (
     PreconditionViolated,
     common_space,
@@ -33,6 +35,7 @@ from gptwb.spaces import (
     make_square,
     polygon_extreme_even,
     polygon_extreme_odd,
+    space_from_json,
 )
 from conftest import random_observable
 
@@ -288,3 +291,22 @@ def test_observable_json_round_trip():
     assert back.outcomes == a.outcomes
     for e, f in zip(back.effects, a.effects):
         assert all(abs(x - y) < 1e-12 for x, y in zip(e, f))
+
+
+@pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+def test_observable_json_round_trip_on_labelled_custom_spaces(ctx):
+    """A label is written as the space reference only where it rebuilds the
+    same space; custom labels, a label borrowed by another space and a label
+    read from a space dict round-trip through the space's dict."""
+    bit = StateSpace("polytopic", vertices=[(1, 0), (0, 1)], unit=(1, 1), ctx=ctx, label="bit")
+    wide = StateSpace("polytopic", vertices=[(2, 2, 1), (-2, 2, 1), (-2, -2, 1), (2, -2, 1)],
+                      unit=(0, 0, 1), ctx=ctx, label="square")
+    loaded = space_from_json({"kind": "polytopic", "vertices": [[1, 0], [0, 1]],
+                              "unit": [1, 1], "label": "custom"}, ctx)
+    for sp, ref in ((bit, None), (wide, None), (loaded, None), (make_square(ctx), "square")):
+        a = trivial_observable(sp, (Fraction(1, 4), Fraction(3, 4)))
+        obj = json.loads(json.dumps(a.to_json_dict()))
+        assert obj["space_ref"] == (ref or sp.to_json_dict())
+        back = observable_from_json(obj, ctx)
+        common_space([back, a])  # the same space
+        assert back.space.label == sp.label and back.effects == a.effects

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from gptwb.compatibility import is_fully_compatible
 from gptwb.numerics import EXACT, FLOAT, LPProblem, lp_solve
 from gptwb.observables import (
     apply_postprocessing,
@@ -33,6 +34,7 @@ from gptwb.simulation import (
 )
 from gptwb.spaces import (
     StateSpace,
+    UnsupportedSpace,
     effect_block,
     make_ball,
     make_classical,
@@ -208,6 +210,25 @@ def test_lp_verdict_carries_verified_witness():
     v = is_effectively_dichotomic(mixed)
     assert v.via == "lp" and v.value
     assert verify_sim_witness(mixed, list(dichotomic_generators(sq)), v.witness)
+
+
+@pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+def test_verdicts_that_need_generating_geometry_refuse_a_padded_space(ctx):
+    """The padded square's vertices span a proper subspace, so it has no
+    extreme effects and no dual rays: the dichotomic generators and the
+    irreducibles would be empty, and the verdicts built on them wrong (False
+    and True, where the square answers True and False)."""
+    sq, pad = make_square(ctx), padded_square(ctx)
+    q = ctx.scalar(Fraction(1, 4))
+    mixed = [(q, 0, q), (-q, 0, q), (0, q, q), (0, -q, q)]  # no screen applies
+    sharp = [(2 * q, 0, 2 * q), (-2 * q, 0, 2 * q)]
+    v = is_effectively_dichotomic(observable(sq, mixed))
+    assert v.via == "lp" and v.value
+    assert not is_fully_compatible(observable(sq, sharp))
+    with pytest.raises(UnsupportedSpace):
+        is_effectively_dichotomic(observable(pad, [e + (0,) for e in mixed]))
+    with pytest.raises(UnsupportedSpace):
+        is_fully_compatible(observable(pad, [e + (0,) for e in sharp]))
 
 
 def test_hexagon_trichotomic_irreducible_needs_three_outcomes():
