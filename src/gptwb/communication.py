@@ -604,13 +604,14 @@ def _operational_dim(space: StateSpace, lam_max) -> int:
 
 def _perfectly_distinguishable(space: StateSpace, vertex_idx: Sequence[int]) -> bool:
     """LP feasibility: an observable with effect i equal to 1 on vertex i and
-    0 on the other listed vertices."""
+    0 on the other listed vertices.  The effects sum to u, which is 1 on
+    every vertex, so the last effect's rows follow from the others'."""
     k = len(vertex_idx)
     p = LPProblem(n=0)
     blk = effect_block(p, space, k)
     blk.sum_eq(p, range(k), space.unit)
     evals = [blk.at(space.vertices[vi]) for vi in vertex_idx]
-    for i in range(k):
+    for i in range(k - 1):
         for t in range(k):
             row = [0] * p.n
             blk.add(row, i, evals[t])

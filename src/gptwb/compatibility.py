@@ -17,6 +17,7 @@ from .observables import (
     is_trivial,
     mix_observables,
     noise_content,
+    sums_to_unit,
     uniform_trivial,
 )
 from .postprocess import find_postprocessing
@@ -31,17 +32,23 @@ FC_MIN_T = 1e-3         # smallest irreducible weight t it returns
 
 def are_compatible(obs: Sequence[Observable]) -> Optional[Observable]:
     """Joint observable on the product outcome set with matching marginals,
-    or None when the LP is infeasible."""
+    or None when the LP is infeasible or an input's effects do not sum to u.
+
+    The first input's marginals make the joint effects sum to u; given that,
+    each later input's last marginal follows from its others, so its rows
+    are left out, which needs every input normalized."""
     space = common_space(obs)
     sizes = [o.n_outcomes for o in obs]
     total = math.prod(sizes)
     if total > MAX_PRODUCT_OUTCOMES:
         raise ValueError("product outcome set too large")
+    if not all(sums_to_unit(o) for o in obs):
+        return None
     cells = list(itertools.product(*[range(s) for s in sizes]))
     p = LPProblem(n=0)
     joint = effect_block(p, space, total)
     for i, o in enumerate(obs):  # marginals reproduce the inputs
-        for x in range(sizes[i]):
+        for x in range(sizes[i] if i == 0 else sizes[i] - 1):
             joint.sum_eq(p, [z for z, cell in enumerate(cells) if cell[i] == x], o.effects[x])
     res = lp_solve(p, space.ctx)
     if not res.feasible:
@@ -92,23 +99,25 @@ def dichotomic_compat_g(a_obs: Observable, b_obs: Observable) -> Optional[tuple]
 
 
 def dichotomic_compat_margin(a_obs: Observable, b_obs: Observable):
-    """Largest slack delta <= 1 so all four cone constraints of g hold with
-    margin delta on every vertex; positive iff strictly compatible, used to
-    flag boundary instances."""
+    """Largest slack delta in [-1, 1] so all four cone constraints of g hold
+    with margin delta on every vertex; positive iff strictly compatible,
+    used to flag boundary instances."""
     return _dichotomic_margin_lp(a_obs, b_obs).value
 
 
 def _dichotomic_margin_lp(a_obs: Observable, b_obs: Observable):
-    """The solved margin LP: g free and delta <= 1 maximized, with
+    """The solved margin LP: g free and delta in [-1, 1] maximized, with
     g >= delta, a - g >= delta, b - g >= delta and u - a - b + g >= delta on
-    every vertex."""
+    every vertex.  For effects a and b, g = 0 meets every row at delta = -1,
+    so the lower bound leaves the optimum alone and every row starts on its
+    slack; inputs that leave the LP infeasible are no effects: ValueError."""
     space = _check_dichotomic(a_obs, b_obs)
     a, b = a_obs.effects[0], b_obs.effects[0]
     ctx = space.ctx
     dim = space.ambient_dim
     zero, one = ctx.zero(), ctx.one()
     p = LPProblem(n=dim + 1, objective=[zero] * dim + [one],
-                  bounds=[(None, None)] * dim + [(None, one)])
+                  bounds=[(None, None)] * dim + [(-one, one)])
     for v in space.vertices:
         grow = list(v) + [-one]
         neg = [-x for x in v] + [-one]
@@ -116,7 +125,10 @@ def _dichotomic_margin_lp(a_obs: Observable, b_obs: Observable):
         p.add_ge(neg, -dot(a, v))                              # a(v) - g(v) >= delta
         p.add_ge(neg, -dot(b, v))
         p.add_ge(grow, dot(a, v) + dot(b, v) - one)            # u - a - b + g >= delta
-    return lp_solve(p, ctx)
+    res = lp_solve(p, ctx)
+    if not res.feasible:  # g = 0 meets every row at delta = -1 when a and b are effects
+        raise ValueError("the dichotomic margin LP needs effects")
+    return res
 
 
 # ------------------------------------------------------------ point-symmetric

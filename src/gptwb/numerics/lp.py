@@ -1,15 +1,21 @@
 """Self-contained primal simplex solver.
 
-Two-phase tableau method over the context's scalar field.  Phase 1's
-artificials are implicit (they have no tableau column), so one that leaves the
-basis never re-enters.  The entering column is chosen by Dantzig's rule (most
-negative reduced cost); a streak of degenerate pivots switches to Bland's
-rule, which guarantees termination.  Pivots update only the nonzero columns
-of the pivot row.  Every choice breaks ties by lowest index, so witnesses are
-deterministic.  Variables are shifted and split onto ``y >= 0``; the upper
-end of a two-sided bound becomes one more ``>=`` row.  The exact backend runs
-the same code with ``eps`` = 0: there infeasibility is certified; in float
-mode it means no feasible point was found at tolerance ``eps``.
+Two-phase tableau method over the context's scalar field.  Variables are
+shifted and split onto ``y >= 0``; the upper end of a two-sided bound becomes
+one more ``>=`` row, which holds at ``y = 0`` when lo <= hi.  A ``>=`` row whose
+right-hand side is <= 0 after the shifts holds at ``y = 0``: it is negated so
+that its slack enters with +1, and that slack starts basic (a slack crash
+basis; Bixby, ORSA J. Comput. 4, 1992).  Every other row starts on a phase-1
+artificial, which is implicit (it has no tableau column), so one that leaves
+the basis never re-enters; an LP with no artificial makes no phase-1 pivot.
+The relation models are posed so that ``y = 0`` satisfies as many rows as it
+can.  The entering column is chosen by Dantzig's rule (most negative reduced
+cost); a streak of degenerate pivots switches to Bland's rule, which
+guarantees termination.  Pivots update only the nonzero columns of the pivot
+row.  Every choice breaks ties by lowest index, so witnesses are
+deterministic.  The exact backend runs the same code with ``eps`` = 0: there
+infeasibility is certified; in float mode it means no feasible point was
+found at tolerance ``eps``.
 """
 
 from __future__ import annotations
@@ -161,11 +167,12 @@ def lp_solve(problem: LPProblem, ctx: Context = DEFAULT) -> LPResult:
         nstd += 1
 
     # each row at full width, its slack column in place: std variables, one
-    # slack per >= row, rhs; row i starts on its implicit artificial, width + i
+    # slack per >= row, rhs.  A row starts on its implicit artificial,
+    # width + i, unless it is a >= row that y = 0 satisfies: negated, its
+    # slack enters with +1 and starts basic at the row's rhs.
     width = nstd + len(ge)
-    m = len(problem.eq) + len(ge)
     tableau: list[list] = []
-    basis = list(range(width, width + m))
+    basis: list[int] = []
 
     def add_row(coeffs, b, slack: int | None) -> None:
         out = [zero] * width
@@ -179,9 +186,11 @@ def lp_solve(problem: LPProblem, ctx: Context = DEFAULT) -> LPResult:
                 out[idx] += c if sign > 0 else -c
         if slack is not None:
             out[slack] = -one
-        if acc < 0:
+        starts_on_slack = slack is not None and acc <= 0
+        if acc < 0 or starts_on_slack:
             out = [-v for v in out]
-            acc = -acc
+            acc = abs(acc)  # not -acc: a float 0.0 would become -0.0
+        basis.append(slack if starts_on_slack else width + len(tableau))
         tableau.append(out + [acc])
 
     for row, b in problem.eq:
@@ -189,7 +198,8 @@ def lp_solve(problem: LPProblem, ctx: Context = DEFAULT) -> LPResult:
     for k, (coeffs, b) in enumerate(ge):
         add_row(coeffs, b, nstd + k)
 
-    # --- phase 1 ------------------------------------------------------------
+    # --- phase 1: nothing to do when every row starts on its slack ----------
+    m = len(tableau)
     _run_simplex(tableau, basis, [zero] * width, ctx)
     if sum((tableau[i][-1] for i in range(m) if basis[i] >= width), zero) > tol:
         return LPResult(False)

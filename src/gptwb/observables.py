@@ -138,17 +138,22 @@ def validate(a: Observable) -> bool:
 
 
 def validation_errors(a: Observable) -> list[str]:
-    ctx = a.space.ctx
     errors = []
     for lbl, e in zip(a.outcomes, a.effects):
         if len(e) != a.space.ambient_dim:
             errors.append(f"effect {lbl!r}: dimension mismatch")
         elif not a.space.is_valid_effect(e):
             errors.append(f"effect {lbl!r}: not a valid effect")
-    total = [sum(col) for col in zip(*a.effects)]
-    if not all(ctx.eq(t, u) for t, u in zip(total, a.space.unit)):
+    if not sums_to_unit(a):
         errors.append("effects do not sum to the unit functional")
     return errors
+
+
+def sums_to_unit(a: Observable) -> bool:
+    """The effects sum to u within the context's tolerance."""
+    ctx = a.space.ctx
+    total = [sum(col) for col in zip(*a.effects)]
+    return all(ctx.eq(t, u) for t, u in zip(total, a.space.unit))
 
 
 def is_trivial(a: Observable) -> bool:

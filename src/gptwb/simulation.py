@@ -3,6 +3,12 @@
 Membership in the simulation closure of a finite simulator set is an LP after
 the standard linearization M^(i) = p_i nu^(i): the sub-stochastic matrices
 M^(i) and the weights p_i are jointly feasible iff the target is simulable.
+The last column of each M^(i) is no LP variable but the slack of
+p_i - sum_{x < last} M^(i)[y][x] >= 0, so the row sums hold by construction
+and these rows start on their slacks.  The target's last outcome has no rows
+either: when the target's effects and every simulator's sum to u, the other
+outcomes and sum_i p_i = 1 imply them.  ``is_simulable`` checks that
+normalization once, up front.
 The module also enumerates the extreme simulation-irreducible observables of
 a polytopic space and implements the simulation-closed noise restrictions:
 an effect's noise class is read off its range over the states and an
@@ -24,6 +30,7 @@ from .observables import (
     minimally_sufficient,
     noise_content,
     observable,
+    sums_to_unit,
 )
 from .postprocess import is_pp_clean
 from .spaces import StateSpace, UnsupportedSpace, make_polygon, polygon_extreme_even
@@ -40,41 +47,45 @@ class SimWitness:
 
 def is_simulable(target: Observable, simulators: Sequence[Observable]) -> Optional[SimWitness]:
     """LP membership of ``target`` in the simulation closure of ``simulators``;
-    all of them must live on the target's space (``common_space``)."""
+    all of them must live on the target's space (``common_space``).
+
+    A target whose effects do not sum to u is simulable by nothing: None.  A
+    simulator whose effects do not sum to u raises ValueError, since the LP
+    leaves out the rows that normalization implies (module docstring)."""
     if not simulators:
         raise ValueError("empty simulator list")
     space = common_space([target, *simulators])
+    if not all(sums_to_unit(b) for b in simulators):
+        raise ValueError("simulator effects do not sum to the unit functional")
+    if not sums_to_unit(target):
+        return None
     ctx = space.ctx
-    dim = space.ambient_dim
-    n_t = target.n_outcomes
+    zero, one = ctx.zero(), ctx.one()
+    w = target.n_outcomes - 1  # columns of M^(i) that are LP variables
     sizes = [b.n_outcomes for b in simulators]
     offsets = []
     off = 0
     for s in sizes:
         offsets.append(off)
-        off += s * n_t
+        off += s * w
     p_off = off
     nvar = off + len(simulators)
 
     def idx(i: int, y: int, x: int) -> int:
-        return offsets[i] + y * n_t + x
+        return offsets[i] + y * w + x
 
-    prob = LPProblem(n=nvar, bounds=[(ctx.zero(), None)] * nvar)
-    one = ctx.one()
-    for i, b in enumerate(simulators):
+    prob = LPProblem(n=nvar, bounds=[(zero, None)] * nvar)
+    for i in range(len(simulators)):  # the last column: p_i - sum of the others >= 0
         for y in range(sizes[i]):
-            row = [ctx.zero()] * nvar
-            for x in range(n_t):
-                row[idx(i, y, x)] = one
-            row[p_off + i] = -one
-            prob.add_eq(row, ctx.zero())
-    row = [ctx.zero()] * nvar
-    for i in range(len(simulators)):
-        row[p_off + i] = one
-    prob.add_eq(row, one)
-    for x in range(n_t):
-        for c in range(dim):
-            row = [ctx.zero()] * nvar
+            row = [zero] * nvar
+            for x in range(w):
+                row[idx(i, y, x)] = -one
+            row[p_off + i] = one
+            prob.add_ge(row, zero)
+    prob.add_eq([zero] * p_off + [one] * len(simulators), one)
+    for x in range(w):
+        for c in range(space.ambient_dim):
+            row = [zero] * nvar
             for i, b in enumerate(simulators):
                 for y in range(sizes[i]):
                     row[idx(i, y, x)] = b.effects[y][c]
@@ -83,9 +94,13 @@ def is_simulable(target: Observable, simulators: Sequence[Observable]) -> Option
     if not res.feasible:
         return None
     weights = tuple(res.x[p_off + i] for i in range(len(simulators)))
-    matrices = tuple(
-        tuple(tuple(res.x[idx(i, y, x)] for x in range(n_t)) for y in range(sizes[i]))
-        for i in range(len(simulators)))
+
+    def matrix_row(i: int, y: int) -> tuple:
+        head = tuple(res.x[idx(i, y, x)] for x in range(w))
+        return head + (weights[i] - sum(head, zero),)
+
+    matrices = tuple(tuple(matrix_row(i, y) for y in range(sizes[i]))
+                     for i in range(len(simulators)))
     return SimWitness(weights, matrices)
 
 

@@ -528,10 +528,22 @@ def space_from_json(obj, ctx: Context = DEFAULT) -> StateSpace:
         if norm != "euclidean":
             raise ValueError(f"unsupported ball norm {norm!r}: only the euclidean ball is supported")
         return make_ball(int(obj["dim"]), ctx)
-    if obj.get("summands"):
-        raise UnsupportedSpace("direct sums must be built via space references")
-    return StateSpace("polytopic", vertices=obj["vertices"], unit=obj["unit"], ctx=ctx,
-                      label=obj.get("label", ""))
+    space = StateSpace("polytopic", vertices=obj["vertices"], unit=obj["unit"], ctx=ctx,
+                       label=obj.get("label", ""))
+    if not obj.get("summands"):
+        return space
+    # a direct sum: each summand is its block of the coordinates and its
+    # vertices; their direct sum must give back the dict's vertices and unit
+    parts = []
+    for blk in obj["summands"]:
+        lo, hi = blk["coord_offset"], blk["coord_offset"] + blk["coord_dim"]
+        parts.append(StateSpace("polytopic", ctx=ctx, unit=space.unit[lo:hi],
+                                vertices=[space.vertices[i][lo:hi] for i in blk["vertex_indices"]]))
+    dsum = direct_sum(parts)
+    if (dsum.vertices, dsum.unit) != (space.vertices, space.unit):
+        raise ValueError("the summands do not give back the space's vertices and unit")
+    return StateSpace("polytopic", vertices=space.vertices, unit=space.unit, ctx=ctx,
+                      label=space.label, summands=dsum.summands)
 
 
 def polygon_extreme_even(n: int, k: int) -> Vector:

@@ -10,7 +10,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from gptwb.numerics import dot
+from gptwb.numerics import dot, lp
 from gptwb.observables import Observable, observable
 from gptwb.spaces import StateSpace
 
@@ -84,3 +84,23 @@ def cube4(ctx):
           for signs in itertools.product((1, -1), repeat=4)]
     return StateSpace("polytopic", vertices=vs, unit=(zero,) * 4 + (one,), ctx=ctx,
                       label="cube4")
+
+
+def count_pivots(monkeypatch) -> dict:
+    """Patch the LP engine to count its pivots by phase ({1: n, 2: n}); a
+    ``_run_simplex`` call with an all-zero cost is phase 1."""
+    counts = {1: 0, 2: 0}
+    phase = [1]
+    run, pivot = lp._run_simplex, lp._pivot
+
+    def counting_run(tableau, basis, cost, ctx):
+        phase[0] = 2 if any(cost) else 1
+        return run(tableau, basis, cost, ctx)
+
+    def counting_pivot(*args):
+        counts[phase[0]] += 1
+        return pivot(*args)
+
+    monkeypatch.setattr(lp, "_run_simplex", counting_run)
+    monkeypatch.setattr(lp, "_pivot", counting_pivot)
+    return counts

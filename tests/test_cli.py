@@ -190,6 +190,25 @@ def test_ball_with_unknown_norm_is_an_error(tmp_path, capsys):
         capsys.readouterr()
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.mark.parametrize("args, name", [
+    (["tables", "dims"], "tables_dims.json"),
+    (["tables", "irreducibles"], "tables_irreducibles.json"),
+    (["--backend", "exact", "tables", "dims"], "tables_dims_exact.json"),
+], ids=["dims", "irreducibles", "dims-exact"])
+def test_table_reports_match_the_golden_files(args, name, capsys):
+    """The reports are byte-identical to the committed ones, so a change to
+    the LP engine or the enumerations that moves a report shows here.  After
+    a deliberate change, regenerate with
+    ``PYTHONPATH=src python -m gptwb.cli ARGS > tests/golden/NAME``."""
+    code, out = run_cli(args, capsys)
+    assert code == 0
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+        assert out == fh.read()
+
+
 def test_reports_bit_identical_across_runs(hexagon_files, capsys):
     _, out1 = run_cli(["tables", "dims", "--seed", "5"], capsys)
     _, out2 = run_cli(["tables", "dims", "--seed", "5"], capsys)

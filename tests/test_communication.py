@@ -488,28 +488,29 @@ def test_odd_polygon_storability():
         assert dims.d_op == 2
 
 
-_DIMS_BOUNDS = (
-    [(f"classical:{d}", (d, d)) for d in range(1, 7)]
-    + [("polygon:3", (3, 3))]
-    + [(f"polygon:{n}", (3, 2)) for n in range(4, 13, 2)]
-    + [(f"polygon:{n}", (3, 3)) for n in range(5, 12, 2)]
-    + [("square", (3, 2)),
-       ("dsum:classical:2+square", (5, 4)),
-       ("dsum:polygon:5+classical:1", (4, 4)),
-       ("dsum:polygon:4+polygon:4", (6, 4)),
-       ("dsum:square+classical:3", (6, 5))])
+_DIMS_BOUNDS = (  # (d_cl_lo, d_q_lo, d_op)
+    [(f"classical:{d}", (d, d, d)) for d in range(1, 7)]
+    + [("polygon:3", (3, 3, 3))]
+    + [(f"polygon:{n}", (3, 2, 2)) for n in range(4, 13, 2)]
+    + [(f"polygon:{n}", (3, 3, 2)) for n in range(5, 12, 2)]
+    + [("square", (3, 2, 2)),
+       ("dsum:classical:2+square", (5, 4, 4)),
+       ("dsum:polygon:5+classical:1", (4, 4, 3)),
+       ("dsum:polygon:4+polygon:4", (6, 4, 4)),
+       ("dsum:square+classical:3", (6, 5, 5))])
 
 
 @pytest.mark.parametrize("space, bounds", [
     *(pytest.param(space_from_ref(ref), b, id=ref) for ref, b in _DIMS_BOUNDS),
-    pytest.param(space_from_ref("square", EXACT), (3, 2), id="square-exact"),
-    pytest.param(cube4(FLOAT), (5, 3), id="cube4"),
-    pytest.param(padded_square(FLOAT), (3, 2), id="padded-square"),
-    pytest.param(padded_square(EXACT), (3, 2), id="padded-square-exact"),
+    pytest.param(space_from_ref("square", EXACT), (3, 2, 2), id="square-exact"),
+    pytest.param(cube4(FLOAT), (5, 3, 2), id="cube4"),
+    pytest.param(padded_square(FLOAT), (3, 2, 2), id="padded-square"),
+    pytest.param(padded_square(EXACT), (3, 2, 2), id="padded-square-exact"),
 ])
 def test_dims_lower_bounds(space, bounds):
+    """The two lower bounds, and d_op from the distinguishability LPs."""
     dims = space_dims(space)
-    assert (dims.d_cl_lo, dims.d_q_lo) == bounds
+    assert (dims.d_cl_lo, dims.d_q_lo, dims.d_op) == bounds
 
 
 def test_dims_consistency_chain():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from gptwb.numerics import EXACT, FLOAT, dot
+from gptwb.numerics import EXACT, FLOAT, LPProblem, dot, lp_solve
 from gptwb.observables import (
     is_trivial,
     mix_observables,
@@ -33,6 +33,7 @@ from gptwb.compatibility import (
 )
 from gptwb.simulation import effect_in_noise_class
 from gptwb.spaces import (
+    StateSpace,
     direct_sum,
     make_ball,
     make_classical,
@@ -40,7 +41,13 @@ from gptwb.spaces import (
     make_square,
     polygon_extreme_even,
 )
-from conftest import cube4, padded_square, random_observable, random_rational_observable
+from conftest import (
+    count_pivots,
+    cube4,
+    padded_square,
+    random_observable,
+    random_rational_observable,
+)
 
 
 def dichotomic(space, effect):
@@ -145,6 +152,107 @@ def test_dichotomic_g_satisfies_its_cone_constraints():
                 assert -eps <= gv <= min(av, bv) + eps
                 assert av + bv - gv <= 1 + eps
     assert found >= 40
+
+
+def unbounded_margin(a_obs, b_obs):
+    """The margin LP with delta unbounded below, built here independently."""
+    space = a_obs.space
+    ctx = space.ctx
+    a, b = a_obs.effects[0], b_obs.effects[0]
+    dim = space.ambient_dim
+    zero, one = ctx.zero(), ctx.one()
+    p = LPProblem(n=dim + 1, objective=[zero] * dim + [one],
+                  bounds=[(None, None)] * dim + [(None, one)])
+    for v in space.vertices:
+        p.add_ge(list(v) + [-one], zero)                            # g(v) >= delta
+        p.add_ge([-x for x in v] + [-one], -dot(a, v))             # a - g >= delta
+        p.add_ge([-x for x in v] + [-one], -dot(b, v))             # b - g >= delta
+        p.add_ge(list(v) + [-one], dot(a, v) + dot(b, v) - one)    # u - a - b + g >= delta
+    return lp_solve(p, ctx).value
+
+
+def rational_polygons():
+    """Exact polygons with rational vertices: a triangle, the square, a
+    hexagon and a pentagon on the unit circle (points of the rational
+    parametrization)."""
+    one = Fraction(1)
+    circle = [((1 - s * s) / (1 + s * s), 2 * s / (1 + s * s), one)
+              for s in map(Fraction, (-3, -1, 0, Fraction(1, 2), 2))]
+    return [make_classical(3, EXACT), make_square(EXACT),
+            StateSpace("polytopic", vertices=[(1, 0, 1), (1, 1, 1), (0, 1, 1), (-1, 0, 1),
+                                              (-1, -1, 1), (0, -1, 1)],
+                       unit=(0, 0, 1), ctx=EXACT),
+            StateSpace("polytopic", vertices=circle, unit=(0, 0, 1), ctx=EXACT)]
+
+
+def test_margin_lower_bound_leaves_the_optimum_alone(monkeypatch):
+    """delta >= -1 does not move the margin: equal on exact rational
+    polygons, within 1e-12 on random float pairs (some of them no effects,
+    with margin above 1).  For effects every row starts on its slack, so the
+    margin LP makes no phase-1 pivot."""
+    rng = random.Random(31)
+    counts = count_pivots(monkeypatch)
+    pairs = []
+    for sp in rational_polygons() + [cube4(EXACT)]:
+        for _ in range(4):
+            pairs.append((random_rational_observable(sp, 2, rng),
+                          random_rational_observable(sp, 2, rng)))
+    for sp in [make_polygon(n) for n in (4, 5, 6, 7, 8)] + [cube4(FLOAT), padded_square(FLOAT)]:
+        for _ in range(8):
+            pairs.append((random_observable(sp, 2, rng, margin=rng.uniform(0.2, 1.2)),
+                          random_observable(sp, 2, rng, margin=rng.uniform(0.2, 1.2))))
+    for a, b in pairs:
+        counts[1] = 0
+        got = dichotomic_compat_margin(a, b)
+        assert counts[1] == 0 or not (validate(a) and validate(b))
+        want = unbounded_margin(a, b)
+        if a.space.ctx.exact:
+            assert isinstance(got, Fraction) and got == want
+        else:
+            assert abs(got - want) <= 1e-12
+    # a functional far outside [0, 1] leaves no g at delta = -1: no effect
+    sp = cube4(FLOAT)
+    far = observable(sp, [(3, 0, 0, 0, 0.5), (-3, 0, 0, 0, 0.5)])
+    with pytest.raises(ValueError, match="needs effects"):
+        dichotomic_compat_margin(far, far)
+    with pytest.raises(ValueError, match="needs effects"):
+        dichotomic_compat_g(far, far)
+
+
+@pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+def test_joint_reproduces_every_marginal(ctx):
+    """The joint LP leaves out each later input's last marginal; the joint
+    observable still reproduces it."""
+    rng = random.Random(37)
+    spaces = rational_polygons() if ctx.exact else \
+        [make_polygon(n) for n in (5, 6, 8)] + [cube4(FLOAT)]
+    found = 0
+    for sp in spaces:
+        for sizes in ((2, 2), (3, 2), (2, 2, 2), (2, 3, 2)):
+            for _ in range(2):
+                if ctx.exact:
+                    obs = [random_rational_observable(sp, k, rng) for k in sizes]
+                else:
+                    obs = [random_observable(sp, k, rng, margin=0.3) for k in sizes]
+                joint = are_compatible(obs)
+                if joint is None:
+                    continue
+                found += 1
+                assert validate(joint)
+                for i, o in enumerate(obs):
+                    for got, want in zip(marginal(joint, i).effects, o.effects):
+                        assert all(abs(g - w) <= 1e-9 for g, w in zip(got, want))
+    assert found >= 12
+
+
+def test_unnormalized_inputs_are_incompatible():
+    """An input whose effects do not sum to u has no joint observable."""
+    sp = make_polygon(6)
+    a = random_observable(sp, 2, random.Random(41), margin=0.3)
+    short = observable(sp, (a.effects[0], tuple(0.9 * x for x in a.effects[1])))
+    assert are_compatible([a, a]) is not None
+    assert are_compatible([a, short]) is None
+    assert are_compatible([short, a]) is None
 
 
 # ------------------------------------------ spaces without a dual-ray generator

@@ -27,7 +27,7 @@ from gptwb.postprocess import find_postprocessing
 from gptwb.simulation import effect_in_noise_class, is_simulable
 from gptwb.spaces import StateSpace, make_square, space_from_ref
 
-from conftest import random_observable, random_rational_observable
+from conftest import count_pivots, random_observable, random_rational_observable
 
 
 # ------------------------------------------------------------- local oracles
@@ -250,61 +250,101 @@ def test_lp_unconstrained_one_sided_optimum():
     assert res.feasible and res.x == (-2,) and abs(res.value - 2) < 1e-12
 
 
+def _random_lp(rng):
+    """A random LP in both fields: (float problem, exact problem, the data
+    for scipy's linprog).  Up to 7 rows; a >= row's right-hand side is more
+    often zero or negative, so that many start on their slacks; bounds are
+    free, one-sided or two-sided."""
+    n = rng.randint(1, 5)
+    bounds = []
+    for _ in range(n):
+        kind = rng.randint(0, 3)
+        if kind == 0:
+            bounds.append((None, None))
+        elif kind == 1:
+            bounds.append((rng.randint(-3, 0), None))
+        elif kind == 2:
+            bounds.append((None, rng.randint(0, 3)))
+        else:
+            lo = rng.randint(-3, 0)
+            bounds.append((lo, lo + rng.randint(0, 4)))
+    eq, ge = [], []
+    for _ in range(rng.randint(0, 7)):
+        row = [rng.randint(-3, 3) for _ in range(n)]
+        if rng.random() < 0.3:
+            eq.append((row, rng.randint(-4, 4)))
+        else:
+            ge.append((row, rng.choice([0, 0, rng.randint(-4, -1), rng.randint(-4, 4)])))
+    obj = [rng.randint(-3, 3) for _ in range(n)]
+    problems = [LPProblem(n=n, objective=[conv(c) for c in obj],
+                          eq=[([conv(c) for c in row], conv(b)) for row, b in eq],
+                          ge=[([conv(c) for c in row], conv(b)) for row, b in ge],
+                          bounds=[tuple(None if x is None else conv(x) for x in bd)
+                                  for bd in bounds])
+                for conv in (float, Fraction)]
+    ref = dict(c=[-c for c in obj], bounds=bounds,
+               A_ub=[[-c for c in row] for row, _ in ge] or None,
+               b_ub=[-b for _, b in ge] or None,
+               A_eq=[row for row, _ in eq] or None, b_eq=[b for _, b in eq] or None)
+    return problems, ref
+
+
+def _status(problem, ctx):
+    try:
+        res = lp_solve(problem, ctx)
+    except UnboundedObjective:
+        return "unbounded", None
+    return ("opt", res.value) if res.feasible else ("infeas", None)
+
+
 def test_lp_against_reference_solver():
     """Cross-check status and optimum against an independent solver when one
     is installed; skipped otherwise."""
-    np = pytest.importorskip("numpy")
     scipy_opt = pytest.importorskip("scipy.optimize")
 
     rng = random.Random(321)
-    checked = 0
-    for _ in range(150):
-        n = rng.randint(1, 5)
-        bounds = []
-        for _ in range(n):
-            kind = rng.randint(0, 3)
-            if kind == 0:
-                bounds.append((None, None))
-            elif kind == 1:
-                bounds.append((rng.randint(-3, 0), None))
-            elif kind == 2:
-                bounds.append((None, rng.randint(0, 3)))
-            else:
-                lo = rng.randint(-3, 0)
-                bounds.append((lo, lo + rng.randint(0, 4)))
-        p = LPProblem(n=n, bounds=list(bounds))
-        a_ub, b_ub, a_eq, b_eq = [], [], [], []
-        for _ in range(rng.randint(0, 4)):
-            row = [rng.randint(-3, 3) for _ in range(n)]
-            rhs = rng.randint(-4, 4)
-            if rng.random() < 0.5:
-                p.add_eq(row, rhs)
-                a_eq.append(row)
-                b_eq.append(rhs)
-            else:
-                p.add_ge(row, rhs)
-                a_ub.append([-c for c in row])
-                b_ub.append(-rhs)
-        obj = [rng.randint(-3, 3) for _ in range(n)]
-        p.objective = obj
-        try:
-            mine = lp_solve(p)
-            status = "opt" if mine.feasible else "infeas"
-        except UnboundedObjective:
-            status = "unbounded"
-        ref = scipy_opt.linprog(
-            [-c for c in obj],
-            A_ub=np.array(a_ub) if a_ub else None,
-            b_ub=np.array(b_ub) if b_ub else None,
-            A_eq=np.array(a_eq) if a_eq else None,
-            b_eq=np.array(b_eq) if b_eq else None,
-            bounds=bounds, method="highs", options={"presolve": False})
-        want = {0: "opt", 2: "infeas", 3: "unbounded"}.get(ref.status, "other")
-        assert status == want
+    for _ in range(300):
+        (p_float, _), ref = _random_lp(rng)
+        status, value = _status(p_float, FLOAT)
+        res = scipy_opt.linprog(method="highs", options={"presolve": False}, **ref)
+        assert status == {0: "opt", 2: "infeas", 3: "unbounded"}.get(res.status, "other")
         if status == "opt":
-            assert abs(float(mine.value) - (-ref.fun)) < 1e-7
-        checked += 1
-    assert checked == 150
+            assert abs(value + res.fun) < 1e-7
+
+
+def test_lp_exact_backend_agrees_with_floats():
+    """The random LPs of the reference cross-check, solved in both fields:
+    the same status, and optima within 1e-9."""
+    rng = random.Random(321)
+    statuses = set()
+    for _ in range(300):
+        (p_float, p_exact), _ = _random_lp(rng)
+        status, value = _status(p_float, FLOAT)
+        exact_status, exact_value = _status(p_exact, EXACT)
+        assert status == exact_status
+        if status == "opt":
+            assert isinstance(exact_value, Fraction) and abs(value - exact_value) < 1e-9
+        statuses.add(status)
+    assert statuses == {"opt", "infeas", "unbounded"}
+
+
+@pytest.mark.parametrize("ctx,conv", BACKENDS, ids=["exact", "float"])
+def test_lp_feasible_origin_makes_no_phase1_pivot(ctx, conv, monkeypatch):
+    """Every >= row (two-sided bounds included) holds at the origin after
+    the shifts, so each starts on its slack: phase 1 makes no pivot, and
+    one violated row brings phase 1 back."""
+    counts = count_pivots(monkeypatch)
+    ge = [([-1, -1, 0], -3), ([1, -2, 1], conv(-4)), ([0, -1, 1], 0)]
+    bounds = [(0, None), (conv(-1), 1), (None, conv(5))]
+    p = LPProblem(n=3, objective=[1, 2, 1], ge=list(ge), bounds=bounds)
+    res = lp_solve(p, ctx)
+    assert counts[1] == 0 and counts[2] > 0
+    assert res.feasible and abs(res.value - 9) <= 1e-12  # x = (2, 1, 5)
+    counts[2] = 0
+    assert lp_solve(LPProblem(n=3, ge=list(ge), bounds=bounds), ctx).feasible
+    assert counts == {1: 0, 2: 0}
+    lp_solve(LPProblem(n=3, ge=ge + [([1, 0, 0], 1)], bounds=bounds), ctx)
+    assert counts[1] > 0
 
 
 # ------------------------------------------------- anti-cycling, determinism

@@ -29,6 +29,7 @@ from gptwb.observables import (
 )
 from gptwb.spaces import (
     StateSpace,
+    direct_sum,
     make_ball,
     make_classical,
     make_polygon,
@@ -310,3 +311,31 @@ def test_observable_json_round_trip_on_labelled_custom_spaces(ctx):
         back = observable_from_json(obj, ctx)
         common_space([back, a])  # the same space
         assert back.space.label == sp.label and back.effects == a.effects
+
+
+@pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+@pytest.mark.parametrize("label", ["", "bit"], ids=["unlabelled", "labelled"])
+def test_observable_json_round_trip_on_direct_sums_of_custom_spaces(ctx, label):
+    """A direct sum whose label is no space reference is written as a dict
+    with its summands and read back as the same direct sum."""
+    bit = StateSpace("polytopic", vertices=[(1, 0), (0, 1)], unit=(1, 1), ctx=ctx, label=label)
+    tri = StateSpace("polytopic", vertices=[(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+                     unit=(1, 1, 1), ctx=ctx, label=label)
+    sp = direct_sum([bit, tri, bit])
+    h, q = Fraction(1, 2), Fraction(1, 4)
+    a = observable(sp, [[h] * 7, [h, 0, h, 0, q, h, 0], [0, h, 0, h, q, 0, h]])
+    obj = json.loads(json.dumps(a.to_json_dict()))
+    assert obj["space_ref"] == sp.to_json_dict()
+    back = observable_from_json(obj, ctx)
+    common_space([back, a])  # the same space
+    assert back.space.label == sp.label and back.effects == a.effects
+    assert back.outcomes == a.outcomes
+    assert [(s.coord_offset, s.coord_dim, s.vertex_indices, s.space.vertices, s.space.unit)
+            for s in back.space.summands] == \
+        [(s.coord_offset, s.coord_dim, s.vertex_indices, s.space.vertices, s.space.unit)
+         for s in sp.summands]
+    assert back.space.extreme_effects() == sp.extreme_effects()
+    # summands whose direct sum lists the vertices in another order are refused
+    obj["space_ref"]["summands"][0]["vertex_indices"] = [1, 0]
+    with pytest.raises(ValueError, match="summands"):
+        observable_from_json(obj, ctx)

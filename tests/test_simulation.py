@@ -82,6 +82,41 @@ def test_square_random_observables_from_two_irreducibles():
         assert w is not None and verify_sim_witness(target, irr, w)
 
 
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_witness_resubstitutes_every_outcome(n):
+    """The last column of each witness matrix is rebuilt from p_i and the
+    others, and the target's last outcome has no LP row: the witness must
+    still reproduce every outcome, the last included, with rows summing to
+    p_i; so must the witness for the one-outcome target."""
+    sp = make_polygon(n)
+    irr = enumerate_irreducibles(sp)
+    rng = random.Random(n)
+    targets = [random_observable(sp, k, rng) for k in (2, 3, 4) for _ in range(3)]
+    targets += [observable(sp, (sp.unit,)), *irr]
+    for target in targets:
+        w = is_simulable(target, irr)
+        assert w is not None and verify_sim_witness(target, irr, w)
+        last = [sum(m[y][-1] * b.effects[y][c] for m, b in zip(w.matrices, irr)
+                    for y in range(b.n_outcomes)) for c in range(sp.ambient_dim)]
+        assert all(abs(x - t) <= 1e-9 for x, t in zip(last, target.effects[-1]))
+    w = is_simulable(observable(sp, (sp.unit,)), irr)
+    assert all(m == tuple((p,) for _ in m) for p, m in zip(w.weights, w.matrices))
+
+
+def test_unnormalized_targets_and_simulators():
+    """A target whose effects do not sum to u is simulable by nothing; a
+    simulator whose effects do not sum to u is refused."""
+    sp, a = hexagon_pair()
+    short = observable(sp, (a.effects[0], tuple(0.9 * x for x in a.effects[1])))
+    assert is_simulable(a, [a]) is not None
+    assert is_simulable(short, [a]) is None
+    assert find_postprocessing(a, short) is None
+    with pytest.raises(ValueError, match="sum to the unit"):
+        is_simulable(a, [a, short])
+    with pytest.raises(ValueError, match="sum to the unit"):
+        find_postprocessing(short, a)
+
+
 def test_pentagon_irreducibles_mutually_unsimulable():
     irr = enumerate_irreducibles(make_polygon(5))
     assert is_simulable(irr[0], [irr[1]]) is None
