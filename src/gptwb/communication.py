@@ -356,15 +356,13 @@ def _ultraweak_fit(cf, target, left, right):
     prev = float("inf")
     while True:
         crt = [[sum(map(mul, row, col)) for row in cf] for col in zip(*right)]  # columns of C R
-        left = [_lad_fit(len(cf), list(zip(crt, d)))[0] for d in target]
+        crt = [[(j, a) for j, a in enumerate(col) if a] for col in crt]
+        left = [_lad_fit(1, len(cf), list(zip(crt, d)))[0] for d in target]
         lc = [[sum(map(mul, row, col)) for col in ct] for row in left]
-        fits = []
-        for row, d in zip(lc, target):
-            for b, v in enumerate(d):
-                coeffs = [0.0] * (k * m)
-                coeffs[b::m] = row   # entry (y, b) of R has coefficient (L C)[i][y]
-                fits.append((coeffs, v))
-        right = _lad_fit(m, fits)
+        # entry (y, b) of R, column y * m + b, has coefficient (L C)[i][y]
+        fits = [([(y * m + b, a) for y, a in enumerate(row) if a], v)
+                for row, d in zip(lc, target) for b, v in enumerate(d)]
+        right = _lad_fit(k, m, fits)
         err = _factor_error(lc, right, target)
         if err <= _ULTRAWEAK_TARGET:
             return left, right
@@ -395,22 +393,20 @@ def _ultraweak_warm_sweeps(cf, target, left, right) -> None:
             left[i] = lrow
 
 
-def _lad_fit(width: int, fits):
+def _lad_fit(rows: int, width: int, fits):
     """Least absolute deviations over row-stochastic rows: x >= 0, cut into
-    rows of ``width`` entries that each sum to 1, minimizing the sum of
-    |coeffs . x - value| over ``fits`` with one LP (a positive and a negative
+    ``rows`` rows of ``width`` entries that each sum to 1, minimizing the sum
+    of |terms . x - value| over ``fits``, each a list of (column, coefficient)
+    pairs in column order and a value, with one LP (a positive and a negative
     deviation per fit).  Returns the rows as floats."""
-    nx = len(fits[0][0])
+    nx = rows * width
     ne = len(fits)
-    p = LPProblem(n=nx + 2 * ne, objective=[0] * nx + [-1] * (2 * ne),
+    p = LPProblem(n=nx + 2 * ne, objective=[(j, -1) for j in range(nx, nx + 2 * ne)],
                   bounds=[(0, None)] * (nx + 2 * ne))
     for start in range(0, nx, width):
-        p.add_eq([0] * start + [1] * width + [0] * (nx - start - width + 2 * ne), 1)
-    for e, (coeffs, value) in enumerate(fits):
-        row = list(coeffs) + [0] * (2 * ne)
-        row[nx + e] = -1
-        row[nx + ne + e] = 1
-        p.add_eq(row, value)
+        p.add_eq([(j, 1) for j in range(start, start + width)], 1)
+    for e, (terms, value) in enumerate(fits):
+        p.add_eq(terms + [(nx + e, -1), (nx + ne + e, 1)], value)
     res = lp_solve(p, DEFAULT)
     if not res.feasible:
         raise RuntimeError("least-absolute-deviation LP must be feasible")
@@ -575,9 +571,7 @@ def _lambda_max_space(space: StateSpace):
     p = LPProblem(n=0)
     blk = effect_block(p, space, n)
     blk.sum_eq(p, range(n), space.unit)
-    p.objective = [0] * p.n
-    for i, v in enumerate(space.vertices):
-        blk.add(p.objective, i, blk.at(v))
+    p.objective = [t for i, v in enumerate(space.vertices) for t in blk.terms(i, blk.at(v))]
     res = lp_solve(p, space.ctx)
     if not res.feasible:
         raise RuntimeError("storability LP must be feasible")
@@ -613,7 +607,5 @@ def _perfectly_distinguishable(space: StateSpace, vertex_idx: Sequence[int]) -> 
     evals = [blk.at(space.vertices[vi]) for vi in vertex_idx]
     for i in range(k - 1):
         for t in range(k):
-            row = [0] * p.n
-            blk.add(row, i, evals[t])
-            p.add_eq(row, 1 if t == i else 0)
+            p.add_eq(blk.terms(i, evals[t]), 1 if t == i else 0)
     return lp_solve(p, space.ctx).feasible

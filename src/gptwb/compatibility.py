@@ -116,11 +116,12 @@ def _dichotomic_margin_lp(a_obs: Observable, b_obs: Observable):
     ctx = space.ctx
     dim = space.ambient_dim
     zero, one = ctx.zero(), ctx.one()
-    p = LPProblem(n=dim + 1, objective=[zero] * dim + [one],
+    p = LPProblem(n=dim + 1, objective=[(dim, one)],
                   bounds=[(None, None)] * dim + [(-one, one)])
     for v in space.vertices:
-        grow = list(v) + [-one]
-        neg = [-x for x in v] + [-one]
+        gv = [(c, x) for c, x in enumerate(v) if x]
+        grow = gv + [(dim, -one)]
+        neg = [(c, -x) for c, x in gv] + [(dim, -one)]
         p.add_ge(grow, zero)                                   # g(v) >= delta
         p.add_ge(neg, -dot(a, v))                              # a(v) - g(v) >= delta
         p.add_ge(neg, -dot(b, v))

@@ -1,5 +1,8 @@
 """Self-contained primal simplex solver.
 
+Rows and the objective are sparse: sequences of ``(column, coefficient)``
+pairs, the form the solver's own upper-bound rows take.
+
 Two-phase tableau method over the context's scalar field.  Variables are
 shifted and split onto ``y >= 0``; the upper end of a two-sided bound becomes
 one more ``>=`` row, which holds at ``y = 0`` when lo <= hi.  A ``>=`` row whose
@@ -35,12 +38,16 @@ class LPProblem:
     """maximize objective . x  subject to
     eq:  row . x == rhs        ge:  row . x >= rhs
     bounds: per-variable (lo, hi), None meaning unbounded; default free.
+
+    A row and the objective are sequences of ``(column, coefficient)`` pairs
+    over the n variables; a column not listed has coefficient 0, and a
+    column listed twice adds.
     """
 
     n: int
-    objective: Optional[Sequence] = None
-    eq: list = field(default_factory=list)     # [(row, rhs), ...]
-    ge: list = field(default_factory=list)     # [(row, rhs), ...]
+    objective: Optional[Sequence] = None       # [(column, coefficient), ...]
+    eq: list = field(default_factory=list)     # [(pairs, rhs), ...]
+    ge: list = field(default_factory=list)     # [(pairs, rhs), ...]
     bounds: Optional[list] = None              # [(lo, hi), ...]
 
     def add_eq(self, row, rhs) -> None:
@@ -148,7 +155,7 @@ def lp_solve(problem: LPProblem, ctx: Context = DEFAULT) -> LPResult:
     # becomes one more >= row, -x_j >= -hi.
     shifts: list = []
     terms: list[list[tuple[int, int]]] = []  # per original var: [(std_idx, sign)]
-    ge = [(enumerate(row), b) for row, b in problem.ge]
+    ge = list(problem.ge)
     nstd = 0
     for j, (lo, hi) in enumerate(bounds):
         if lo is None and hi is None:
@@ -194,7 +201,7 @@ def lp_solve(problem: LPProblem, ctx: Context = DEFAULT) -> LPResult:
         tableau.append(out + [acc])
 
     for row, b in problem.eq:
-        add_row(enumerate(row), b, None)
+        add_row(row, b, None)
     for k, (coeffs, b) in enumerate(ge):
         add_row(coeffs, b, nstd + k)
 
@@ -220,7 +227,7 @@ def lp_solve(problem: LPProblem, ctx: Context = DEFAULT) -> LPResult:
     value = None
     if problem.objective is not None:
         cost = [zero] * width  # minimize -objective
-        for j, c in enumerate(problem.objective):
+        for j, c in problem.objective:
             c = scalar(c)
             if c == 0:
                 continue
@@ -239,5 +246,5 @@ def lp_solve(problem: LPProblem, ctx: Context = DEFAULT) -> LPResult:
             v = v + (y[idx] if sign > 0 else -y[idx])
         x.append(v)
     if problem.objective is not None:
-        value = sum((scalar(c) * xv for c, xv in zip(problem.objective, x)), zero)
+        value = sum((scalar(c) * x[j] for j, c in problem.objective), zero)
     return LPResult(True, tuple(x), value)

@@ -77,19 +77,12 @@ def is_simulable(target: Observable, simulators: Sequence[Observable]) -> Option
     prob = LPProblem(n=nvar, bounds=[(zero, None)] * nvar)
     for i in range(len(simulators)):  # the last column: p_i - sum of the others >= 0
         for y in range(sizes[i]):
-            row = [zero] * nvar
-            for x in range(w):
-                row[idx(i, y, x)] = -one
-            row[p_off + i] = one
-            prob.add_ge(row, zero)
-    prob.add_eq([zero] * p_off + [one] * len(simulators), one)
+            prob.add_ge([(idx(i, y, x), -one) for x in range(w)] + [(p_off + i, one)], zero)
+    prob.add_eq([(p_off + i, one) for i in range(len(simulators))], one)
     for x in range(w):
         for c in range(space.ambient_dim):
-            row = [zero] * nvar
-            for i, b in enumerate(simulators):
-                for y in range(sizes[i]):
-                    row[idx(i, y, x)] = b.effects[y][c]
-            prob.add_eq(row, target.effects[x][c])
+            prob.add_eq([(idx(i, y, x), e[c]) for i, b in enumerate(simulators)
+                         for y, e in enumerate(b.effects) if e[c]], target.effects[x][c])
     res = lp_solve(prob, ctx)
     if not res.feasible:
         return None
@@ -205,11 +198,10 @@ def is_effectively_dichotomic(a: Observable) -> DichotomicVerdict:
 
     Quick screens first: an outcome whose maximum is within 1 of the whole
     observable's max monotone makes the answer yes; a max monotone above 2
-    makes it no.  Otherwise the generator-set LP decides.
+    makes it no.  Both screens hold in any GPT.  Otherwise the generator-set
+    LP decides, which needs the extreme effects (``dichotomic_generators``).
     """
     space = a.space
-    if space.kind != "polytopic":
-        raise UnsupportedSpace("effectively-dichotomic test needs a vertex representation")
     ctx = space.ctx
     per = [space.effect_range(e)[1] for e in a.effects]
     lmax = sum(per)

@@ -313,6 +313,8 @@ class StateSpace:
     # --------------------------------------------------------------- states
     def contains_state(self, state: Sequence) -> bool:
         """Convex-hull membership (LP for polytopes, norm test for balls)."""
+        if len(state) != self.ambient_dim:
+            raise ValueError("state dimension mismatch")
         ctx = self.ctx
         if self.kind == "ball":
             if not ctx.eq(state[-1], ctx.one()):
@@ -347,9 +349,9 @@ def in_convex_hull(point: Sequence, points: Sequence[Sequence], ctx: Context) ->
     """LP feasibility: point is a convex combination of points."""
     n = len(points)
     p = LPProblem(n=n, bounds=[(ctx.zero(), None)] * n)
-    p.add_eq([ctx.one()] * n, ctx.one())
+    p.add_eq([(j, ctx.one()) for j in range(n)], ctx.one())
     for c, x in enumerate(point):
-        p.add_eq([q[c] for q in points], ctx.scalar(x))
+        p.add_eq([(j, q[c]) for j, q in enumerate(points) if q[c]], ctx.scalar(x))
     return lp_solve(p, ctx).feasible
 
 
@@ -365,21 +367,17 @@ class EffectBlock:
         """Generator coefficients of an effect's value at a point."""
         return [dot(g, point) for g in self.gens]
 
-    def add(self, row: list, i: int, coeffs: Sequence) -> None:
-        """Add coeffs to the entries of effect i's variables in row; coeffs
-        come from ``at`` or ``cols``."""
+    def terms(self, i: int, coeffs: Sequence) -> list:
+        """The LP terms of effect i with generator coefficients coeffs (from
+        ``at`` or ``cols``): one pair per nonzero coefficient, in column order."""
         base = self.start + i * len(self.gens)
-        for j, a in enumerate(coeffs):
-            if a:
-                row[base + j] += a
+        return [(base + j, a) for j, a in enumerate(coeffs) if a]
 
     def sum_eq(self, p: LPProblem, members: Sequence[int], target: Sequence) -> None:
-        """Rows: the effects in members sum to the functional target."""
+        """Rows: the effects in members (in increasing order) sum to the
+        functional target."""
         for c, rhs in enumerate(target):
-            row = [0] * p.n
-            for i in members:
-                self.add(row, i, self.cols[c])
-            p.add_eq(row, rhs)
+            p.add_eq([t for i in members for t in self.terms(i, self.cols[c])], rhs)
 
     def effects(self, x: Sequence) -> tuple:
         """The k effects at an LP solution x."""
@@ -402,7 +400,9 @@ def ray_generators(space: StateSpace) -> Optional[tuple]:
 
 
 def effect_block(p: LPProblem, space: StateSpace, k: int) -> EffectBlock:
-    """Append k effects to the variables of p; call it before adding rows.
+    """Append k effects to the variables of p, before or after its rows;
+    the block's ``terms`` and ``sum_eq`` pose rows on them as (column,
+    coefficient) pairs.
 
     An effect is a nonnegative combination of the dual-cone rays, so it is
     positive by construction.  Where the rays do not generate the dual cone
@@ -421,9 +421,7 @@ def effect_block(p: LPProblem, space: StateSpace, k: int) -> EffectBlock:
         for v in space.vertices:
             vals = blk.at(v)
             for i in range(k):
-                row = [0] * p.n
-                blk.add(row, i, vals)
-                p.add_ge(row, zero)
+                p.add_ge(blk.terms(i, vals), zero)
     return blk
 
 

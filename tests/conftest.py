@@ -86,6 +86,11 @@ def cube4(ctx):
                       label="cube4")
 
 
+def sparse(row) -> list:
+    """A dense LP row as the (column, coefficient) pairs of its nonzeros."""
+    return [(j, c) for j, c in enumerate(row) if c]
+
+
 def count_pivots(monkeypatch) -> dict:
     """Patch the LP engine to count its pivots by phase ({1: n, 2: n}); a
     ``_run_simplex`` call with an all-zero cost is phase 1."""

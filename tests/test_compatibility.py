@@ -47,6 +47,7 @@ from conftest import (
     padded_square,
     random_observable,
     random_rational_observable,
+    sparse,
 )
 
 
@@ -161,13 +162,14 @@ def unbounded_margin(a_obs, b_obs):
     a, b = a_obs.effects[0], b_obs.effects[0]
     dim = space.ambient_dim
     zero, one = ctx.zero(), ctx.one()
-    p = LPProblem(n=dim + 1, objective=[zero] * dim + [one],
+    p = LPProblem(n=dim + 1, objective=[(dim, one)],
                   bounds=[(None, None)] * dim + [(None, one)])
     for v in space.vertices:
-        p.add_ge(list(v) + [-one], zero)                            # g(v) >= delta
-        p.add_ge([-x for x in v] + [-one], -dot(a, v))             # a - g >= delta
-        p.add_ge([-x for x in v] + [-one], -dot(b, v))             # b - g >= delta
-        p.add_ge(list(v) + [-one], dot(a, v) + dot(b, v) - one)    # u - a - b + g >= delta
+        grow, neg = sparse(list(v) + [-one]), sparse([-x for x in v] + [-one])
+        p.add_ge(grow, zero)                                  # g(v) >= delta
+        p.add_ge(neg, -dot(a, v))                             # a - g >= delta
+        p.add_ge(neg, -dot(b, v))                             # b - g >= delta
+        p.add_ge(grow, dot(a, v) + dot(b, v) - one)           # u - a - b + g >= delta
     return lp_solve(p, ctx).value
 
 

@@ -4,12 +4,19 @@ exact/float backend agreement."""
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gptwb.compatibility import are_compatible, marginal
+from gptwb.communication import canonical_reduce, comm_matrix, space_dims, ultraweak_leq
+from gptwb.compatibility import (
+    are_compatible,
+    dichotomic_compat_g,
+    dichotomic_compat_margin,
+    marginal,
+)
 from gptwb.numerics import (
     EXACT,
     FLOAT,
@@ -17,6 +24,7 @@ from gptwb.numerics import (
     LPProblem,
     UnboundedObjective,
     lp_solve,
+    mat_mul,
     orthogonal_rows,
     rank,
     solve_unique,
@@ -24,10 +32,17 @@ from gptwb.numerics import (
 from gptwb.numerics.lp import _run_simplex
 from gptwb.observables import apply_postprocessing, observable
 from gptwb.postprocess import find_postprocessing
-from gptwb.simulation import effect_in_noise_class, is_simulable
-from gptwb.spaces import StateSpace, make_square, space_from_ref
+from gptwb.simulation import effect_in_noise_class, is_effectively_dichotomic, is_simulable
+from gptwb.spaces import StateSpace, make_classical, make_polygon, make_square, space_from_ref
 
-from conftest import count_pivots, random_observable, random_rational_observable
+from conftest import (
+    count_pivots,
+    padded_square,
+    random_observable,
+    random_rational_observable,
+    random_stochastic,
+    sparse,
+)
 
 
 # ------------------------------------------------------------- local oracles
@@ -183,26 +198,26 @@ BACKENDS = [(EXACT, Fraction), (FLOAT, float)]
 
 
 def test_lp_box_maximum():
-    res = lp_solve(LPProblem(n=1, objective=[1], bounds=[(0, 1)]))
+    res = lp_solve(LPProblem(n=1, objective=[(0, 1)], bounds=[(0, 1)]))
     assert res.feasible and abs(res.x[0] - 1) < 1e-9 and abs(res.value - 1) < 1e-9
 
 
 @pytest.mark.parametrize("ctx,conv", BACKENDS, ids=["exact", "float"])
 def test_lp_infeasible_interval(ctx, conv):
-    res = lp_solve(LPProblem(n=1, ge=[([1], 1), ([-1], 0)]), ctx)
+    res = lp_solve(LPProblem(n=1, ge=[([(0, 1)], 1), ([(0, -1)], 0)]), ctx)
     assert not res.feasible
 
 
 def test_lp_unbounded_raises():
     with pytest.raises(UnboundedObjective):
-        lp_solve(LPProblem(n=1, objective=[1], bounds=[(0, None)]))
+        lp_solve(LPProblem(n=1, objective=[(0, 1)], bounds=[(0, None)]))
 
 
 def test_lp_witness_is_deterministic():
-    p1 = LPProblem(n=3, objective=[1, 1, 0],
-                   ge=[([-1, -1, -1], -1)], bounds=[(0, None)] * 3)
-    p2 = LPProblem(n=3, objective=[1, 1, 0],
-                   ge=[([-1, -1, -1], -1)], bounds=[(0, None)] * 3)
+    p1 = LPProblem(n=3, objective=[(0, 1), (1, 1)],
+                   ge=[([(0, -1), (1, -1), (2, -1)], -1)], bounds=[(0, None)] * 3)
+    p2 = LPProblem(n=3, objective=[(0, 1), (1, 1)],
+                   ge=[([(0, -1), (1, -1), (2, -1)], -1)], bounds=[(0, None)] * 3)
     assert lp_solve(p1).x == lp_solve(p2).x
 
 
@@ -213,40 +228,39 @@ def test_lp_witness_resubstitution(ctx, conv, seed):
     rng = random.Random(seed)
     n = rng.randint(2, 5)
     m = rng.randint(1, 4)
-    p = LPProblem(n=n, objective=[rng.randint(-3, 3) for _ in range(n)],
+    p = LPProblem(n=n, objective=sparse([rng.randint(-3, 3) for _ in range(n)]),
                   bounds=[(0, rng.randint(1, 4)) for _ in range(n)])
-    rows = []
     for _ in range(m):
-        rows.append([rng.randint(-2, 2) for _ in range(n)])
-        p.add_ge(rows[-1], -rng.randint(0, 5))
+        p.add_ge(sparse([rng.randint(-2, 2) for _ in range(n)]), -rng.randint(0, 5))
     res = lp_solve(p, ctx)
     if not res.feasible:
         return
     tol = ctx.eps  # the integer 0 on the exact backend: exact re-substitution
     for (row, rhs) in p.ge:
-        assert sum(c * x for c, x in zip(row, res.x)) >= rhs - tol
+        assert sum(c * res.x[j] for j, c in row) >= rhs - tol
     for x, (lo, hi) in zip(res.x, p.bounds):
         assert lo - tol <= x <= hi + tol
 
 
 def test_lp_equality_system_with_free_variables():
-    res = lp_solve(LPProblem(n=2, objective=[1, 0], eq=[([1, 1], 1), ([1, -1], 0)]))
+    res = lp_solve(LPProblem(n=2, objective=[(0, 1)],
+                             eq=[([(0, 1), (1, 1)], 1), ([(0, 1), (1, -1)], 0)]))
     assert res.feasible
     assert abs(res.x[0] - 0.5) < 1e-9 and abs(res.x[1] - 0.5) < 1e-9
 
 
 @pytest.mark.parametrize("ctx,conv", BACKENDS, ids=["exact", "float"])
 def test_lp_redundant_equalities(ctx, conv):
-    eq = [([1, 1], 1), ([1, 1], 1), ([2, 2], 2)]
-    res = lp_solve(LPProblem(n=2, objective=[1, 0], eq=eq, bounds=[(0, None)] * 2), ctx)
+    eq = [([(0, 1), (1, 1)], 1), ([(0, 1), (1, 1)], 1), ([(0, 2), (1, 2)], 2)]
+    res = lp_solve(LPProblem(n=2, objective=[(0, 1)], eq=eq, bounds=[(0, None)] * 2), ctx)
     assert res.feasible and abs(res.value - 1) <= ctx.eps
     # one right-hand side moved by 1/1000: no longer redundant but inconsistent
-    eq[1] = ([1, 1], 1 + conv(Fraction(1, 1000)))
+    eq[1] = ([(0, 1), (1, 1)], 1 + conv(Fraction(1, 1000)))
     assert not lp_solve(LPProblem(n=2, eq=eq, bounds=[(0, None)] * 2), ctx).feasible
 
 
 def test_lp_unconstrained_one_sided_optimum():
-    res = lp_solve(LPProblem(n=1, objective=[-1], bounds=[(-2, None)]))
+    res = lp_solve(LPProblem(n=1, objective=[(0, -1)], bounds=[(-2, None)]))
     assert res.feasible and res.x == (-2,) and abs(res.value - 2) < 1e-12
 
 
@@ -276,9 +290,9 @@ def _random_lp(rng):
         else:
             ge.append((row, rng.choice([0, 0, rng.randint(-4, -1), rng.randint(-4, 4)])))
     obj = [rng.randint(-3, 3) for _ in range(n)]
-    problems = [LPProblem(n=n, objective=[conv(c) for c in obj],
-                          eq=[([conv(c) for c in row], conv(b)) for row, b in eq],
-                          ge=[([conv(c) for c in row], conv(b)) for row, b in ge],
+    problems = [LPProblem(n=n, objective=sparse([conv(c) for c in obj]),
+                          eq=[(sparse([conv(c) for c in row]), conv(b)) for row, b in eq],
+                          ge=[(sparse([conv(c) for c in row]), conv(b)) for row, b in ge],
                           bounds=[tuple(None if x is None else conv(x) for x in bd)
                                   for bd in bounds])
                 for conv in (float, Fraction)]
@@ -334,17 +348,106 @@ def test_lp_feasible_origin_makes_no_phase1_pivot(ctx, conv, monkeypatch):
     the shifts, so each starts on its slack: phase 1 makes no pivot, and
     one violated row brings phase 1 back."""
     counts = count_pivots(monkeypatch)
-    ge = [([-1, -1, 0], -3), ([1, -2, 1], conv(-4)), ([0, -1, 1], 0)]
+    ge = [([(0, -1), (1, -1)], -3), ([(0, 1), (1, -2), (2, 1)], conv(-4)),
+          ([(1, -1), (2, 1)], 0)]
     bounds = [(0, None), (conv(-1), 1), (None, conv(5))]
-    p = LPProblem(n=3, objective=[1, 2, 1], ge=list(ge), bounds=bounds)
+    p = LPProblem(n=3, objective=[(0, 1), (1, 2), (2, 1)], ge=list(ge), bounds=bounds)
     res = lp_solve(p, ctx)
     assert counts[1] == 0 and counts[2] > 0
     assert res.feasible and abs(res.value - 9) <= 1e-12  # x = (2, 1, 5)
     counts[2] = 0
     assert lp_solve(LPProblem(n=3, ge=list(ge), bounds=bounds), ctx).feasible
     assert counts == {1: 0, 2: 0}
-    lp_solve(LPProblem(n=3, ge=ge + [([1, 0, 0], 1)], bounds=bounds), ctx)
+    lp_solve(LPProblem(n=3, ge=ge + [([(0, 1)], 1)], bounds=bounds), ctx)
     assert counts[1] > 0
+
+
+def _split_and_shuffle(rows, rng):
+    """Each (column, coefficient) pair split into two that add up to it, and
+    the pairs of each row shuffled."""
+    out = []
+    for row in rows:
+        row = [t for j, c in row for t in ((j, c - 1), (j, 1))]
+        rng.shuffle(row)
+        out.append(row)
+    return out
+
+
+def test_lp_row_order_and_repeated_columns_do_not_matter_on_exact():
+    """On the exact backend a row is a sum of its pairs: shuffling them and
+    listing a column twice (its coefficient split in two) gives an identical
+    LPResult, or the same UnboundedObjective, on the random LPs."""
+    rng = random.Random(321)
+    shuffle_rng = random.Random(5)
+    for _ in range(300):
+        (_, p), _ = _random_lp(rng)
+        eq = _split_and_shuffle([row for row, _ in p.eq], shuffle_rng)
+        ge = _split_and_shuffle([row for row, _ in p.ge], shuffle_rng)
+        q = LPProblem(n=p.n, objective=_split_and_shuffle([p.objective], shuffle_rng)[0],
+                      eq=[(row, b) for row, (_, b) in zip(eq, p.eq)],
+                      ge=[(row, b) for row, (_, b) in zip(ge, p.ge)], bounds=p.bounds)
+        try:
+            want = lp_solve(p, EXACT)
+        except UnboundedObjective:
+            with pytest.raises(UnboundedObjective):
+                lp_solve(q, EXACT)
+            continue
+        assert lp_solve(q, EXACT) == want
+
+
+def _record_lps(monkeypatch) -> list:
+    """Patch lp_solve wherever a gptwb module binds it; returns the list of
+    (calling function, problem) pairs that it fills."""
+    seen = []
+
+    def recording(problem, *args):
+        seen.append((sys._getframe(1).f_code.co_name, problem))
+        return lp_solve(problem, *args)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("gptwb") and getattr(mod, "lp_solve", None) is lp_solve:
+            monkeypatch.setattr(mod, "lp_solve", recording)
+    return seen
+
+
+@pytest.mark.parametrize("ctx", [EXACT, FLOAT], ids=["exact", "float"])
+def test_models_pose_sorted_nonzero_terms(ctx, monkeypatch):
+    """Every LP that the relation entry points pose lists each row's and the
+    objective's columns at most once, in increasing order, with nonzero
+    coefficients, so that the tableau is the one the dense rows built and
+    every pair is a nonzero of the LP."""
+    seen = _record_lps(monkeypatch)
+    rng = random.Random(17)
+    obs = random_observable if ctx is FLOAT else random_rational_observable
+    spaces = [make_square(ctx), padded_square(ctx), make_classical(3, ctx)]
+    if ctx is FLOAT:
+        spaces.append(make_polygon(6))
+    for sp in spaces:
+        a, a2 = obs(sp, 3, rng), obs(sp, 3, rng)
+        b1, b2 = obs(sp, 2, rng), obs(sp, 2, rng)
+        find_postprocessing(a, b1)
+        is_simulable(a2, [a, b1])
+        are_compatible([a, b1, b2])
+        dichotomic_compat_margin(b1, b2)
+        dichotomic_compat_g(b1, b2)
+        sp.contains_state(tuple(sum(c) / sp.n_vertices for c in zip(*sp.vertices)))
+        space_dims(sp)
+    is_effectively_dichotomic(random_observable(make_polygon(6), 4, rng))
+    c = comm_matrix(mat_mul(random_stochastic(4, 2, rng), random_stochastic(2, 4, rng)))
+    canonical_reduce(c)
+    d = comm_matrix(mat_mul(mat_mul(random_stochastic(3, 4, rng), c.matrix),
+                            random_stochastic(4, 3, rng)))
+    ultraweak_leq(d, c)
+    assert {"is_simulable", "are_compatible", "in_convex_hull", "_dichotomic_margin_lp",
+            "_lambda_max_space", "_perfectly_distinguishable", "_lad_fit"} <= {f for f, _ in seen}
+    for _, p in seen:
+        rows = [row for row, _ in p.eq + p.ge]
+        if p.objective is not None:
+            rows.append(p.objective)
+        for row in rows:
+            cols = [j for j, _ in row]
+            assert cols == sorted(set(cols)) and all(0 <= j < p.n for j in cols)
+            assert all(c != 0 for _, c in row)
 
 
 # ------------------------------------------------- anti-cycling, determinism
@@ -359,8 +462,8 @@ BEALE_ROWS = [([Fraction(1, 4), Fraction(-60), Fraction(-1, 25), Fraction(9)], 0
 
 @pytest.mark.parametrize("ctx,conv", BACKENDS, ids=["exact", "float"])
 def test_lp_beale_reaches_optimum(ctx, conv):
-    p = LPProblem(n=4, objective=[-conv(c) for c in BEALE_COST],
-                  ge=[([-conv(v) for v in row], -conv(b)) for row, b in BEALE_ROWS],
+    p = LPProblem(n=4, objective=sparse([-conv(c) for c in BEALE_COST]),
+                  ge=[(sparse([-conv(v) for v in row]), -conv(b)) for row, b in BEALE_ROWS],
                   bounds=[(0, None)] * 4)
     res = lp_solve(p, ctx)
     assert res.feasible and abs(res.value - Fraction(1, 20)) <= 1e-12
@@ -464,9 +567,9 @@ def test_exact_float_agree_on_rational_instances():
             rows = [[Fraction(rng.randint(-3, 3)) for _ in range(nv)]
                     for _ in range(rng.randint(1, 3))]
             rhss = [Fraction(rng.randint(-3, 3)) for _ in rows]
-            pe = LPProblem(n=nv, ge=[(r, b) for r, b in zip(rows, rhss)],
+            pe = LPProblem(n=nv, ge=[(sparse(r), b) for r, b in zip(rows, rhss)],
                            bounds=[(Fraction(0), Fraction(2))] * nv)
-            pf = LPProblem(n=nv, ge=[([float(x) for x in r], float(b))
+            pf = LPProblem(n=nv, ge=[(sparse([float(x) for x in r]), float(b))
                                      for r, b in zip(rows, rhss)],
                            bounds=[(0.0, 2.0)] * nv)
             assert lp_solve(pe, EXACT).feasible == lp_solve(pf, FLOAT).feasible

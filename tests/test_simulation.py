@@ -311,9 +311,7 @@ def noise_class_lp(space, e, t):
     eff = effect_block(p, space, 2)
     eff.sum_eq(p, (0, 1), space.unit)
     for c, u in enumerate(space.unit):
-        row = [0] * p.n
-        row[0] = (ctx.one() - t) * u
-        eff.add(row, 0, [t * a for a in eff.cols[c]])
+        row = [(0, (ctx.one() - t) * u)] + eff.terms(0, [t * a for a in eff.cols[c]])
         p.add_eq(row, ctx.scalar(e[c]))
     return lp_solve(p, ctx).feasible
 

@@ -198,6 +198,12 @@ BALL_Y = observable(BALL, (BALL.effect_from_bloch((0, 1, 0), 1),
                            BALL.effect_from_bloch((0, -1, 0), 1)))
 HEXAGON_PAIR = observable(make_polygon(6), (polygon_extreme_even(6, 1),
                                             polygon_extreme_even(6, 4)))
+# the rebit trine: each effect peaks at 2/3 and lambda_max = 2, so neither
+# screen of is_effectively_dichotomic decides it
+REBIT = make_ball(2)
+REBIT_TRINE = observable(REBIT, [REBIT.effect_from_bloch(
+    (2 / 3 * math.cos(2 * math.pi * k / 3), 2 / 3 * math.sin(2 * math.pi * k / 3)), 2 / 3)
+    for k in range(3)])
 
 
 @pytest.mark.parametrize("call", [
@@ -211,7 +217,7 @@ HEXAGON_PAIR = observable(make_polygon(6), (polygon_extreme_even(6, 1),
     lambda: dichotomic_compat_g(BALL_X, BALL_Y),
     lambda: dichotomic_compat_margin(BALL_X, BALL_Y),
     lambda: enumerate_irreducibles(BALL),
-    lambda: is_effectively_dichotomic(BALL_X),
+    lambda: is_effectively_dichotomic(REBIT_TRINE),
     lambda: is_nondisturbing(BALL_X),
     lambda: space_dims(BALL),
     lambda: is_indecomposable_mp(mp_instrument(HEXAGON_PAIR, [BALL.unit] * 2, BALL)),
@@ -230,6 +236,13 @@ def test_vertex_and_psym_operations_refuse_other_spaces(call):
     qubit ball, and the point-symmetric criteria on the pentagon."""
     with pytest.raises(UnsupportedSpace):
         call()
+
+
+def test_effectively_dichotomic_screens_answer_on_balls():
+    """The screens hold in any GPT: a two-outcome ball observable is yes by
+    screen_a without the vertex list."""
+    verdict = is_effectively_dichotomic(BALL_X)
+    assert verdict.value and verdict.via == "screen_a"
 
 
 def test_direct_sum_effect_validity_is_blockwise():
@@ -324,6 +337,21 @@ def test_contains_state():
     assert sp.contains_state((0.0, 0.0, 1.0))
     assert sp.contains_state(sp.vertices[0])
     assert not sp.contains_state((polygon_radius(6) * 1.1, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("space,state", [
+    (make_classical(3), (0.5, 0.5)),
+    (make_classical(3), (0.25, 0.25, 0.25, 0.25)),
+    (make_ball(3), (0.0, 1.0)),
+    (make_ball(3), (0.0, 0.0, 0.0, 0.0, 1.0)),
+], ids=["classical-short", "classical-long", "ball-short", "ball-long"])
+def test_contains_state_checks_the_length(space, state):
+    """A state of the wrong length is refused, as an effect is, rather than
+    read as a shorter or longer vector."""
+    with pytest.raises(ValueError, match="dimension"):
+        space.contains_state(state)
+    with pytest.raises(ValueError, match="dimension"):
+        mp_instrument(observable(space, [space.unit]), [state], space)
 
 
 def test_triangle_polygon_matches_classical_relations():
