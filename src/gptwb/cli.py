@@ -3,16 +3,20 @@
 Subcommands: ``tables`` regenerates the reference tables (physical dimensions,
 irreducible counts, noise bounds), ``check`` runs a relation decision on input
 files, ``comm`` reports communication-matrix monotones or compares two
-matrices.  Exit codes: 0 = yes, 1 = no, 2 = inconclusive, 3+ = error.
+matrices.  The exit code follows the report's verdict: 0 = yes or none (tables,
+monotones), 1 = no, 2 = inconclusive, 3+ = error.  ``--tolerance`` must be finite
+and >= 0, and ``GPTWB_SEED`` (overrides ``--seed``) an integer.  Text reports
+print each value as JSON does.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .communication import (
@@ -33,6 +37,8 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_ERROR = 3
+# a report's verdict to its exit code; any other verdict, or none, is EXIT_YES
+_EXIT_CODES = {False: EXIT_NO, "no": EXIT_NO, "inconclusive": EXIT_INCONCLUSIVE}
 
 
 @dataclass(frozen=True)
@@ -54,52 +60,48 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_ERROR)
 
 
-def _add_common(parser: argparse.ArgumentParser, *, suppress: bool) -> None:
-    # subparsers get SUPPRESS defaults so a flag given before the subcommand
-    # is not clobbered by the subparser's own default
-    def dflt(v):
-        return argparse.SUPPRESS if suppress else v
-
-    parser.add_argument("--tolerance", type=float, default=dflt(1e-9))
-    parser.add_argument("--seed", type=int, default=dflt(0))
-    parser.add_argument("--backend", choices=["float", "exact"], default=dflt("float"))
-    parser.add_argument("--format", dest="fmt", choices=["json", "csv", "text"],
-                        default=dflt("json"))
-    parser.add_argument("--out", default=dflt(None))
-
-
 def _build_parser() -> _Parser:
-    p = _Parser(prog="gptwb", description=__doc__)
-    _add_common(p, suppress=False)
+    # the global flags go before or after the subcommand; suppressed defaults keep
+    # the subcommand from clobbering a flag given before it, and leave RunConfig's
+    # defaults the only ones
+    common = _Parser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--tolerance", type=float)
+    common.add_argument("--seed", type=int)
+    common.add_argument("--backend", choices=["float", "exact"])
+    common.add_argument("--format", dest="fmt", choices=["json", "csv", "text"])
+    common.add_argument("--out")
+
+    p = _Parser(prog="gptwb", description=__doc__, parents=[common])
     sub = p.add_subparsers(dest="command", required=True)
 
-    t = sub.add_parser("tables", help="regenerate reference tables")
-    _add_common(t, suppress=True)
+    t = sub.add_parser("tables", parents=[common], help="regenerate reference tables")
     t.add_argument("which", choices=["dims", "irreducibles", "noise_bounds"])
+    t.set_defaults(run=lambda ns, config: cmd_tables(ns.which, config))
 
-    c = sub.add_parser("check", help="decide a relation between inputs")
-    _add_common(c, suppress=True)
+    c = sub.add_parser("check", parents=[common], help="decide a relation between inputs")
     c.add_argument("relation", choices=["postprocess", "sim", "compat", "ultraweak"])
     c.add_argument("inputs", nargs="*")
     c.add_argument("--simulators", default=None,
                    help="comma list of observable files, or irr(<space literal>)")
+    c.set_defaults(run=lambda ns, config: cmd_check(ns.relation, ns.inputs, ns.simulators, config))
 
-    m = sub.add_parser("comm", help="monotone report or majorization comparison")
-    _add_common(m, suppress=True)
+    m = sub.add_parser("comm", parents=[common], help="monotone report or majorization comparison")
     m.add_argument("args", nargs="+", help="MATRIX, or: compare D C")
+    m.set_defaults(run=lambda ns, config: cmd_comm(ns.args, config))
     return p
 
 
 def _emit(config: RunConfig, payload: dict) -> None:
     rows = payload.get("rows")
+    dumps = functools.partial(json.dumps, sort_keys=True, default=_jsonable)
     if config.fmt == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True, default=_jsonable)
+        text = dumps(payload, indent=2)
     elif rows is not None:
         text = _table(rows, "," if config.fmt == "csv" else "\t")
     elif config.fmt == "csv":
-        text = json.dumps(payload, sort_keys=True, default=_jsonable)
+        text = dumps(payload)
     else:
-        text = "\n".join(f"{k}: {v}" for k, v in sorted(payload.items()))
+        text = "\n".join(f"{k}: {dumps(v)}" for k, v in sorted(payload.items()))
     if config.out:
         with open(config.out, "w") as fh:
             fh.write(text + "\n")
@@ -131,14 +133,13 @@ def _load_observable(path: str, config: RunConfig) -> Observable:
 
 
 def _load_comm(path: str, config: RunConfig) -> CommMatrix:
-    ctx = config.context()
     if path.endswith(".json"):
         data = _load_json(path)
         rows = data["matrix"] if isinstance(data, dict) else data
-        return comm_matrix(rows, ctx)
-    with open(path) as fh:
-        rows = [line.split(",") for line in map(str.strip, fh) if line]
-    return comm_matrix(rows, ctx)
+    else:
+        with open(path) as fh:
+            rows = [line.split(",") for line in map(str.strip, fh) if line]
+    return comm_matrix(rows, config.context())
 
 
 def _resolve_simulators(selector: str, config: RunConfig, space: StateSpace):
@@ -152,7 +153,7 @@ def _resolve_simulators(selector: str, config: RunConfig, space: StateSpace):
 
 
 # ------------------------------------------------------------------ commands
-def cmd_tables(which: str, config: RunConfig) -> int:
+def cmd_tables(which: str, config: RunConfig) -> dict:
     ctx = config.context()
     if which == "dims":
         rows, skipped = [], []
@@ -169,8 +170,7 @@ def cmd_tables(which: str, config: RunConfig) -> int:
                          "d_lin": dims.d_lin,
                          "d_cl_lower": dims.d_cl_lo, "d_cl_is_bound": True,
                          "d_q_lower": dims.d_q_lo, "d_q_is_bound": True})
-        _emit(config, {"table": "dims", "rows": rows} | ({"skipped": skipped} if skipped else {}))
-        return EXIT_YES
+        return {"table": "dims", "rows": rows} | ({"skipped": skipped} if skipped else {})
     if which == "irreducibles":
         rows = []
         for n in range(4, 10):
@@ -186,24 +186,20 @@ def cmd_tables(which: str, config: RunConfig) -> int:
             rows.append({"n": n, "dichotomic": di, "trichotomic": tri,
                          "formula_dichotomic": f_di, "formula_trichotomic": f_tri,
                          "match": di == f_di and tri == f_tri})
-        _emit(config, {"table": "irreducibles", "rows": rows})
-        return EXIT_YES
+        return {"table": "irreducibles", "rows": rows}
     rows = [{"n": n, "noise_lower_bound": round(fc_noise_lower_bound(n), 6)}
             for n in range(5, 14, 2)]
-    _emit(config, {"table": "noise_bounds", "rows": rows})
-    return EXIT_YES
+    return {"table": "noise_bounds", "rows": rows}
 
 
 def cmd_check(relation: str, inputs: list[str], simulators: str | None,
-              config: RunConfig) -> int:
+              config: RunConfig) -> dict:
     if relation == "postprocess":
         if len(inputs) != 2:
             raise ValueError("check postprocess SOURCE TARGET")
         src, tgt = [_load_observable(p, config) for p in inputs]
         nu = find_postprocessing(src, tgt)
-        _emit(config, {"relation": "postprocess", "verdict": nu is not None,
-                       "witness": nu})
-        return EXIT_YES if nu is not None else EXIT_NO
+        return {"relation": "postprocess", "verdict": nu is not None, "witness": nu}
     if relation == "sim":
         if len(inputs) != 1 or not simulators:
             raise ValueError("check sim TARGET --simulators ...")
@@ -214,8 +210,7 @@ def cmd_check(relation: str, inputs: list[str], simulators: str | None,
         if witness is not None:
             payload["witness"] = {"weights": witness.weights,
                                   "matrices": witness.matrices}
-        _emit(config, payload)
-        return EXIT_YES if witness is not None else EXIT_NO
+        return payload
     if relation == "compat":
         if len(inputs) < 2:
             raise ValueError("check compat OBS OBS [OBS ...]")
@@ -224,66 +219,57 @@ def cmd_check(relation: str, inputs: list[str], simulators: str | None,
         if joint is not None:
             payload["joint"] = {"outcomes": [list(z) for z in joint.outcomes],
                                 "effects": joint.effects}
-        _emit(config, payload)
-        return EXIT_YES if joint is not None else EXIT_NO
-    if relation == "ultraweak":
-        if len(inputs) != 2:
-            raise ValueError("check ultraweak D C")
-        return _ultraweak_report(inputs[0], inputs[1], config, {"relation": "ultraweak"})
-    raise ValueError(f"unknown relation {relation!r}")
+        return payload
+    if len(inputs) != 2:
+        raise ValueError("check ultraweak D C")
+    return {"relation": "ultraweak"} | _ultraweak_report(inputs, config)
 
 
-def _ultraweak_report(d_path: str, c_path: str, config: RunConfig, payload: dict) -> int:
-    """Decide D <= C (ultraweak) and emit the verdict, with the violated
-    monotone or the witness, into ``payload``."""
-    d = _load_comm(d_path, config)
-    c = _load_comm(c_path, config)
+def _ultraweak_report(paths: list[str], config: RunConfig) -> dict:
+    """Decide D <= C (ultraweak) for the files ``paths`` = [D, C]: the verdict,
+    with the violated monotone or the witness."""
+    d, c = [_load_comm(p, config) for p in paths]
     res = ultraweak_leq(d, c, seed=config.seed)
-    payload["verdict"] = res.verdict
+    payload = {"verdict": res.verdict}
     if res.violated:
         payload["violated"] = res.violated
     if res.left is not None:
         payload["left"] = res.left
         payload["right"] = res.right
-    _emit(config, payload)
-    return {"yes": EXIT_YES, "no": EXIT_NO}.get(res.verdict, EXIT_INCONCLUSIVE)
+    return payload
 
 
-def cmd_comm(args: list[str], config: RunConfig) -> int:
+def cmd_comm(args: list[str], config: RunConfig) -> dict:
     if args[0] == "compare":
         if len(args) != 3:
             raise ValueError("comm compare D C")
-        return _ultraweak_report(args[1], args[2], config, {})
+        return _ultraweak_report(args[1:], config)
     if len(args) != 1:
         raise ValueError("comm MATRIX | comm compare D C")
     cm = _load_comm(args[0], config)
     rep = monotones(cm, seed=config.seed)
-    _emit(config, {"iota": rep.iota, "lambda_max": float(rep.lambda_max),
-                   "lambda_min": float(rep.lambda_min), "rank": rep.rank,
-                   "nn_rank": list(rep.nn_rank), "psd_rank": list(rep.psd_rank)})
-    return EXIT_YES
+    return {"iota": rep.iota, "lambda_max": float(rep.lambda_max),
+            "lambda_min": float(rep.lambda_min), "rank": rep.rank,
+            "nn_rank": list(rep.nn_rank), "psd_rank": list(rep.psd_rank)}
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    seed = ns.seed
+    ns = _build_parser().parse_args(argv)
+    flags = {f.name: getattr(ns, f.name) for f in fields(RunConfig) if hasattr(ns, f.name)}
     env_seed = os.environ.get("GPTWB_SEED")
-    if env_seed is not None:
-        seed = int(env_seed)
-    config = RunConfig(tolerance=ns.tolerance, seed=seed, backend=ns.backend,
-                       fmt=ns.fmt, out=ns.out)
     try:
-        if ns.command == "tables":
-            return cmd_tables(ns.which, config)
-        if ns.command == "check":
-            return cmd_check(ns.relation, ns.inputs, ns.simulators, config)
-        if ns.command == "comm":
-            return cmd_comm(ns.args, config)
+        if env_seed is not None:
+            try:
+                flags["seed"] = int(env_seed)
+            except ValueError:
+                raise ValueError(f"GPTWB_SEED must be an integer, not {env_seed!r}") from None
+        config = RunConfig(**flags)
+        report = ns.run(ns, config)
+        _emit(config, report)
     except Exception as exc:  # uniform error contract for scripts
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
-    return EXIT_ERROR
+    return _EXIT_CODES.get(report.get("verdict"), EXIT_YES)
 
 
 if __name__ == "__main__":

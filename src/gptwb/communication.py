@@ -103,7 +103,7 @@ def monotones(c: CommMatrix, *, seed: int = 0, search_upper: bool = True) -> Mon
     n, m = c.shape
     iota = len(orthogonal_rows(mat, ctx))
     lam_max = sum(max(row[j] for row in mat) for j in range(m))
-    lam_min = -sum(min(row[j] for row in mat) for j in range(m))
+    lam_min = 0 - sum(min(row[j] for row in mat) for j in range(m))  # not -0.0
     rk = rank(mat, ctx)
     nn_lo = max(rk, ctx.ceil(lam_max))
     nn_hi = nn_lo

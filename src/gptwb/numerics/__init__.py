@@ -26,7 +26,7 @@ Scalar = Union[int, float, Fraction]
 class Context:
     """Scalar field plus comparison tolerance.
 
-    backend: "float" (IEEE doubles, tolerance ``eps``) or "exact"
+    backend: "float" (IEEE doubles, tolerance ``eps`` finite and >= 0) or "exact"
     (arbitrary-precision rationals, ``eps`` the integer 0: a float zero
     would turn ``Fraction + eps`` into a float).
     """
@@ -35,8 +35,12 @@ class Context:
     eps: float = 1e-9
 
     def __post_init__(self):
+        if self.backend not in ("float", "exact"):
+            raise ValueError(f"unknown backend {self.backend!r}; use 'float' or 'exact'")
         if self.exact and not (self.eps == 0 and isinstance(self.eps, int)):
             raise ValueError("the exact backend compares exactly; eps must be the integer 0")
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise ValueError(f"the tolerance must be finite and >= 0, not {self.eps}")
 
     @property
     def exact(self) -> bool:

@@ -292,3 +292,64 @@ def test_backend_flag_respected_in_both_positions(tmp_path, capsys):
     code = main(["--backend", "exact", "check", "postprocess", str(poly), str(poly)])
     capsys.readouterr()
     assert code == 3
+
+
+def test_check_sim_from_simulator_files(hexagon_files, capsys):
+    """``--simulators`` as a comma list of observable files: the trivial
+    observable is a mixture of post-processings of a and b, while a is no
+    simulation of b alone."""
+    code, out = run_cli(["check", "sim", hexagon_files["t"], "--simulators",
+                         f"{hexagon_files['a']},{hexagon_files['b']}"], capsys)
+    report = json.loads(out)
+    assert code == 0 and report["relation"] == "sim" and report["verdict"] is True
+    assert len(report["witness"]["weights"]) == len(report["witness"]["matrices"]) == 2
+    code, out = run_cli(["check", "sim", hexagon_files["a"],
+                         "--simulators", hexagon_files["b"]], capsys)
+    assert code == 1 and json.loads(out) == {"relation": "sim", "verdict": False}
+
+
+@pytest.mark.parametrize("form", ["dict", "list"])
+def test_comm_reads_a_json_matrix_as_its_csv(tmp_path, capsys, form):
+    rows = [[0.25, 0.75], [1, 0], [0.5, 0.5]]
+    csv = tmp_path / "m.csv"
+    csv.write_text("0.25,0.75\n1,0\n0.5,0.5\n")
+    js = tmp_path / "m.json"
+    js.write_text(json.dumps({"matrix": rows} if form == "dict" else rows))
+    code, from_csv = run_cli(["comm", str(csv)], capsys)
+    assert code == 0
+    code, from_json = run_cli(["comm", str(js)], capsys)
+    assert code == 0 and from_json == from_csv
+    assert json.loads(from_json)["rank"] == 2
+
+
+@pytest.mark.parametrize("backend", ["float", "exact"])
+def test_non_table_report_in_csv_and_text(hexagon_files, capsys, backend):
+    """A report without rows is one JSON line in csv and one ``key: value``
+    line per key in text, each value printed as its JSON text, so exact
+    scalars read "1/2" in every format."""
+    args = ["--backend", backend, "comm", "compare", hexagon_files["V2"], hexagon_files["I2"]]
+    code, out = run_cli(args, capsys)
+    report = json.loads(out)
+    assert code == 0 and report["verdict"] == "yes"
+    code, out = run_cli(args + ["--format", "csv"], capsys)
+    assert code == 0 and out.count("\n") == 1 and json.loads(out) == report
+    code, out = run_cli(args + ["--format", "text"], capsys)
+    lines = [line.split(": ", 1) for line in out.splitlines()]
+    assert code == 0 and [key for key, _ in lines] == sorted(report)
+    assert {key: json.loads(value) for key, value in lines} == report
+
+
+def test_malformed_env_seed_is_an_error(monkeypatch, capsys):
+    monkeypatch.setenv("GPTWB_SEED", "abc")
+    assert main(["tables", "noise_bounds"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "GPTWB_SEED" in captured.err
+
+
+@pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+def test_tolerance_outside_the_finite_nonnegatives_is_an_error(hexagon_files, tolerance, capsys):
+    for args in (["tables", "noise_bounds"],
+                 ["check", "ultraweak", hexagon_files["V2"], hexagon_files["I2"]]):
+        assert main(["--tolerance", tolerance] + args) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "tolerance" in captured.err

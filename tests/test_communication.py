@@ -97,6 +97,11 @@ def test_monotone_report_identity():
     assert rep.nn_rank == (4, 4)
 
 
+def test_lambda_min_of_zero_column_minima_is_positive_zero():
+    """Reports print lambda_min, so a sum of zero minima reads 0.0, not -0.0."""
+    assert repr(monotones(identity_matrix(2)).lambda_min) == "0.0"
+
+
 def test_monotone_report_uniform():
     rep = monotones(uniform_matrix(3))
     assert rep.iota == 1 and rep.rank == 1

@@ -91,6 +91,16 @@ def test_exact_context_compares_with_the_integer_zero():
             Context("exact", eps)
 
 
+@pytest.mark.parametrize("backend, eps", [
+    ("float", -1e-9), ("float", math.nan), ("float", math.inf), ("double", 1e-9),
+])
+def test_context_rejects_a_bad_tolerance_or_backend(backend, eps):
+    """A tolerance that is negative or not finite, or a backend other than
+    "float" or "exact", fails where the context is made, naming the cause."""
+    with pytest.raises(ValueError, match="tolerance" if backend == "float" else "backend"):
+        Context(backend, eps)
+
+
 def test_scalar_converts_without_rounding():
     """Context.scalar is lossless on the exact backend: a float becomes its
     binary value, a string its rational value, and a Fraction is returned
