@@ -5,8 +5,8 @@ irreducible counts, noise bounds), ``check`` runs a relation decision on input
 files, ``comm`` reports communication-matrix monotones or compares two
 matrices.  The exit code follows the report's verdict: 0 = yes or none (tables,
 monotones), 1 = no, 2 = inconclusive, 3+ = error.  ``--tolerance`` must be finite
-and >= 0, and ``GPTWB_SEED`` (overrides ``--seed``) an integer.  Text reports
-print each value as JSON does.
+and >= 0 on either backend, and ``GPTWB_SEED`` (overrides ``--seed``) an
+integer.  Text reports print each value as JSON does.
 """
 
 from __future__ import annotations
@@ -48,6 +48,11 @@ class RunConfig:
     backend: str = "float"
     fmt: str = "json"
     out: str | None = None
+
+    def __post_init__(self):
+        # the float backend's tolerance check, run on both backends, so that
+        # the exact backend refuses what the float backend refuses
+        Context("float", self.tolerance)
 
     def context(self) -> Context:
         return EXACT if self.backend == "exact" else Context("float", self.tolerance)
@@ -134,8 +139,11 @@ def _load_observable(path: str, config: RunConfig) -> Observable:
 
 def _load_comm(path: str, config: RunConfig) -> CommMatrix:
     if path.endswith(".json"):
-        data = _load_json(path)
-        rows = data["matrix"] if isinstance(data, dict) else data
+        rows = _load_json(path)
+        if isinstance(rows, dict):
+            if "matrix" not in rows:
+                raise ValueError(f"{path}: a matrix object needs a \"matrix\" key")
+            rows = rows["matrix"]
     else:
         with open(path) as fh:
             rows = [line.split(",") for line in map(str.strip, fh) if line]

@@ -6,8 +6,11 @@ L, R with LCR = D) is decided by monotone screens, exact shortcuts for a D
 whose rows are all equal and for identity-shaped endpoints, and otherwise a
 warm-started search: projected least-squares sweeps (rows projected onto the
 simplex in closed form), then alternating exact least-absolute-deviation LPs
-for L and R.  It is sound for "yes" (witnesses are normalised in the
-matrix's field and re-verified) and honest about "inconclusive".
+for L and R.  Each LP has one deviation column per fitted entry, in a ">="
+row whose slack is the other deviation, so every fit row starts on its slack
+and only the row sums need phase 1.  It is sound for "yes" (witnesses are
+normalised in the matrix's field and re-verified) and honest about
+"inconclusive".
 The nonnegative-rank and psd-rank monotones are reported as certified
 intervals; the exact values are computationally hard in general.  The upper
 end of the nonnegative-rank interval comes from row-stochastic factorizations
@@ -346,9 +349,10 @@ def _factor_error(w, h, target) -> float:
 
 def _ultraweak_fit(cf, target, left, right):
     """Float row-stochastic (L, R) with max |L C R - D| <= _ULTRAWEAK_TARGET
-    from the start (left, right), or None: warm sweeps, then rounds of two
-    exact least-absolute-deviation LPs, one per row of L and one over all of
-    R, until a round fails to halve the max error."""
+    from the start (left, right), or None: warm sweeps, then rounds of
+    exact least-absolute-deviation LPs (_lad_fit: one deviation column per
+    fitted entry, the other deviation its row's starting slack), one per row
+    of L and one over all of R, until a round fails to halve the max error."""
     mul = operator.mul
     k, m = len(cf[0]), len(target[0])
     ct = list(zip(*cf))
@@ -397,16 +401,27 @@ def _lad_fit(rows: int, width: int, fits):
     """Least absolute deviations over row-stochastic rows: x >= 0, cut into
     ``rows`` rows of ``width`` entries that each sum to 1, minimizing the sum
     of |terms . x - value| over ``fits``, each a list of (column, coefficient)
-    pairs in column order and a value, with one LP (a positive and a negative
-    deviation per fit).  Returns the rows as floats."""
+    pairs in column order and a value >= 0, with one LP.  Each fit has one
+    deviation column e >= 0 in the row -terms . x + e >= -value, whose slack
+    value - terms . x + e is the other deviation; since
+    |terms . x - value| = 2 e - (terms . x - value), the LP maximizes
+    sum(terms . x) - 2 sum(e).  y = 0 satisfies every fit row, so each starts
+    on its slack and only the row sums start on artificials.  Returns the
+    rows as floats."""
     nx = rows * width
     ne = len(fits)
-    p = LPProblem(n=nx + 2 * ne, objective=[(j, -1) for j in range(nx, nx + 2 * ne)],
-                  bounds=[(0, None)] * (nx + 2 * ne))
+    obj = [0.0] * nx
+    for terms, _ in fits:
+        for j, a in terms:
+            obj[j] += a
+    p = LPProblem(n=nx + ne,
+                  objective=[(j, a) for j, a in enumerate(obj) if a]
+                  + [(nx + e, -2) for e in range(ne)],
+                  bounds=[(0, None)] * (nx + ne))
     for start in range(0, nx, width):
         p.add_eq([(j, 1) for j in range(start, start + width)], 1)
     for e, (terms, value) in enumerate(fits):
-        p.add_eq(terms + [(nx + e, -1), (nx + ne + e, 1)], value)
+        p.add_ge([(j, -a) for j, a in terms] + [(nx + e, 1)], -value)
     res = lp_solve(p, DEFAULT)
     if not res.feasible:
         raise RuntimeError("least-absolute-deviation LP must be feasible")

@@ -322,6 +322,14 @@ def test_comm_reads_a_json_matrix_as_its_csv(tmp_path, capsys, form):
     assert json.loads(from_json)["rank"] == 2
 
 
+def test_json_matrix_object_without_matrix_key_is_an_error(tmp_path, capsys):
+    js = tmp_path / "m.json"
+    js.write_text(json.dumps({"rows": [[1, 0], [0, 1]]}))
+    assert main(["comm", str(js)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and str(js) in captured.err and '"matrix"' in captured.err
+
+
 @pytest.mark.parametrize("backend", ["float", "exact"])
 def test_non_table_report_in_csv_and_text(hexagon_files, capsys, backend):
     """A report without rows is one JSON line in csv and one ``key: value``
@@ -353,3 +361,11 @@ def test_tolerance_outside_the_finite_nonnegatives_is_an_error(hexagon_files, to
         assert main(["--tolerance", tolerance] + args) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "tolerance" in captured.err
+
+
+@pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+def test_exact_backend_refuses_the_tolerance_floats_refuse(tolerance, capsys):
+    # the exact backend ignores the tolerance, but does not accept a bad one
+    assert main(["--backend", "exact", "--tolerance", tolerance, "tables", "noise_bounds"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "tolerance" in captured.err

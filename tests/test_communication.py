@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from gptwb.numerics import EXACT, FLOAT, dot, is_row_stochastic, mat_mul
+from gptwb.numerics import EXACT, FLOAT, LPProblem, dot, is_row_stochastic, lp_solve, mat_mul
 from gptwb.observables import observable, trivial_observable
 import gptwb.communication as communication
 from gptwb.communication import (
@@ -467,6 +467,69 @@ def test_ultraweak_exact_witness_is_stochastic():
     assert all(isinstance(v, Fraction) for row in res.left + res.right for v in row)
     assert is_row_stochastic(res.left, EXACT) and is_row_stochastic(res.right, EXACT)
     assert verify_ultraweak_witness(d, c, res.left, res.right)
+
+
+def _two_deviation_lad_optimum(rows, width, fits):
+    """min sum |terms . x - value| over row-stochastic x, posed with a positive
+    and a negative deviation column per fit in an equality row."""
+    nx, ne = rows * width, len(fits)
+    p = LPProblem(n=nx + 2 * ne, objective=[(j, -1) for j in range(nx, nx + 2 * ne)],
+                  bounds=[(0, None)] * (nx + 2 * ne))
+    for start in range(0, nx, width):
+        p.add_eq([(j, 1) for j in range(start, start + width)], 1)
+    for e, (terms, value) in enumerate(fits):
+        p.add_eq(terms + [(nx + e, -1), (nx + ne + e, 1)], value)
+    res = lp_solve(p, FLOAT)
+    assert res.feasible
+    return -res.value
+
+
+def _sparse_stochastic(n, m, rng):
+    # row-stochastic, then about a fifth of the entries zeroed
+    return [[0.0 if rng.random() < 0.2 else v for v in row]
+            for row in random_stochastic(n, m, rng)]
+
+
+def test_lad_fit_reaches_the_two_deviation_optimum():
+    # 20 L-row fits (one row of width j; the terms are the columns of C R)
+    # and 20 R fits (k rows of width m; (L C)[i][y] on entry (y, b)), with
+    # random targets that no fit need attain
+    rng = random.Random(23)
+    cases = []
+    for _ in range(20):
+        j, m = rng.randint(2, 5), rng.randint(2, 5)
+        cr, d = _sparse_stochastic(j, m, rng), random_stochastic(1, m, rng)[0]
+        cases.append((1, j, [([(i, a) for i, a in enumerate(col) if a], v)
+                             for col, v in zip(zip(*cr), d)]))
+    for _ in range(20):
+        n, k, m = rng.randint(2, 4), rng.randint(2, 5), rng.randint(2, 4)
+        lc, target = _sparse_stochastic(n, k, rng), random_stochastic(n, m, rng)
+        cases.append((k, m, [([(y * m + b, a) for y, a in enumerate(row) if a], v)
+                             for row, drow in zip(lc, target) for b, v in enumerate(drow)]))
+    for rows, width, fits in cases:
+        got = communication._lad_fit(rows, width, fits)
+        assert len(got) == rows and all(len(row) == width for row in got)
+        assert is_row_stochastic(got, FLOAT)
+        x = [v for row in got for v in row]
+        dev = sum(abs(sum(a * x[j] for j, a in terms) - v) for terms, v in fits)
+        assert abs(dev - _two_deviation_lad_optimum(rows, width, fits)) <= 1e-9
+
+
+def test_lad_fit_poses_every_fit_row_on_its_slack(monkeypatch):
+    # one deviation column per fit; every fit is a >= row that y = 0 satisfies;
+    # the objective sums the fits' coefficients, sorted, and drops column 0,
+    # whose coefficients cancel
+    posed = []
+    monkeypatch.setattr(communication, "lp_solve",
+                        lambda p, ctx: posed.append(p) or lp_solve(p, ctx))
+    fits = [([(0, 1.0)], 0.5), ([(0, -1.0), (1, 0.5)], 0.0), ([(1, 0.25)], 0.25)]
+    communication._lad_fit(1, 2, fits)
+    (p,) = posed
+    assert p.n == 2 + 3
+    assert p.eq == [([(0, 1), (1, 1)], 1)]
+    assert p.ge == [([(0, -1.0), (2, 1)], -0.5), ([(0, 1.0), (1, -0.5), (3, 1)], -0.0),
+                    ([(1, -0.25), (4, 1)], -0.25)]
+    assert p.objective == [(1, 0.75), (2, -2), (3, -2), (4, -2)]
 
 
 # ------------------------------------------------------------------ dimensions
