@@ -108,9 +108,12 @@ def dichotomic_compat_margin(a_obs: Observable, b_obs: Observable):
 def _dichotomic_margin_lp(a_obs: Observable, b_obs: Observable):
     """The solved margin LP: g free and delta in [-1, 1] maximized, with
     g >= delta, a - g >= delta, b - g >= delta and u - a - b + g >= delta on
-    every vertex.  For effects a and b, g = 0 meets every row at delta = -1,
-    so the lower bound leaves the optimum alone and every row starts on its
-    slack; inputs that leave the LP infeasible are no effects: ValueError."""
+    every vertex v.  Of these four rows only two can bind, so each vertex
+    has two: g(v) - delta >= max(0, a(v) + b(v) - 1) and
+    -g(v) - delta >= -min(a(v), b(v)).  For effects a and b, g = 0 meets
+    every row at delta = -1, so the lower bound leaves the optimum alone and
+    every row starts on its slack; inputs that leave the LP infeasible are
+    no effects: ValueError."""
     space = _check_dichotomic(a_obs, b_obs)
     a, b = a_obs.effects[0], b_obs.effects[0]
     ctx = space.ctx
@@ -120,12 +123,9 @@ def _dichotomic_margin_lp(a_obs: Observable, b_obs: Observable):
                   bounds=[(None, None)] * dim + [(-one, one)])
     for v in space.vertices:
         gv = [(c, x) for c, x in enumerate(v) if x]
-        grow = gv + [(dim, -one)]
-        neg = [(c, -x) for c, x in gv] + [(dim, -one)]
-        p.add_ge(grow, zero)                                   # g(v) >= delta
-        p.add_ge(neg, -dot(a, v))                              # a(v) - g(v) >= delta
-        p.add_ge(neg, -dot(b, v))
-        p.add_ge(grow, dot(a, v) + dot(b, v) - one)            # u - a - b + g >= delta
+        av, bv = dot(a, v), dot(b, v)
+        p.add_ge(gv + [(dim, -one)], max(zero, av + bv - one))
+        p.add_ge([(c, -x) for c, x in gv] + [(dim, -one)], -min(av, bv))
     res = lp_solve(p, ctx)
     if not res.feasible:  # g = 0 meets every row at delta = -1 when a and b are effects
         raise ValueError("the dichotomic margin LP needs effects")

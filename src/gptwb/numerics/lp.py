@@ -3,14 +3,17 @@
 Rows and the objective are sparse: sequences of ``(column, coefficient)``
 pairs, the form the solver's own upper-bound rows take.
 
-Two-phase tableau method over the context's scalar field.  Variables are
-shifted and split onto ``y >= 0``; the upper end of a two-sided bound becomes
-one more ``>=`` row, which holds at ``y = 0`` when lo <= hi.  A ``>=`` row whose
-right-hand side is <= 0 after the shifts holds at ``y = 0``: it is negated so
-that its slack enters with +1, and that slack starts basic (a slack crash
-basis; Bixby, ORSA J. Comput. 4, 1992).  Every other row starts on a phase-1
-artificial, which is implicit (it has no tableau column), so one that leaves
-the basis never re-enters; an LP with no artificial makes no phase-1 pivot.
+Two-phase tableau method over the context's scalar field.  A map built once
+puts each variable on ``y >= 0``: a positive column (lower bound, or free), a
+negative column (upper bound, or free) and its bound as a shift; the upper
+end of a two-sided bound becomes one more ``>=`` row, which holds at
+``y = 0`` when lo <= hi.  Each row is written once, signed by its right-hand
+side after the shifts.  A ``>=`` row whose right-hand side is <= 0 holds at
+``y = 0``: it is negated so that its slack enters with +1, and that slack
+starts basic (a slack crash basis; Bixby, ORSA J. Comput. 4, 1992).  Every
+other row starts on a phase-1 artificial, which is implicit (it has no
+tableau column), so one that leaves the basis never re-enters; an LP with no
+artificial makes no phase-1 pivot.
 The relation models are posed so that ``y = 0`` satisfies as many rows as it
 can.  The entering column is chosen by Dantzig's rule (most negative reduced
 cost); a streak of degenerate pivots switches to Bland's rule, which
@@ -150,25 +153,23 @@ def lp_solve(problem: LPProblem, ctx: Context = DEFAULT) -> LPResult:
     zero, one = ctx.zero(), ctx.one()
     bounds = problem.bounds if problem.bounds is not None else [(None, None)] * n
 
-    # --- translate to standard form: A y = b, y >= 0 -----------------------
-    # x_j = shift_j + sum(sign * y_k); the upper bound of a two-sided bound
-    # becomes one more >= row, -x_j >= -hi.
-    shifts: list = []
-    terms: list[list[tuple[int, int]]] = []  # per original var: [(std_idx, sign)]
+    # --- the standard-form map: A y = b, y >= 0 -----------------------------
+    # x_j = shift_j + y_pos - y_neg: a free variable has both columns, a
+    # lower bound only pos and an upper bound only neg; the shift is the
+    # bound, zero when free.  The upper end of a two-sided bound becomes one
+    # more >= row, -x_j >= -hi.
+    cols: list[tuple] = []  # per original var: (pos or None, neg or None, shift)
     ge = list(problem.ge)
     nstd = 0
     for j, (lo, hi) in enumerate(bounds):
         if lo is None and hi is None:
-            terms.append([(nstd, 1), (nstd + 1, -1)])
-            shifts.append(zero)
+            cols.append((nstd, nstd + 1, zero))
             nstd += 2
             continue
         if lo is None:
-            terms.append([(nstd, -1)])
-            shifts.append(scalar(hi))
+            cols.append((None, nstd, scalar(hi)))
         else:
-            terms.append([(nstd, 1)])
-            shifts.append(scalar(lo))
+            cols.append((nstd, None, scalar(lo)))
             if hi is not None:
                 ge.append((((j, -one),), -scalar(hi)))
         nstd += 1
@@ -176,34 +177,42 @@ def lp_solve(problem: LPProblem, ctx: Context = DEFAULT) -> LPResult:
     # each row at full width, its slack column in place: std variables, one
     # slack per >= row, rhs.  A row starts on its implicit artificial,
     # width + i, unless it is a >= row that y = 0 satisfies: negated, its
-    # slack enters with +1 and starts basic at the row's rhs.
+    # slack enters with +1 and starts basic at the row's rhs.  The rhs is
+    # known before the row is written, so the row is written once, signed.
     width = nstd + len(ge)
     tableau: list[list] = []
     basis: list[int] = []
 
-    def add_row(coeffs, b, slack: int | None) -> None:
-        out = [zero] * width
+    def add_row(pairs, b, slack: int | None) -> None:
         acc = scalar(b)
-        for j, c in coeffs:
+        nz = []
+        for j, c in pairs:
             c = scalar(c)
-            if c == 0:
-                continue
-            acc -= c * shifts[j]
-            for idx, sign in terms[j]:
-                out[idx] += c if sign > 0 else -c
-        if slack is not None:
-            out[slack] = -one
+            if c:
+                pos, neg, shift = cols[j]
+                if shift:
+                    acc -= c * shift
+                nz.append((pos, neg, c))
         starts_on_slack = slack is not None and acc <= 0
-        if acc < 0 or starts_on_slack:
-            out = [-v for v in out]
-            acc = abs(acc)  # not -acc: a float 0.0 would become -0.0
+        negate = starts_on_slack or acc < 0
+        out = [zero] * width
+        for pos, neg, c in nz:
+            if negate:
+                c = -c
+            if pos is not None:
+                out[pos] += c
+            if neg is not None:
+                out[neg] -= c
+        if slack is not None:
+            out[slack] = one if negate else -one
         basis.append(slack if starts_on_slack else width + len(tableau))
-        tableau.append(out + [acc])
+        out.append(abs(acc))  # >= 0 once signed; abs, so a float 0 is never -0.0
+        tableau.append(out)
 
     for row, b in problem.eq:
         add_row(row, b, None)
-    for k, (coeffs, b) in enumerate(ge):
-        add_row(coeffs, b, nstd + k)
+    for k, (row, b) in enumerate(ge):
+        add_row(row, b, nstd + k)
 
     # --- phase 1: nothing to do when every row starts on its slack ----------
     m = len(tableau)
@@ -229,10 +238,12 @@ def lp_solve(problem: LPProblem, ctx: Context = DEFAULT) -> LPResult:
         cost = [zero] * width  # minimize -objective
         for j, c in problem.objective:
             c = scalar(c)
-            if c == 0:
-                continue
-            for idx, sign in terms[j]:
-                cost[idx] -= c if sign > 0 else -c
+            if c:
+                pos, neg, _ = cols[j]
+                if pos is not None:
+                    cost[pos] -= c
+                if neg is not None:
+                    cost[neg] += c
         if not _run_simplex(tableau, basis, cost, ctx):
             raise UnboundedObjective("objective unbounded above")
 
@@ -240,10 +251,12 @@ def lp_solve(problem: LPProblem, ctx: Context = DEFAULT) -> LPResult:
     for i, b in enumerate(basis):
         y[b] = tableau[i][-1]
     x = []
-    for j in range(n):
-        v = shifts[j]
-        for idx, sign in terms[j]:
-            v = v + (y[idx] if sign > 0 else -y[idx])
+    for pos, neg, shift in cols:
+        v = shift
+        if pos is not None:
+            v = v + y[pos]
+        if neg is not None:
+            v = v - y[neg]
         x.append(v)
     if problem.objective is not None:
         value = sum((scalar(c) * x[j] for j, c in problem.objective), zero)

@@ -1,9 +1,10 @@
 """The post-processing preorder on observables, decided by LP feasibility.
 
 ``find_postprocessing(B, A)`` searches for a row-stochastic matrix nu with
-A_x = sum_y nu_yx B_y.  That is simulation from the single simulator B, whose
-weight is forced to 1, so the simulation LP's one matrix is nu; the solver
-pivots deterministically, so witnesses are reproducible.
+A_x = sum_y nu_yx B_y.  That is simulation from the single simulator B: the
+sum row makes its weight, the sum of the matrix's row 0, equal to 1, so the
+simulation LP's one matrix is nu; the solver pivots deterministically, so
+witnesses are reproducible.
 """
 
 from __future__ import annotations

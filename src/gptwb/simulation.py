@@ -2,8 +2,10 @@
 
 Membership in the simulation closure of a finite simulator set is an LP after
 the standard linearization M^(i) = p_i nu^(i): the sub-stochastic matrices
-M^(i) and the weights p_i are jointly feasible iff the target is simulable.
-The last column of each M^(i) is no LP variable but the slack of
+M^(i), each with rows summing to a common weight p_i, sum_i p_i = 1, are
+feasible iff the target is simulable.  The weights are no LP variables:
+p_i is the sum of M^(i)'s row 0, a full row of variables.  In each later
+row the last column is no LP variable but the slack of
 p_i - sum_{x < last} M^(i)[y][x] >= 0, so the row sums hold by construction
 and these rows start on their slacks.  The target's last outcome has no rows
 either: when the target's effects and every simulator's sum to u, the other
@@ -49,9 +51,12 @@ def is_simulable(target: Observable, simulators: Sequence[Observable]) -> Option
     """LP membership of ``target`` in the simulation closure of ``simulators``;
     all of them must live on the target's space (``common_space``).
 
-    A target whose effects do not sum to u is simulable by nothing: None.  A
+    The LP's variables are the entries of each M^(i): all of row 0, whose
+    sum is the weight p_i, and all but the last column of every later row,
+    whose last entry is the slack of its >= row (module docstring).  A
+    target whose effects do not sum to u is simulable by nothing: None.  A
     simulator whose effects do not sum to u raises ValueError, since the LP
-    leaves out the rows that normalization implies (module docstring)."""
+    leaves out the rows that normalization implies."""
     if not simulators:
         raise ValueError("empty simulator list")
     space = common_space([target, *simulators])
@@ -61,24 +66,23 @@ def is_simulable(target: Observable, simulators: Sequence[Observable]) -> Option
         return None
     ctx = space.ctx
     zero, one = ctx.zero(), ctx.one()
-    w = target.n_outcomes - 1  # columns of M^(i) that are LP variables
+    w = target.n_outcomes - 1  # columns of a later row of M^(i) that are LP variables
     sizes = [b.n_outcomes for b in simulators]
     offsets = []
     off = 0
     for s in sizes:
         offsets.append(off)
-        off += s * w
-    p_off = off
-    nvar = off + len(simulators)
+        off += s * w + 1  # row 0 has all w + 1 columns
 
     def idx(i: int, y: int, x: int) -> int:
-        return offsets[i] + y * w + x
+        return offsets[i] + y * w + x + (y > 0)
 
-    prob = LPProblem(n=nvar, bounds=[(zero, None)] * nvar)
-    for i in range(len(simulators)):  # the last column: p_i - sum of the others >= 0
-        for y in range(sizes[i]):
-            prob.add_ge([(idx(i, y, x), -one) for x in range(w)] + [(p_off + i, one)], zero)
-    prob.add_eq([(p_off + i, one) for i in range(len(simulators))], one)
+    prob = LPProblem(n=off, bounds=[(zero, None)] * off)
+    for i in range(len(simulators)):  # each later row: p_i - sum_{x < last} M[y][x] >= 0
+        p_i = [(idx(i, 0, x), one) for x in range(w + 1)]
+        for y in range(1, sizes[i]):
+            prob.add_ge(p_i + [(idx(i, y, x), -one) for x in range(w)], zero)
+    prob.add_eq([(idx(i, 0, x), one) for i in range(len(simulators)) for x in range(w + 1)], one)
     for x in range(w):
         for c in range(space.ambient_dim):
             prob.add_eq([(idx(i, y, x), e[c]) for i, b in enumerate(simulators)
@@ -86,9 +90,12 @@ def is_simulable(target: Observable, simulators: Sequence[Observable]) -> Option
     res = lp_solve(prob, ctx)
     if not res.feasible:
         return None
-    weights = tuple(res.x[p_off + i] for i in range(len(simulators)))
+    rows0 = [res.x[o:o + w + 1] for o in offsets]
+    weights = tuple(sum(row, zero) for row in rows0)
 
     def matrix_row(i: int, y: int) -> tuple:
+        if y == 0:
+            return rows0[i]
         head = tuple(res.x[idx(i, y, x)] for x in range(w))
         return head + (weights[i] - sum(head, zero),)
 
@@ -99,24 +106,33 @@ def is_simulable(target: Observable, simulators: Sequence[Observable]) -> Option
 
 def verify_sim_witness(target: Observable, simulators: Sequence[Observable],
                        witness: SimWitness) -> bool:
-    """Re-substitute a witness: reconstruction and stochasticity within the
-    context's tolerance."""
+    """Re-substitute a witness: one weight and one |Omega_i| x |Omega_target|
+    matrix per simulator, stochasticity within the context's tolerance, and
+    the reconstruction within it (exactly on the exact backend; at least
+    1e-9 on floats)."""
     ctx = target.space.ctx
     tol = ctx.eps
+    n = target.n_outcomes
+    if len(witness.weights) != len(simulators) or len(witness.matrices) != len(simulators):
+        return False
+    if any(len(m) != b.n_outcomes or any(len(row) != n for row in m)
+           for m, b in zip(witness.matrices, simulators)):
+        return False
     if abs(sum(witness.weights) - 1) > tol:
         return False
-    for p, m, b in zip(witness.weights, witness.matrices, simulators):
+    for p, m in zip(witness.weights, witness.matrices):
         if p < -tol:
             return False
         for row in m:
             if any(v < -tol for v in row) or abs(sum(row) - p) > tol:
                 return False
-    for x in range(target.n_outcomes):
+    fit = tol if ctx.exact else max(tol, 1e-9)
+    for x in range(n):
         acc = [ctx.zero()] * target.space.ambient_dim
         for m, b in zip(witness.matrices, simulators):
             for y, row in enumerate(m):
                 acc = [a + row[x] * e for a, e in zip(acc, b.effects[y])]
-        if any(abs(a - t) > max(tol, 1e-9) for a, t in zip(acc, target.effects[x])):
+        if any(abs(a - t) > fit for a, t in zip(acc, target.effects[x])):
             return False
     return True
 

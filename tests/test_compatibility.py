@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from gptwb import compatibility
 from gptwb.numerics import EXACT, FLOAT, LPProblem, dot, lp_solve
 from gptwb.observables import (
     is_trivial,
@@ -155,15 +156,16 @@ def test_dichotomic_g_satisfies_its_cone_constraints():
     assert found >= 40
 
 
-def unbounded_margin(a_obs, b_obs):
-    """The margin LP with delta unbounded below, built here independently."""
+def four_row_margin(a_obs, b_obs, lo=None):
+    """The margin LP with all four rows per vertex and delta in [lo, 1]
+    (unbounded below by default), built here independently."""
     space = a_obs.space
     ctx = space.ctx
     a, b = a_obs.effects[0], b_obs.effects[0]
     dim = space.ambient_dim
     zero, one = ctx.zero(), ctx.one()
     p = LPProblem(n=dim + 1, objective=[(dim, one)],
-                  bounds=[(None, None)] * dim + [(None, one)])
+                  bounds=[(None, None)] * dim + [(lo, one)])
     for v in space.vertices:
         grow, neg = sparse(list(v) + [-one]), sparse([-x for x in v] + [-one])
         p.add_ge(grow, zero)                                  # g(v) >= delta
@@ -207,7 +209,7 @@ def test_margin_lower_bound_leaves_the_optimum_alone(monkeypatch):
         counts[1] = 0
         got = dichotomic_compat_margin(a, b)
         assert counts[1] == 0 or not (validate(a) and validate(b))
-        want = unbounded_margin(a, b)
+        want = four_row_margin(a, b)
         if a.space.ctx.exact:
             assert isinstance(got, Fraction) and got == want
         else:
@@ -219,6 +221,34 @@ def test_margin_lower_bound_leaves_the_optimum_alone(monkeypatch):
         dichotomic_compat_margin(far, far)
     with pytest.raises(ValueError, match="needs effects"):
         dichotomic_compat_g(far, far)
+
+
+@pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+def test_margin_lp_keeps_the_two_rows_per_vertex_that_can_bind(ctx, monkeypatch):
+    """Of g >= delta and u - a - b + g >= delta only the larger lower bound
+    on g(v) - delta can bind, and of a - g >= delta and b - g >= delta only
+    the smaller upper bound: the LP has 2 |vertices| rows, and its optimum
+    is the four-row LP's, equal on exact and within 1e-9 on floats."""
+    posed = []
+    monkeypatch.setattr(compatibility, "lp_solve",
+                        lambda p, c: posed.append(p) or lp_solve(p, c))
+    rng = random.Random(41)
+    spaces = [make_square(ctx), make_classical(3, ctx), padded_square(ctx), cube4(ctx)]
+    if ctx is FLOAT:
+        spaces += [make_polygon(n) for n in (5, 6, 7, 8)]
+    obs = random_observable if ctx is FLOAT else random_rational_observable
+    for sp in spaces:
+        for _ in range(6):
+            a, b = obs(sp, 2, rng), obs(sp, 2, rng)
+            posed.clear()
+            got = dichotomic_compat_margin(a, b)
+            (p,) = posed
+            assert not p.eq and len(p.ge) == 2 * sp.n_vertices
+            want = four_row_margin(a, b, -ctx.one())
+            if ctx.exact:
+                assert isinstance(got, Fraction) and got == want
+            else:
+                assert abs(got - want) <= 1e-9
 
 
 @pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])

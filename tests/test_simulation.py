@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from gptwb import simulation
 from gptwb.compatibility import is_fully_compatible
 from gptwb.numerics import EXACT, FLOAT, LPProblem, lp_solve
 from gptwb.observables import (
@@ -18,6 +19,7 @@ from gptwb.observables import (
 )
 from gptwb.postprocess import find_postprocessing
 from gptwb.simulation import (
+    SimWitness,
     dichotomic_generators,
     effect_in_depolarized_class,
     effect_in_noise_class,
@@ -44,7 +46,7 @@ from gptwb.spaces import (
     polygon_extreme_odd,
     space_from_ref,
 )
-from conftest import cube4, padded_square, random_observable
+from conftest import cube4, padded_square, random_observable, random_rational_observable
 
 
 def hexagon_pair(k1=1, k2=4):
@@ -115,6 +117,61 @@ def test_unnormalized_targets_and_simulators():
         is_simulable(a, [a, short])
     with pytest.raises(ValueError, match="sum to the unit"):
         find_postprocessing(short, a)
+
+
+def _pose_sizes(target, simulators):
+    n_t, dim = target.n_outcomes, target.space.ambient_dim
+    return (sum(n_t + (b.n_outcomes - 1) * (n_t - 1) for b in simulators),
+            sum(b.n_outcomes - 1 for b in simulators), 1 + dim * (n_t - 1))
+
+
+@pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+def test_simulation_lp_reads_each_weight_off_row_zero(ctx, monkeypatch):
+    """p_i is the sum of M^(i)'s row 0, a full row of LP variables, so the
+    LP has no weight column: one >= row per later row of each M^(i), the
+    sum row, and dim (n_t - 1) target rows.  Every >= row holds at y = 0,
+    and on the exact backend every witness row sums exactly to its weight."""
+    posed = []
+    monkeypatch.setattr(simulation, "lp_solve", lambda p, c: posed.append(p) or lp_solve(p, c))
+    rng = random.Random(53)
+    sp = make_square(ctx) if ctx.exact else make_polygon(6)
+    obs = random_rational_observable if ctx.exact else random_observable
+    irr = enumerate_irreducibles(sp)
+    for _ in range(6):
+        target = obs(sp, rng.randint(1, 4), rng)
+        sims = list(irr) + [obs(sp, rng.randint(2, 3), rng)]
+        posed.clear()
+        w = is_simulable(target, sims)
+        (p,) = posed
+        assert (p.n, len(p.ge), len(p.eq)) == _pose_sizes(target, sims)
+        assert p.bounds == [(0, None)] * p.n
+        assert all(rhs <= 0 for _, rhs in p.ge)
+        assert w is not None and verify_sim_witness(target, sims, w)
+        if ctx.exact:
+            assert all(isinstance(v, Fraction) and sum(row) == q
+                       for q, m in zip(w.weights, w.matrices) for row in m for v in row)
+
+
+def test_verify_sim_witness_compares_exactly_on_exact():
+    """A stochastic witness whose reconstruction is off by 1e-10 is no
+    witness on the exact backend."""
+    sp = make_square(EXACT)
+    a = observable(sp, ((Fraction(1, 2), 0, Fraction(1, 2)), (Fraction(-1, 2), 0, Fraction(1, 2))))
+    one, zero, off = Fraction(1), Fraction(0), Fraction(1, 10**10)
+    assert verify_sim_witness(a, [a], SimWitness((one,), (((one, zero), (zero, one)),)))
+    moved = SimWitness((one,), (((one - off, off), (zero, one)),))
+    assert not verify_sim_witness(a, [a], moved)
+
+
+def test_verify_sim_witness_refuses_a_wrong_shape():
+    """One matrix per simulator, each with |Omega_i| rows of |Omega_target|
+    entries: a missing matrix or an extra target column is no witness."""
+    _, a = hexagon_pair()
+    _, b = hexagon_pair(2, 5)
+    ident = ((1.0, 0.0), (0.0, 1.0))
+    assert verify_sim_witness(a, [a, b], SimWitness((1.0, 0.0), (ident, ((0.0, 0.0),) * 2)))
+    assert not verify_sim_witness(a, [a, b], SimWitness((1.0, 0.0), (ident,)))
+    assert not verify_sim_witness(a, [a], SimWitness((1.0,), (((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),)))
 
 
 def test_pentagon_irreducibles_mutually_unsimulable():
