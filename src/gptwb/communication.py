@@ -416,8 +416,7 @@ def _lad_fit(rows: int, width: int, fits):
             obj[j] += a
     p = LPProblem(n=nx + ne,
                   objective=[(j, a) for j, a in enumerate(obj) if a]
-                  + [(nx + e, -2) for e in range(ne)],
-                  bounds=[(0, None)] * (nx + ne))
+                  + [(nx + e, -2) for e in range(ne)])
     for start in range(0, nx, width):
         p.add_eq([(j, 1) for j in range(start, start + width)], 1)
     for e, (terms, value) in enumerate(fits):

@@ -85,51 +85,53 @@ def dichotomic_compat_g(a_obs: Observable, b_obs: Observable) -> Optional[tuple]
     g with g >= 0, a >= g, b >= g, u >= a + b - g on all states.  It is the
     (0, 0) effect of the joint observable, whose other effects are a - g,
     b - g and u - a - b + g.  Where the dual rays do not generate the dual
-    cone, the joint LP would carry four free effects with vertex rows, so g
-    is read off dichotomic_compat_margin's LP instead: its g meets all four
+    cone, the joint LP would carry four effects with vertex rows, so g is
+    read off dichotomic_compat_margin's LP instead: its g meets all four
     constraints whenever the optimal margin is >= 0."""
     space = _check_dichotomic(a_obs, b_obs)
     if ray_generators(space) is not None:
         joint = are_compatible([a_obs, b_obs])
         return None if joint is None else joint.effects[0]
-    res = _dichotomic_margin_lp(a_obs, b_obs)
-    if not space.ctx.ge(res.value, space.ctx.zero()):
-        return None
-    return tuple(res.x[:space.ambient_dim])
+    g, delta = _dichotomic_margin_lp(a_obs, b_obs)
+    return g if space.ctx.ge(delta, space.ctx.zero()) else None
 
 
 def dichotomic_compat_margin(a_obs: Observable, b_obs: Observable):
     """Largest slack delta in [-1, 1] so all four cone constraints of g hold
     with margin delta on every vertex; positive iff strictly compatible,
     used to flag boundary instances."""
-    return _dichotomic_margin_lp(a_obs, b_obs).value
+    return _dichotomic_margin_lp(a_obs, b_obs)[1]
 
 
-def _dichotomic_margin_lp(a_obs: Observable, b_obs: Observable):
-    """The solved margin LP: g free and delta in [-1, 1] maximized, with
+def _dichotomic_margin_lp(a_obs: Observable, b_obs: Observable) -> tuple:
+    """(g, delta) from the margin LP: delta in [-1, 1] maximized, with
     g >= delta, a - g >= delta, b - g >= delta and u - a - b + g >= delta on
     every vertex v.  Of these four rows only two can bind, so each vertex
     has two: g(v) - delta >= max(0, a(v) + b(v) - 1) and
-    -g(v) - delta >= -min(a(v), b(v)).  For effects a and b, g = 0 meets
-    every row at delta = -1, so the lower bound leaves the optimum alone and
-    every row starts on its slack; inputs that leave the LP infeasible are
-    no effects: ValueError."""
+    -g(v) - delta >= -min(a(v), b(v)).  On the LP's nonnegative columns y,
+    g = y[2c] - y[2c+1] coordinate by coordinate and delta = y[2 dim] - 1,
+    whose last row y[2 dim] <= 2 keeps delta <= 1.  For effects a and b,
+    g = 0 meets every row at delta = -1 (y = 0), so the lower bound leaves
+    the optimum alone and every row starts on its slack; inputs that leave
+    the LP infeasible are no effects: ValueError."""
     space = _check_dichotomic(a_obs, b_obs)
     a, b = a_obs.effects[0], b_obs.effects[0]
     ctx = space.ctx
     dim = space.ambient_dim
     zero, one = ctx.zero(), ctx.one()
-    p = LPProblem(n=dim + 1, objective=[(dim, one)],
-                  bounds=[(None, None)] * dim + [(-one, one)])
+    d = 2 * dim  # delta's column
+    p = LPProblem(n=d + 1, objective=[(d, one)])
     for v in space.vertices:
-        gv = [(c, x) for c, x in enumerate(v) if x]
+        gv = [t for c, x in enumerate(v) if x for t in ((2 * c, x), (2 * c + 1, -x))]
         av, bv = dot(a, v), dot(b, v)
-        p.add_ge(gv + [(dim, -one)], max(zero, av + bv - one))
-        p.add_ge([(c, -x) for c, x in gv] + [(dim, -one)], -min(av, bv))
+        p.add_ge(gv + [(d, -one)], max(zero, av + bv - one) - one)
+        p.add_ge([(j, -x) for j, x in gv] + [(d, -one)], -min(av, bv) - one)
+    p.add_ge([(d, -one)], -2 * one)
     res = lp_solve(p, ctx)
-    if not res.feasible:  # g = 0 meets every row at delta = -1 when a and b are effects
+    if not res.feasible:  # y = 0 meets every row when a and b are effects
         raise ValueError("the dichotomic margin LP needs effects")
-    return res
+    y = res.x
+    return tuple(y[2 * c] - y[2 * c + 1] for c in range(dim)), y[d] - one
 
 
 # ------------------------------------------------------------ point-symmetric

@@ -1,20 +1,19 @@
 """Self-contained primal simplex solver.
 
-Rows and the objective are sparse: sequences of ``(column, coefficient)``
-pairs, the form the solver's own upper-bound rows take.
+An LP maximizes c . x subject to ``==`` and ``>=`` rows and x >= 0: every
+relation in gptwb asks for a nonnegative witness, and a model that needs a
+free or bounded quantity poses it on nonnegative columns itself.  Rows and
+the objective are sparse: sequences of ``(column, coefficient)`` pairs, and
+column j of a row is tableau column j.
 
-Two-phase tableau method over the context's scalar field.  A map built once
-puts each variable on ``y >= 0``: a positive column (lower bound, or free), a
-negative column (upper bound, or free) and its bound as a shift; the upper
-end of a two-sided bound becomes one more ``>=`` row, which holds at
-``y = 0`` when lo <= hi.  Each row is written once, signed by its right-hand
-side after the shifts.  A ``>=`` row whose right-hand side is <= 0 holds at
-``y = 0``: it is negated so that its slack enters with +1, and that slack
-starts basic (a slack crash basis; Bixby, ORSA J. Comput. 4, 1992).  Every
-other row starts on a phase-1 artificial, which is implicit (it has no
-tableau column), so one that leaves the basis never re-enters; an LP with no
-artificial makes no phase-1 pivot.
-The relation models are posed so that ``y = 0`` satisfies as many rows as it
+Two-phase tableau method over the context's scalar field.  Each row is
+written once, signed by its right-hand side.  A ``>=`` row whose right-hand
+side is <= 0 holds at x = 0: it is negated so that its slack enters with +1,
+and that slack starts basic (a slack crash basis; Bixby, ORSA J. Comput. 4,
+1992).  Every other row starts on a phase-1 artificial, which is implicit
+(it has no tableau column), so one that leaves the basis never re-enters; an
+LP with no artificial makes no phase-1 pivot.
+The relation models are posed so that x = 0 satisfies as many rows as it
 can.  The entering column is chosen by Dantzig's rule (most negative reduced
 cost); a streak of degenerate pivots switches to Bland's rule, which
 guarantees termination.  Pivots update only the nonzero columns of the pivot
@@ -39,8 +38,7 @@ class UnboundedObjective(Exception):
 @dataclass
 class LPProblem:
     """maximize objective . x  subject to
-    eq:  row . x == rhs        ge:  row . x >= rhs
-    bounds: per-variable (lo, hi), None meaning unbounded; default free.
+    eq:  row . x == rhs        ge:  row . x >= rhs        x >= 0
 
     A row and the objective are sequences of ``(column, coefficient)`` pairs
     over the n variables; a column not listed has coefficient 0, and a
@@ -51,7 +49,6 @@ class LPProblem:
     objective: Optional[Sequence] = None       # [(column, coefficient), ...]
     eq: list = field(default_factory=list)     # [(pairs, rhs), ...]
     ge: list = field(default_factory=list)     # [(pairs, rhs), ...]
-    bounds: Optional[list] = None              # [(lo, hi), ...]
 
     def add_eq(self, row, rhs) -> None:
         self.eq.append((row, rhs))
@@ -151,68 +148,35 @@ def lp_solve(problem: LPProblem, ctx: Context = DEFAULT) -> LPResult:
     tol = ctx.eps
     n = problem.n
     zero, one = ctx.zero(), ctx.one()
-    bounds = problem.bounds if problem.bounds is not None else [(None, None)] * n
 
-    # --- the standard-form map: A y = b, y >= 0 -----------------------------
-    # x_j = shift_j + y_pos - y_neg: a free variable has both columns, a
-    # lower bound only pos and an upper bound only neg; the shift is the
-    # bound, zero when free.  The upper end of a two-sided bound becomes one
-    # more >= row, -x_j >= -hi.
-    cols: list[tuple] = []  # per original var: (pos or None, neg or None, shift)
-    ge = list(problem.ge)
-    nstd = 0
-    for j, (lo, hi) in enumerate(bounds):
-        if lo is None and hi is None:
-            cols.append((nstd, nstd + 1, zero))
-            nstd += 2
-            continue
-        if lo is None:
-            cols.append((None, nstd, scalar(hi)))
-        else:
-            cols.append((nstd, None, scalar(lo)))
-            if hi is not None:
-                ge.append((((j, -one),), -scalar(hi)))
-        nstd += 1
-
-    # each row at full width, its slack column in place: std variables, one
-    # slack per >= row, rhs.  A row starts on its implicit artificial,
+    # each row at full width, its slack column in place: the n variables,
+    # one slack per >= row, rhs.  A row starts on its implicit artificial,
     # width + i, unless it is a >= row that y = 0 satisfies: negated, its
     # slack enters with +1 and starts basic at the row's rhs.  The rhs is
     # known before the row is written, so the row is written once, signed.
-    width = nstd + len(ge)
+    width = n + len(problem.ge)
     tableau: list[list] = []
     basis: list[int] = []
 
     def add_row(pairs, b, slack: int | None) -> None:
-        acc = scalar(b)
-        nz = []
+        b = scalar(b)
+        starts_on_slack = slack is not None and b <= 0
+        negate = starts_on_slack or b < 0
+        out = [zero] * width
         for j, c in pairs:
             c = scalar(c)
             if c:
-                pos, neg, shift = cols[j]
-                if shift:
-                    acc -= c * shift
-                nz.append((pos, neg, c))
-        starts_on_slack = slack is not None and acc <= 0
-        negate = starts_on_slack or acc < 0
-        out = [zero] * width
-        for pos, neg, c in nz:
-            if negate:
-                c = -c
-            if pos is not None:
-                out[pos] += c
-            if neg is not None:
-                out[neg] -= c
+                out[j] += -c if negate else c
         if slack is not None:
             out[slack] = one if negate else -one
         basis.append(slack if starts_on_slack else width + len(tableau))
-        out.append(abs(acc))  # >= 0 once signed; abs, so a float 0 is never -0.0
+        out.append(abs(b))  # >= 0 once signed; abs, so a float 0 is never -0.0
         tableau.append(out)
 
     for row, b in problem.eq:
         add_row(row, b, None)
-    for k, (row, b) in enumerate(ge):
-        add_row(row, b, nstd + k)
+    for k, (row, b) in enumerate(problem.ge):
+        add_row(row, b, n + k)
 
     # --- phase 1: nothing to do when every row starts on its slack ----------
     m = len(tableau)
@@ -237,27 +201,14 @@ def lp_solve(problem: LPProblem, ctx: Context = DEFAULT) -> LPResult:
     if problem.objective is not None:
         cost = [zero] * width  # minimize -objective
         for j, c in problem.objective:
-            c = scalar(c)
-            if c:
-                pos, neg, _ = cols[j]
-                if pos is not None:
-                    cost[pos] -= c
-                if neg is not None:
-                    cost[neg] += c
+            cost[j] -= scalar(c)
         if not _run_simplex(tableau, basis, cost, ctx):
             raise UnboundedObjective("objective unbounded above")
 
     y = [zero] * width
     for i, b in enumerate(basis):
         y[b] = tableau[i][-1]
-    x = []
-    for pos, neg, shift in cols:
-        v = shift
-        if pos is not None:
-            v = v + y[pos]
-        if neg is not None:
-            v = v - y[neg]
-        x.append(v)
+    x = tuple(y[:n])
     if problem.objective is not None:
         value = sum((scalar(c) * x[j] for j, c in problem.objective), zero)
-    return LPResult(True, tuple(x), value)
+    return LPResult(True, x, value)

@@ -34,6 +34,11 @@ class Observable:
     def __post_init__(self):
         if len(self.effects) != len(self.outcomes):
             raise ValueError("one effect per outcome required")
+        dim = self.space.ambient_dim
+        for lbl, e in zip(self.outcomes, self.effects):
+            if len(e) != dim:
+                raise ValueError(f"invalid observable: effect {lbl!r} has {len(e)} "
+                                 f"coordinates, the space {dim}")
         if self.space.ctx.exact:
             errors = validation_errors(self)
             if errors:
@@ -140,9 +145,7 @@ def validate(a: Observable) -> bool:
 def validation_errors(a: Observable) -> list[str]:
     errors = []
     for lbl, e in zip(a.outcomes, a.effects):
-        if len(e) != a.space.ambient_dim:
-            errors.append(f"effect {lbl!r}: dimension mismatch")
-        elif not a.space.is_valid_effect(e):
+        if not a.space.is_valid_effect(e):
             errors.append(f"effect {lbl!r}: not a valid effect")
     if not sums_to_unit(a):
         errors.append("effects do not sum to the unit functional")

@@ -77,7 +77,7 @@ def is_simulable(target: Observable, simulators: Sequence[Observable]) -> Option
     def idx(i: int, y: int, x: int) -> int:
         return offsets[i] + y * w + x + (y > 0)
 
-    prob = LPProblem(n=off, bounds=[(zero, None)] * off)
+    prob = LPProblem(n=off)
     for i in range(len(simulators)):  # each later row: p_i - sum_{x < last} M[y][x] >= 0
         p_i = [(idx(i, 0, x), one) for x in range(w + 1)]
         for y in range(1, sizes[i]):

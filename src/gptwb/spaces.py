@@ -69,7 +69,12 @@ class StateSpace:
             vs = tuple(tuple(self.ctx.scalar(x) for x in v) for v in vertices)
             self._vertices = vs
             self.unit = tuple(self.ctx.scalar(x) for x in unit)
-            for v in vs:
+            if not vs:
+                raise ValueError("a polytopic space needs at least one vertex")
+            for i, v in enumerate(vs):
+                if len(v) != len(self.unit):
+                    raise ValueError(f"vertex {i} has {len(v)} coordinates, "
+                                     f"the unit {len(self.unit)}")
                 if not self.ctx.eq(dot(self.unit, v), self.ctx.one()):
                     raise ValueError("vertex not normalized: u(v) != 1")
             for i in range(len(vs)):
@@ -348,7 +353,7 @@ class StateSpace:
 def in_convex_hull(point: Sequence, points: Sequence[Sequence], ctx: Context) -> bool:
     """LP feasibility: point is a convex combination of points."""
     n = len(points)
-    p = LPProblem(n=n, bounds=[(ctx.zero(), None)] * n)
+    p = LPProblem(n=n)
     p.add_eq([(j, ctx.one()) for j in range(n)], ctx.one())
     for c, x in enumerate(point):
         p.add_eq([(j, q[c]) for j, q in enumerate(points) if q[c]], ctx.scalar(x))
@@ -404,19 +409,19 @@ def effect_block(p: LPProblem, space: StateSpace, k: int) -> EffectBlock:
     the block's ``terms`` and ``sum_eq`` pose rows on them as (column,
     coefficient) pairs.
 
-    An effect is a nonnegative combination of the dual-cone rays, so it is
-    positive by construction.  Where the rays do not generate the dual cone
-    (``ray_generators`` gives None) the effect's coordinates are free and one
-    >= row per vertex keeps it nonnegative."""
+    An effect is a nonnegative combination of generators.  The dual-cone
+    rays make it positive by construction.  Where the rays do not generate
+    the dual cone (``ray_generators`` gives None) the generators are the
+    signed unit vectors e_0, -e_0, e_1, -e_1, ..., which span every
+    functional, and one >= row per vertex keeps the effect nonnegative."""
     rays = ray_generators(space)
     ctx = space.ctx
     dim = space.ambient_dim
     zero, one = ctx.zero(), ctx.one()
-    gens = rays or tuple(tuple(one if j == c else zero for j in range(dim)) for c in range(dim))
+    gens = rays or tuple(tuple(s if j == c else zero for j in range(dim))
+                         for c in range(dim) for s in (one, -one))
     blk = EffectBlock(p.n, gens, k)
     p.n += k * len(gens)
-    p.bounds = ((p.bounds or [(None, None)] * blk.start)
-                + [(zero if rays else None, None)] * (k * len(gens)))
     if not rays:
         for v in space.vertices:
             vals = blk.at(v)

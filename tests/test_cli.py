@@ -126,6 +126,16 @@ def test_check_on_files_of_two_spaces_is_an_error(hexagon_files, tmp_path, relat
     assert "different spaces" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("backend, ref", [("float", "polygon:6"), ("exact", "classical:3")])
+def test_check_refuses_an_effect_shorter_than_the_space(tmp_path, backend, ref, capsys):
+    """An effect with 2 coordinates on a 3-dimensional space is an error
+    on both backends, and the message names the effect."""
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"space_ref": ref, "effects": [[0, 0], [0, 0]]}))
+    assert main(["--backend", backend, "check", "compat", str(path), str(path)]) == 3
+    assert "effect 0 has 2 coordinates" in capsys.readouterr().err
+
+
 def test_check_ultraweak_and_comm_compare(hexagon_files, capsys):
     code, out = run_cli(["check", "ultraweak", hexagon_files["I2"],
                          hexagon_files["V2"]], capsys)

@@ -473,8 +473,7 @@ def _two_deviation_lad_optimum(rows, width, fits):
     """min sum |terms . x - value| over row-stochastic x, posed with a positive
     and a negative deviation column per fit in an equality row."""
     nx, ne = rows * width, len(fits)
-    p = LPProblem(n=nx + 2 * ne, objective=[(j, -1) for j in range(nx, nx + 2 * ne)],
-                  bounds=[(0, None)] * (nx + 2 * ne))
+    p = LPProblem(n=nx + 2 * ne, objective=[(j, -1) for j in range(nx, nx + 2 * ne)])
     for start in range(0, nx, width):
         p.add_eq([(j, 1) for j in range(start, start + width)], 1)
     for e, (terms, value) in enumerate(fits):

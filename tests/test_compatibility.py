@@ -158,20 +158,27 @@ def test_dichotomic_g_satisfies_its_cone_constraints():
 
 def four_row_margin(a_obs, b_obs, lo=None):
     """The margin LP with all four rows per vertex and delta in [lo, 1]
-    (unbounded below by default), built here independently."""
+    (unbounded below by default), built here independently: each coordinate
+    of g and delta is the difference of two nonnegative columns."""
     space = a_obs.space
     ctx = space.ctx
     a, b = a_obs.effects[0], b_obs.effects[0]
     dim = space.ambient_dim
     zero, one = ctx.zero(), ctx.one()
-    p = LPProblem(n=dim + 1, objective=[(dim, one)],
-                  bounds=[(None, None)] * dim + [(lo, one)])
+
+    def split(coeffs):  # a dense row over (g, delta), on the split columns
+        return sparse([t for x in coeffs for t in (x, -x)])
+
+    p = LPProblem(n=2 * dim + 2, objective=split([zero] * dim + [one]))
     for v in space.vertices:
-        grow, neg = sparse(list(v) + [-one]), sparse([-x for x in v] + [-one])
+        grow, neg = split(list(v) + [-one]), split([-x for x in v] + [-one])
         p.add_ge(grow, zero)                                  # g(v) >= delta
         p.add_ge(neg, -dot(a, v))                             # a - g >= delta
         p.add_ge(neg, -dot(b, v))                             # b - g >= delta
         p.add_ge(grow, dot(a, v) + dot(b, v) - one)           # u - a - b + g >= delta
+    p.add_ge(split([zero] * dim + [-one]), -one)              # delta <= 1
+    if lo is not None:
+        p.add_ge(split([zero] * dim + [one]), lo)             # delta >= lo
     return lp_solve(p, ctx).value
 
 
@@ -227,8 +234,9 @@ def test_margin_lower_bound_leaves_the_optimum_alone(monkeypatch):
 def test_margin_lp_keeps_the_two_rows_per_vertex_that_can_bind(ctx, monkeypatch):
     """Of g >= delta and u - a - b + g >= delta only the larger lower bound
     on g(v) - delta can bind, and of a - g >= delta and b - g >= delta only
-    the smaller upper bound: the LP has 2 |vertices| rows, and its optimum
-    is the four-row LP's, equal on exact and within 1e-9 on floats."""
+    the smaller upper bound: the LP has 2 |vertices| rows and delta <= 1,
+    and its optimum is the four-row LP's, equal on exact and within 1e-9 on
+    floats."""
     posed = []
     monkeypatch.setattr(compatibility, "lp_solve",
                         lambda p, c: posed.append(p) or lp_solve(p, c))
@@ -243,7 +251,7 @@ def test_margin_lp_keeps_the_two_rows_per_vertex_that_can_bind(ctx, monkeypatch)
             posed.clear()
             got = dichotomic_compat_margin(a, b)
             (p,) = posed
-            assert not p.eq and len(p.ge) == 2 * sp.n_vertices
+            assert not p.eq and len(p.ge) == 2 * sp.n_vertices + 1
             want = four_row_margin(a, b, -ctx.one())
             if ctx.exact:
                 assert isinstance(got, Fraction) and got == want

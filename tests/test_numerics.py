@@ -208,7 +208,7 @@ BACKENDS = [(EXACT, Fraction), (FLOAT, float)]
 
 
 def test_lp_box_maximum():
-    res = lp_solve(LPProblem(n=1, objective=[(0, 1)], bounds=[(0, 1)]))
+    res = lp_solve(LPProblem(n=1, objective=[(0, 1)], ge=[([(0, -1)], -1)]))
     assert res.feasible and abs(res.x[0] - 1) < 1e-9 and abs(res.value - 1) < 1e-9
 
 
@@ -220,14 +220,14 @@ def test_lp_infeasible_interval(ctx, conv):
 
 def test_lp_unbounded_raises():
     with pytest.raises(UnboundedObjective):
-        lp_solve(LPProblem(n=1, objective=[(0, 1)], bounds=[(0, None)]))
+        lp_solve(LPProblem(n=1, objective=[(0, 1)]))
 
 
 def test_lp_witness_is_deterministic():
     p1 = LPProblem(n=3, objective=[(0, 1), (1, 1)],
-                   ge=[([(0, -1), (1, -1), (2, -1)], -1)], bounds=[(0, None)] * 3)
+                   ge=[([(0, -1), (1, -1), (2, -1)], -1)])
     p2 = LPProblem(n=3, objective=[(0, 1), (1, 1)],
-                   ge=[([(0, -1), (1, -1), (2, -1)], -1)], bounds=[(0, None)] * 3)
+                   ge=[([(0, -1), (1, -1), (2, -1)], -1)])
     assert lp_solve(p1).x == lp_solve(p2).x
 
 
@@ -238,8 +238,9 @@ def test_lp_witness_resubstitution(ctx, conv, seed):
     rng = random.Random(seed)
     n = rng.randint(2, 5)
     m = rng.randint(1, 4)
-    p = LPProblem(n=n, objective=sparse([rng.randint(-3, 3) for _ in range(n)]),
-                  bounds=[(0, rng.randint(1, 4)) for _ in range(n)])
+    p = LPProblem(n=n, objective=sparse([rng.randint(-3, 3) for _ in range(n)]))
+    for j in range(n):  # x_j <= hi
+        p.add_ge([(j, -1)], -rng.randint(1, 4))
     for _ in range(m):
         p.add_ge(sparse([rng.randint(-2, 2) for _ in range(n)]), -rng.randint(0, 5))
     res = lp_solve(p, ctx)
@@ -248,8 +249,7 @@ def test_lp_witness_resubstitution(ctx, conv, seed):
     tol = ctx.eps  # the integer 0 on the exact backend: exact re-substitution
     for (row, rhs) in p.ge:
         assert sum(c * res.x[j] for j, c in row) >= rhs - tol
-    for x, (lo, hi) in zip(res.x, p.bounds):
-        assert lo - tol <= x <= hi + tol
+    assert all(x >= -tol for x in res.x)
 
 
 def test_lp_equality_system_with_free_variables():
@@ -262,37 +262,24 @@ def test_lp_equality_system_with_free_variables():
 @pytest.mark.parametrize("ctx,conv", BACKENDS, ids=["exact", "float"])
 def test_lp_redundant_equalities(ctx, conv):
     eq = [([(0, 1), (1, 1)], 1), ([(0, 1), (1, 1)], 1), ([(0, 2), (1, 2)], 2)]
-    res = lp_solve(LPProblem(n=2, objective=[(0, 1)], eq=eq, bounds=[(0, None)] * 2), ctx)
+    res = lp_solve(LPProblem(n=2, objective=[(0, 1)], eq=eq), ctx)
     assert res.feasible and abs(res.value - 1) <= ctx.eps
     # one right-hand side moved by 1/1000: no longer redundant but inconsistent
     eq[1] = ([(0, 1), (1, 1)], 1 + conv(Fraction(1, 1000)))
-    assert not lp_solve(LPProblem(n=2, eq=eq, bounds=[(0, None)] * 2), ctx).feasible
-
-
-def test_lp_unconstrained_one_sided_optimum():
-    res = lp_solve(LPProblem(n=1, objective=[(0, -1)], bounds=[(-2, None)]))
-    assert res.feasible and res.x == (-2,) and abs(res.value - 2) < 1e-12
+    assert not lp_solve(LPProblem(n=2, eq=eq), ctx).feasible
 
 
 def _random_lp(rng):
     """A random LP in both fields: (float problem, exact problem, the data
-    for scipy's linprog).  Up to 7 rows; a >= row's right-hand side is more
-    often zero or negative, so that many start on their slacks; bounds are
-    free, one-sided or two-sided."""
+    for scipy's linprog).  x >= 0, about half the variables with an upper
+    bound posed as a >= row, and up to 7 more rows; a >= row's right-hand
+    side is more often zero or negative, so that many start on their
+    slacks."""
     n = rng.randint(1, 5)
-    bounds = []
-    for _ in range(n):
-        kind = rng.randint(0, 3)
-        if kind == 0:
-            bounds.append((None, None))
-        elif kind == 1:
-            bounds.append((rng.randint(-3, 0), None))
-        elif kind == 2:
-            bounds.append((None, rng.randint(0, 3)))
-        else:
-            lo = rng.randint(-3, 0)
-            bounds.append((lo, lo + rng.randint(0, 4)))
     eq, ge = [], []
+    for j in range(n):
+        if rng.random() < 0.5:  # -x_j >= -hi
+            ge.append(([-int(k == j) for k in range(n)], -rng.randint(0, 4)))
     for _ in range(rng.randint(0, 7)):
         row = [rng.randint(-3, 3) for _ in range(n)]
         if rng.random() < 0.3:
@@ -302,11 +289,9 @@ def _random_lp(rng):
     obj = [rng.randint(-3, 3) for _ in range(n)]
     problems = [LPProblem(n=n, objective=sparse([conv(c) for c in obj]),
                           eq=[(sparse([conv(c) for c in row]), conv(b)) for row, b in eq],
-                          ge=[(sparse([conv(c) for c in row]), conv(b)) for row, b in ge],
-                          bounds=[tuple(None if x is None else conv(x) for x in bd)
-                                  for bd in bounds])
+                          ge=[(sparse([conv(c) for c in row]), conv(b)) for row, b in ge])
                 for conv in (float, Fraction)]
-    ref = dict(c=[-c for c in obj], bounds=bounds,
+    ref = dict(c=[-c for c in obj], bounds=(0, None),
                A_ub=[[-c for c in row] for row, _ in ge] or None,
                b_ub=[-b for _, b in ge] or None,
                A_eq=[row for row, _ in eq] or None, b_eq=[b for _, b in eq] or None)
@@ -354,21 +339,22 @@ def test_lp_exact_backend_agrees_with_floats():
 
 @pytest.mark.parametrize("ctx,conv", BACKENDS, ids=["exact", "float"])
 def test_lp_feasible_origin_makes_no_phase1_pivot(ctx, conv, monkeypatch):
-    """Every >= row (two-sided bounds included) holds at the origin after
-    the shifts, so each starts on its slack: phase 1 makes no pivot, and
-    one violated row brings phase 1 back."""
+    """Every >= row holds at the origin, so each starts on its slack: phase
+    1 makes no pivot, and one violated row brings phase 1 back.  The LP is
+    max x0 + 2 x1 + x2 subject to x0 + x1 <= 3, x0 - 2 x1 + x2 >= -4,
+    x2 >= x1, x0 >= 0, -1 <= x1 <= 1 and x2 <= 5, with optimum 9 at
+    x = (2, 1, 5), posed on y = (x0, x1 + 1, 5 - x2) >= 0."""
     counts = count_pivots(monkeypatch)
-    ge = [([(0, -1), (1, -1)], -3), ([(0, 1), (1, -2), (2, 1)], conv(-4)),
-          ([(1, -1), (2, 1)], 0)]
-    bounds = [(0, None), (conv(-1), 1), (None, conv(5))]
-    p = LPProblem(n=3, objective=[(0, 1), (1, 2), (2, 1)], ge=list(ge), bounds=bounds)
+    ge = [([(0, -1), (1, -1)], -4), ([(0, 1), (1, -2), (2, -1)], conv(-11)),
+          ([(1, -1), (2, -1)], -6), ([(1, -1)], conv(-2))]
+    p = LPProblem(n=3, objective=[(0, 1), (1, 2), (2, -1)], ge=list(ge))
     res = lp_solve(p, ctx)
     assert counts[1] == 0 and counts[2] > 0
-    assert res.feasible and abs(res.value - 9) <= 1e-12  # x = (2, 1, 5)
+    assert res.feasible and abs(res.value + 3 - 9) <= 1e-12  # y = (2, 2, 0)
     counts[2] = 0
-    assert lp_solve(LPProblem(n=3, ge=list(ge), bounds=bounds), ctx).feasible
+    assert lp_solve(LPProblem(n=3, ge=list(ge)), ctx).feasible
     assert counts == {1: 0, 2: 0}
-    lp_solve(LPProblem(n=3, ge=ge + [([(0, 1)], 1)], bounds=bounds), ctx)
+    lp_solve(LPProblem(n=3, ge=ge + [([(0, 1)], 1)]), ctx)
     assert counts[1] > 0
 
 
@@ -395,7 +381,7 @@ def test_lp_row_order_and_repeated_columns_do_not_matter_on_exact():
         ge = _split_and_shuffle([row for row, _ in p.ge], shuffle_rng)
         q = LPProblem(n=p.n, objective=_split_and_shuffle([p.objective], shuffle_rng)[0],
                       eq=[(row, b) for row, (_, b) in zip(eq, p.eq)],
-                      ge=[(row, b) for row, (_, b) in zip(ge, p.ge)], bounds=p.bounds)
+                      ge=[(row, b) for row, (_, b) in zip(ge, p.ge)])
         try:
             want = lp_solve(p, EXACT)
         except UnboundedObjective:
@@ -473,8 +459,7 @@ BEALE_ROWS = [([Fraction(1, 4), Fraction(-60), Fraction(-1, 25), Fraction(9)], 0
 @pytest.mark.parametrize("ctx,conv", BACKENDS, ids=["exact", "float"])
 def test_lp_beale_reaches_optimum(ctx, conv):
     p = LPProblem(n=4, objective=sparse([-conv(c) for c in BEALE_COST]),
-                  ge=[(sparse([-conv(v) for v in row]), -conv(b)) for row, b in BEALE_ROWS],
-                  bounds=[(0, None)] * 4)
+                  ge=[(sparse([-conv(v) for v in row]), -conv(b)) for row, b in BEALE_ROWS])
     res = lp_solve(p, ctx)
     assert res.feasible and abs(res.value - Fraction(1, 20)) <= 1e-12
     assert abs(res.x[0] - Fraction(1, 25)) <= 1e-12 and abs(res.x[2] - 1) <= 1e-12
@@ -577,11 +562,10 @@ def test_exact_float_agree_on_rational_instances():
             rows = [[Fraction(rng.randint(-3, 3)) for _ in range(nv)]
                     for _ in range(rng.randint(1, 3))]
             rhss = [Fraction(rng.randint(-3, 3)) for _ in rows]
-            pe = LPProblem(n=nv, ge=[(sparse(r), b) for r, b in zip(rows, rhss)],
-                           bounds=[(Fraction(0), Fraction(2))] * nv)
+            box = [([(j, -1)], -2) for j in range(nv)]  # x <= 2
+            pe = LPProblem(n=nv, ge=[(sparse(r), b) for r, b in zip(rows, rhss)] + box)
             pf = LPProblem(n=nv, ge=[(sparse([float(x) for x in r]), float(b))
-                                     for r, b in zip(rows, rhss)],
-                           bounds=[(0.0, 2.0)] * nv)
+                                     for r, b in zip(rows, rhss)] + box)
             assert lp_solve(pe, EXACT).feasible == lp_solve(pf, FLOAT).feasible
 
 

@@ -144,7 +144,6 @@ def test_simulation_lp_reads_each_weight_off_row_zero(ctx, monkeypatch):
         w = is_simulable(target, sims)
         (p,) = posed
         assert (p.n, len(p.ge), len(p.eq)) == _pose_sizes(target, sims)
-        assert p.bounds == [(0, None)] * p.n
         assert all(rhs <= 0 for _, rhs in p.ge)
         assert w is not None and verify_sim_witness(target, sims, w)
         if ctx.exact:
@@ -359,12 +358,12 @@ def test_noise_class_endpoints():
 
 
 def noise_class_lp(space, e, t):
-    """Reference model: the noise class as an LP.  Variable 0 is p; e' and
-    u - e' are two effects of ``effect_block`` and e = t e' + (1 - t) p u
+    """Reference model: the noise class as an LP.  Variable 0 is p <= 1; e'
+    and u - e' are two effects of ``effect_block`` and e = t e' + (1 - t) p u
     holds coordinatewise."""
     ctx = space.ctx
     t = ctx.scalar(t)
-    p = LPProblem(n=1, bounds=[(ctx.zero(), ctx.one())])
+    p = LPProblem(n=1, ge=[([(0, -ctx.one())], -ctx.one())])
     eff = effect_block(p, space, 2)
     eff.sum_eq(p, (0, 1), space.unit)
     for c, u in enumerate(space.unit):

@@ -63,6 +63,13 @@ def test_polygon_rejects_small_n_and_exact_backend():
         make_polygon(5, EXACT)
 
 
+def test_polytopic_space_refuses_no_vertices_and_ragged_vertices():
+    with pytest.raises(ValueError, match="at least one vertex"):
+        StateSpace("polytopic", vertices=[], unit=[0, 1])
+    with pytest.raises(ValueError, match="vertex 0 has 2 coordinates, the unit 3"):
+        StateSpace("polytopic", vertices=[[0, 1], [1, 0, 1], [2, 1, 0]], unit=[0, 1, 1])
+
+
 def test_classical_shapes():
     bit = make_classical(2)
     assert bit.n_vertices == 2 and bit.affine_dim == 1
