@@ -28,7 +28,7 @@ from .communication import (
 )
 from .compatibility import are_compatible, fc_noise_lower_bound
 from .numerics import EXACT, Context
-from .observables import Observable, observable_from_json
+from .observables import Observable, observable_from_json, validation_errors
 from .postprocess import find_postprocessing
 from .simulation import enumerate_irreducibles, is_simulable
 from .spaces import StateSpace, UnsupportedSpace, space_from_ref
@@ -134,7 +134,13 @@ def _load_json(path: str):
 
 
 def _load_observable(path: str, config: RunConfig) -> Observable:
-    return observable_from_json(_load_json(path), config.context())
+    """The observable in a file; ValueError naming the file when it is not
+    one at ``--tolerance`` (the exact backend refuses it on construction)."""
+    obs = observable_from_json(_load_json(path), config.context())
+    errors = validation_errors(obs)
+    if errors:
+        raise ValueError(f"{path}: invalid observable: " + "; ".join(errors))
+    return obs
 
 
 def _load_comm(path: str, config: RunConfig) -> CommMatrix:

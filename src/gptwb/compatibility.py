@@ -22,7 +22,7 @@ from .observables import (
 )
 from .postprocess import find_postprocessing
 from .simulation import SimWitness, enumerate_irreducibles, verify_sim_witness
-from .spaces import StateSpace, UnsupportedSpace, effect_block, ray_generators
+from .spaces import StateSpace, UnsupportedSpace, effect_block
 
 
 MAX_PRODUCT_OUTCOMES = 10_000
@@ -73,27 +73,18 @@ def marginal(joint: Observable, which: int) -> Observable:
 
 
 # ---------------------------------------------------------------- dichotomic
-def _check_dichotomic(a_obs: Observable, b_obs: Observable) -> StateSpace:
-    space = common_space([a_obs, b_obs])
-    if a_obs.n_outcomes != 2 or b_obs.n_outcomes != 2:
-        raise ValueError("both observables must be dichotomic")
-    return space
-
-
 def dichotomic_compat_g(a_obs: Observable, b_obs: Observable) -> Optional[tuple]:
     """Single dual vector deciding compatibility of two dichotomic observables:
-    g with g >= 0, a >= g, b >= g, u >= a + b - g on all states.  It is the
-    (0, 0) effect of the joint observable, whose other effects are a - g,
-    b - g and u - a - b + g.  Where the dual rays do not generate the dual
-    cone, the joint LP would carry four effects with vertex rows, so g is
-    read off dichotomic_compat_margin's LP instead: its g meets all four
-    constraints whenever the optimal margin is >= 0."""
-    space = _check_dichotomic(a_obs, b_obs)
-    if ray_generators(space) is not None:
-        joint = are_compatible([a_obs, b_obs])
-        return None if joint is None else joint.effects[0]
+    g with g >= 0, a >= g, b >= g, u >= a + b - g on all states, so that
+    g, a - g, b - g and u - a - b + g form a joint observable.  It is the g
+    of the margin LP (``_dichotomic_margin_lp``), which meets all four
+    constraints whenever the optimal margin is >= 0; None otherwise, or when
+    an input's effects do not sum to u."""
     g, delta = _dichotomic_margin_lp(a_obs, b_obs)
-    return g if space.ctx.ge(delta, space.ctx.zero()) else None
+    ctx = a_obs.space.ctx
+    if ctx.ge(delta, ctx.zero()) and sums_to_unit(a_obs) and sums_to_unit(b_obs):
+        return g
+    return None
 
 
 def dichotomic_compat_margin(a_obs: Observable, b_obs: Observable):
@@ -104,7 +95,8 @@ def dichotomic_compat_margin(a_obs: Observable, b_obs: Observable):
 
 
 def _dichotomic_margin_lp(a_obs: Observable, b_obs: Observable) -> tuple:
-    """(g, delta) from the margin LP: delta in [-1, 1] maximized, with
+    """(g, delta) from the margin LP, the one LP of both dichotomic
+    decisions on every space: delta in [-1, 1] maximized, with
     g >= delta, a - g >= delta, b - g >= delta and u - a - b + g >= delta on
     every vertex v.  Of these four rows only two can bind, so each vertex
     has two: g(v) - delta >= max(0, a(v) + b(v) - 1) and
@@ -113,8 +105,11 @@ def _dichotomic_margin_lp(a_obs: Observable, b_obs: Observable) -> tuple:
     whose last row y[2 dim] <= 2 keeps delta <= 1.  For effects a and b,
     g = 0 meets every row at delta = -1 (y = 0), so the lower bound leaves
     the optimum alone and every row starts on its slack; inputs that leave
-    the LP infeasible are no effects: ValueError."""
-    space = _check_dichotomic(a_obs, b_obs)
+    the LP infeasible are no effects: ValueError, as are inputs on two
+    spaces or with other than two outcomes."""
+    space = common_space([a_obs, b_obs])
+    if a_obs.n_outcomes != 2 or b_obs.n_outcomes != 2:
+        raise ValueError("both observables must be dichotomic")
     a, b = a_obs.effects[0], b_obs.effects[0]
     ctx = space.ctx
     dim = space.ambient_dim

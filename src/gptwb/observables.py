@@ -105,12 +105,15 @@ def _space_ref(space: StateSpace):
 
 
 def mix_observables(weights: Sequence, parts: Sequence[Observable]) -> Observable:
-    """Convex mixture; all parts must share the space and the outcome set."""
+    """Convex mixture; all parts must share the space and the outcome set,
+    and there is one weight per part."""
     space = common_space(parts)
     ctx = space.ctx
     k = parts[0].n_outcomes
     if any(p.n_outcomes != k for p in parts):
         raise ValueError("mixture needs a common outcome set")
+    if len(weights) != len(parts):
+        raise ValueError(f"{len(weights)} weights for {len(parts)} parts of a mixture")
     effects = []
     for x in range(k):
         acc = [ctx.zero()] * space.ambient_dim
@@ -122,10 +125,16 @@ def mix_observables(weights: Sequence, parts: Sequence[Observable]) -> Observabl
 
 
 def apply_postprocessing(nu: Sequence[Sequence], source: Observable) -> Observable:
-    """Row-stochastic nu (|Lambda| x |Omega|) applied to the source observable."""
+    """Row-stochastic nu (|Lambda| x |Omega|) applied to the source observable.
+    ValueError unless nu has one row per source outcome, all of one length;
+    on floats whether the result is valid is ``validate``'s call."""
     space = source.space
     ctx = space.ctx
+    if len(nu) != source.n_outcomes:
+        raise ValueError(f"{len(nu)} post-processing rows for {source.n_outcomes} outcomes")
     n_out = len(nu[0])
+    if any(len(row) != n_out for row in nu):
+        raise ValueError("post-processing rows differ in length")
     effects = []
     for x in range(n_out):
         acc = [ctx.zero()] * space.ambient_dim

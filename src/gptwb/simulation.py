@@ -278,7 +278,9 @@ def effect_in_depolarized_class(space: StateSpace, e: Sequence, t) -> bool:
     if ctx.is_zero(t):
         # degenerate family {p u}: same as the noise class at t = 0
         return effect_in_noise_class(space, e, 0)
-    e_s0 = e[-1]  # value at the center (0, ..., 0, 1)
+    # alpha / 2, the value at the center (0, ..., 0, 1); bloch refuses an
+    # effect of the wrong length
+    e_s0 = space.bloch(e)[1] * (ctx.one() / 2)
     eprime = tuple((x - (ctx.one() - t) * e_s0 * u) / t for x, u in zip(e, space.unit))
     return space.is_valid_effect(eprime)
 

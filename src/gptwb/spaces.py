@@ -148,9 +148,12 @@ class StateSpace:
         return top
 
     def bloch(self, effect: Sequence) -> tuple[tuple, object]:
-        """(a, alpha) with effect = (a, alpha)/2; canonical embedding only."""
+        """(a, alpha) with effect = (a, alpha)/2; canonical embedding only.
+        ValueError for an effect of the wrong length."""
         if not self.psym:
             raise UnsupportedSpace("Bloch form needs a point-symmetric embedding")
+        if len(effect) != self.ambient_dim:
+            raise ValueError("effect dimension mismatch")
         d = self.ambient_dim - 1
         return tuple(2 * x for x in effect[:d]), 2 * effect[d]
 
@@ -162,7 +165,10 @@ class StateSpace:
 
     def effect_range(self, effect: Sequence) -> tuple:
         """(min, max) of the effect over the states: the extreme vertex values
-        of a polytope, (alpha -/+ ||a||) / 2 in a ball's Bloch form."""
+        of a polytope, (alpha -/+ ||a||) / 2 in a ball's Bloch form.
+        ValueError for an effect of the wrong length."""
+        if len(effect) != self.ambient_dim:
+            raise ValueError("effect dimension mismatch")
         if self.kind == "ball":
             avec, alpha = self.bloch(effect)
             na = self.effect_norm(avec)
@@ -171,8 +177,6 @@ class StateSpace:
         return min(vals), max(vals)
 
     def is_valid_effect(self, effect: Sequence) -> bool:
-        if len(effect) != self.ambient_dim:
-            raise ValueError("effect dimension mismatch")
         ctx = self.ctx
         if self.kind == "ball":  # the tolerance applies to alpha -/+ ||a||, not their halves
             avec, alpha = self.bloch(effect)
@@ -392,29 +396,21 @@ class EffectBlock:
                      for i in range(self.k))
 
 
-def ray_generators(space: StateSpace) -> Optional[tuple]:
-    """The directions of the dual-cone rays when they generate the dual cone,
-    else None: no enumeration for this space, or vertices that do not span
-    the ambient space."""
-    if space.spans_ambient():
-        try:
-            return tuple(r.direction for r in space.dual_rays())
-        except UnsupportedSpace:
-            pass
-    return None
-
-
 def effect_block(p: LPProblem, space: StateSpace, k: int) -> EffectBlock:
     """Append k effects to the variables of p, before or after its rows;
     the block's ``terms`` and ``sum_eq`` pose rows on them as (column,
     coefficient) pairs.
 
     An effect is a nonnegative combination of generators.  The dual-cone
-    rays make it positive by construction.  Where the rays do not generate
-    the dual cone (``ray_generators`` gives None) the generators are the
-    signed unit vectors e_0, -e_0, e_1, -e_1, ..., which span every
+    rays make it positive by construction wherever they generate the dual
+    cone.  Where they do not (no ray enumeration for the space, or vertices
+    that do not span the ambient space, which leave no rays) the generators
+    are the signed unit vectors e_0, -e_0, e_1, -e_1, ..., which span every
     functional, and one >= row per vertex keeps the effect nonnegative."""
-    rays = ray_generators(space)
+    try:
+        rays = tuple(r.direction for r in space.dual_rays())
+    except UnsupportedSpace:
+        rays = ()
     ctx = space.ctx
     dim = space.ambient_dim
     zero, one = ctx.zero(), ctx.one()

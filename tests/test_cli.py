@@ -136,6 +136,36 @@ def test_check_refuses_an_effect_shorter_than_the_space(tmp_path, backend, ref, 
     assert "effect 0 has 2 coordinates" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("role", ["postprocess-source", "sim-simulator", "compat-input"])
+def test_check_refuses_an_invalid_float_observable(tmp_path, role, capsys):
+    """The first effect of bad.json ranges over [-0.467, 1.467] on the
+    hexagon, so the file holds no observable: whichever input it is, the
+    check exits 3 naming the file and the effect."""
+    bad, tgt = tmp_path / "bad.json", tmp_path / "tgt.json"
+    bad.write_text(json.dumps({"space_ref": "polygon:6",
+                               "effects": [[0.9, 0, 0.5], [-0.9, 0, 0.5]]}))
+    tgt.write_text(json.dumps({"space_ref": "polygon:6",
+                               "effects": [[0.45, 0, 0.5], [-0.45, 0, 0.5]]}))
+    args = {"postprocess-source": ["postprocess", str(bad), str(tgt)],
+            "sim-simulator": ["sim", str(tgt), "--simulators", str(bad)],
+            "compat-input": ["compat", str(tgt), str(bad)]}[role]
+    assert main(["check"] + args) == 3
+    err = capsys.readouterr().err
+    assert f"{bad}: invalid observable: effect 0: not a valid effect" in err
+
+
+def test_observable_files_are_judged_at_the_tolerance(tmp_path, capsys):
+    """An effect 1e-7 above 1 on a vertex is no effect at the default
+    tolerance 1e-9 and is one at --tolerance 1e-6."""
+    path = tmp_path / "over.json"
+    path.write_text(json.dumps({"space_ref": "classical:2",
+                                "effects": [[1 + 1e-7, 0], [-1e-7, 1]]}))
+    assert main(["check", "compat", str(path), str(path)]) == 3
+    assert "not a valid effect" in capsys.readouterr().err
+    assert main(["--tolerance", "1e-6", "check", "compat", str(path), str(path)]) == 0
+    capsys.readouterr()
+
+
 def test_check_ultraweak_and_comm_compare(hexagon_files, capsys):
     code, out = run_cli(["check", "ultraweak", hexagon_files["I2"],
                          hexagon_files["V2"]], capsys)

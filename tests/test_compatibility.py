@@ -41,6 +41,7 @@ from gptwb.spaces import (
     make_polygon,
     make_square,
     polygon_extreme_even,
+    space_from_ref,
 )
 from conftest import (
     count_pivots,
@@ -113,10 +114,13 @@ def test_dichotomic_g_trivial_cases():
 
 
 def test_dichotomic_g_matches_product_lp_on_random_pairs():
+    """g and the margin come from one LP; the joint LP, on dual-ray weights
+    or (cube4, the padded square) on vertex rows, is the independent check.
+    Float pairs near margin 0 are left out; the exact axis pairs are not:
+    on the square, alone or in a direct sum, t = 1/2 has margin exactly 0
+    and is compatible."""
     rng = random.Random(23)
     count = 0
-    # the last two spaces have no dual-ray generator: g comes from the
-    # margin LP there, and the joint LP takes the vertex-row fallback
     for sp in [make_polygon(n) for n in (4, 5, 6, 7, 8)] + [cube4(FLOAT), padded_square(FLOAT)]:
         for _ in range(12):
             a = random_observable(sp, 2, rng)
@@ -125,10 +129,23 @@ def test_dichotomic_g_matches_product_lp_on_random_pairs():
             if abs(float(margin)) <= 1e-7:
                 continue
             count += 1
-            # the margin LP is independent of the joint LP that g comes from
             assert (dichotomic_compat_g(a, b) is not None) == \
                 (are_compatible([a, b]) is not None) == (margin > 0)
     assert count >= 40
+    # random rational pairs are almost all compatible, so the exact spaces
+    # take the axis pairs, which turn incompatible on the square past t = 1/2
+    verdicts = {}
+    for sp in (make_square(EXACT), make_classical(3, EXACT),
+               space_from_ref("dsum:square+classical:2", EXACT)):
+        for t in map(Fraction, ("1/4", "2/5", "1/2", "3/5", "3/4", "1")):
+            a, b = axis_dichotomic(sp, 0, t), axis_dichotomic(sp, 1, t)
+            margin = dichotomic_compat_margin(a, b)
+            g = dichotomic_compat_g(a, b)
+            assert (g is not None) == (are_compatible([a, b]) is not None) == (margin >= 0)
+            verdicts[sp.label, t] = (g is not None, margin)
+    for label in ("square", "dsum:square+classical:2"):
+        assert [verdicts[label, t] for t in map(Fraction, ("1/2", "3/5", "3/4", "1"))] == \
+            [(True, 0)] + [(False, -Fraction(d)) for d in ("1/20", "1/8", "1/4")]
 
 
 def test_dichotomic_g_satisfies_its_cone_constraints():
@@ -286,13 +303,16 @@ def test_joint_reproduces_every_marginal(ctx):
 
 
 def test_unnormalized_inputs_are_incompatible():
-    """An input whose effects do not sum to u has no joint observable."""
-    sp = make_polygon(6)
-    a = random_observable(sp, 2, random.Random(41), margin=0.3)
-    short = observable(sp, (a.effects[0], tuple(0.9 * x for x in a.effects[1])))
-    assert are_compatible([a, a]) is not None
-    assert are_compatible([a, short]) is None
-    assert are_compatible([short, a]) is None
+    """An input whose effects do not sum to u has no joint observable, and
+    no g either, though the margin LP reads only the first effects."""
+    for sp in (make_polygon(6), cube4(FLOAT)):
+        a = random_observable(sp, 2, random.Random(41), margin=0.3)
+        short = observable(sp, (a.effects[0], tuple(0.9 * x for x in a.effects[1])))
+        assert are_compatible([a, a]) is not None
+        assert dichotomic_compat_g(a, a) is not None
+        for pair in ([a, short], [short, a]):
+            assert are_compatible(pair) is None
+            assert dichotomic_compat_g(*pair) is None
 
 
 # ------------------------------------------ spaces without a dual-ray generator

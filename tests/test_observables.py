@@ -93,6 +93,14 @@ def test_mixture_with_trivial_raises_noise():
     assert noise_content(mixed).w_trivial >= 0.5 - 1e-12
 
 
+def test_mixture_needs_one_weight_per_part():
+    """With one weight for two parts, zip would drop the second part and
+    return 0.5 a."""
+    sp, a = hexagon_pair()
+    with pytest.raises(ValueError, match="1 weights for 2 parts"):
+        mix_observables((0.5,), (a, uniform_trivial(sp, 2)))
+
+
 def test_common_space_compares_geometry_not_labels():
     """Spaces built apart with one context, kind, unit and vertex list are one
     space whatever their labels; a change of field, polygon or kind is not,

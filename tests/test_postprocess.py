@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from gptwb.numerics import is_row_stochastic
 from gptwb.observables import (
     apply_postprocessing,
@@ -25,6 +27,22 @@ def assert_witness_ok(nu, source, target):
     rebuilt = apply_postprocessing(nu, source)
     for e, f in zip(rebuilt.effects, target.effects):
         assert all(abs(x - y) < 1e-8 for x, y in zip(e, f))
+
+
+def test_postprocessing_needs_one_row_per_source_outcome():
+    """One row for a two-outcome source would drop its second effect and
+    three rows would read a third that is not there."""
+    _, b = hexagon_pair()
+    for nu in (((1.0, 0.0),), ((1.0, 0.0), (0.0, 1.0), (0.5, 0.5))):
+        with pytest.raises(ValueError, match=f"{len(nu)} post-processing rows for 2 outcomes"):
+            apply_postprocessing(nu, b)
+
+
+def test_postprocessing_rows_of_one_length():
+    """A longer second row would have its last entry ignored."""
+    _, b = hexagon_pair()
+    with pytest.raises(ValueError, match="rows differ in length"):
+        apply_postprocessing(((1.0, 0.0), (0.0, 0.5, 0.5)), b)
 
 
 def test_any_observable_reaches_any_trivial():

@@ -17,8 +17,13 @@ from gptwb.compatibility import (
 )
 from gptwb.instruments import is_indecomposable_mp, mp_instrument
 from gptwb.numerics import EXACT, FLOAT, LPProblem, dot, rank
-from gptwb.observables import observable
-from gptwb.simulation import enumerate_irreducibles, is_effectively_dichotomic
+from gptwb.observables import is_zero_effect, observable
+from gptwb.simulation import (
+    effect_in_depolarized_class,
+    effect_in_noise_class,
+    enumerate_irreducibles,
+    is_effectively_dichotomic,
+)
 from gptwb.spaces import (
     StateSpace,
     UnsupportedSpace,
@@ -276,6 +281,28 @@ def test_hexagon_extreme_effect_validity():
 def test_effect_dimension_mismatch_raises():
     with pytest.raises(ValueError):
         make_polygon(6).is_valid_effect((0.5, 0.5))
+
+
+@pytest.mark.parametrize("space", [make_polygon(6), make_ball(2)], ids=["hexagon", "disc"])
+@pytest.mark.parametrize("effect", [(0, 0, 0.5, 9.0), (0.0, 0.0)], ids=["long", "short"])
+@pytest.mark.parametrize("call", [
+    lambda sp, e: sp.is_valid_effect(e),
+    lambda sp, e: sp.effect_range(e),
+    lambda sp, e: sp.bloch(e),
+    lambda sp, e: is_zero_effect(sp, e),
+    lambda sp, e: effect_in_noise_class(sp, e, 1),
+    lambda sp, e: effect_in_depolarized_class(sp, e, 0.5),
+    lambda sp, e: psym_compat_test(sp, e, (0, 0, 0.5)),
+    lambda sp, e: psym_compat_test(sp, (0, 0, 0.5), e),
+], ids=["is_valid_effect", "effect_range", "bloch", "is_zero_effect", "noise_class",
+        "depolarized_class", "psym_compat_first", "psym_compat_second"])
+def test_effects_of_the_wrong_length_are_refused(space, effect, call):
+    """An effect's geometry is read through effect_range or bloch, and both
+    refuse a functional with more or fewer coordinates than the space,
+    rather than reading its first coordinates (dot and zip stop at the
+    shorter vector)."""
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        call(space, effect)
 
 
 # -------------------------------------------------------------- extreme effects
