@@ -339,12 +339,8 @@ def _normalise_row(row: list) -> tuple:
 
 
 def _factor_error(w, h, target) -> float:
-    err = 0.0
-    for i, row in enumerate(target):
-        for j, tv in enumerate(row):
-            acc = sum(w[i][t] * h[t][j] for t in range(len(h)))
-            err = max(err, abs(float(acc - tv)))
-    return err
+    return max((abs(float(a - t)) for pr, tr in zip(mat_mul(w, h), target)
+                for a, t in zip(pr, tr)), default=0.0)
 
 
 def _ultraweak_fit(cf, target, left, right):

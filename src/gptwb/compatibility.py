@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .numerics import LPProblem, dot, lp_solve
+from .numerics import LPProblem, dot, lp_solve, mat_mul
 from .observables import (
     Observable,
     common_space,
@@ -59,17 +59,11 @@ def are_compatible(obs: Sequence[Observable]) -> Optional[Observable]:
 
 def marginal(joint: Observable, which: int) -> Observable:
     """Marginal of a product-outcome joint observable along one slot."""
-    space = joint.space
-    ctx = space.ctx
-    labels = sorted({z[which] for z in joint.outcomes}, key=str)
-    effects = []
-    for lbl in labels:
-        acc = [ctx.zero()] * space.ambient_dim
-        for z, e in zip(joint.outcomes, joint.effects):
-            if z[which] == lbl:
-                acc = [a + b for a, b in zip(acc, e)]
-        effects.append(tuple(acc))
-    return Observable(space, tuple(effects), tuple(labels))
+    ctx = joint.space.ctx
+    labels = tuple(sorted({z[which] for z in joint.outcomes}, key=str))
+    rows = [[ctx.one() if z[which] == lbl else ctx.zero() for z in joint.outcomes]
+            for lbl in labels]
+    return Observable(joint.space, mat_mul(rows, joint.effects), labels)
 
 
 # ---------------------------------------------------------------- dichotomic
@@ -79,34 +73,40 @@ def dichotomic_compat_g(a_obs: Observable, b_obs: Observable) -> Optional[tuple]
     g, a - g, b - g and u - a - b + g form a joint observable.  It is the g
     of the margin LP (``_dichotomic_margin_lp``), which meets all four
     constraints whenever the optimal margin is >= 0; None otherwise, or when
-    an input's effects do not sum to u."""
+    an input's effects do not sum to u, which is checked before the LP."""
+    if not (sums_to_unit(a_obs) and sums_to_unit(b_obs)):
+        return None
     g, delta = _dichotomic_margin_lp(a_obs, b_obs)
     ctx = a_obs.space.ctx
-    if ctx.ge(delta, ctx.zero()) and sums_to_unit(a_obs) and sums_to_unit(b_obs):
-        return g
-    return None
+    return g if ctx.ge(delta, ctx.zero()) else None
 
 
 def dichotomic_compat_margin(a_obs: Observable, b_obs: Observable):
-    """Largest slack delta in [-1, 1] so all four cone constraints of g hold
-    with margin delta on every vertex; positive iff strictly compatible,
-    used to flag boundary instances."""
+    """Largest slack delta in [-1, 1/4] so all four cone constraints of g
+    hold with margin delta on every vertex; positive iff strictly
+    compatible, used to flag boundary instances.  The LP reads only each
+    input's first effect, so an input whose effects do not sum to u raises
+    ValueError, as one that is no effect does."""
+    if not (sums_to_unit(a_obs) and sums_to_unit(b_obs)):
+        raise ValueError("the dichotomic margin needs observables whose effects sum to u")
     return _dichotomic_margin_lp(a_obs, b_obs)[1]
 
 
 def _dichotomic_margin_lp(a_obs: Observable, b_obs: Observable) -> tuple:
     """(g, delta) from the margin LP, the one LP of both dichotomic
-    decisions on every space: delta in [-1, 1] maximized, with
-    g >= delta, a - g >= delta, b - g >= delta and u - a - b + g >= delta on
-    every vertex v.  Of these four rows only two can bind, so each vertex
-    has two: g(v) - delta >= max(0, a(v) + b(v) - 1) and
+    decisions on every space: delta maximized, with g >= delta,
+    a - g >= delta, b - g >= delta and u - a - b + g >= delta on every
+    vertex v.  Of these four rows only two can bind, so each vertex has two:
+    g(v) - delta >= max(0, a(v) + b(v) - 1) and
     -g(v) - delta >= -min(a(v), b(v)).  On the LP's nonnegative columns y,
     g = y[2c] - y[2c+1] coordinate by coordinate and delta = y[2 dim] - 1,
-    whose last row y[2 dim] <= 2 keeps delta <= 1.  For effects a and b,
-    g = 0 meets every row at delta = -1 (y = 0), so the lower bound leaves
-    the optimum alone and every row starts on its slack; inputs that leave
-    the LP infeasible are no effects: ValueError, as are inputs on two
-    spaces or with other than two outcomes."""
+    so delta >= -1 is its column's bound.  A vertex's two rows add up to
+    2 delta <= min(a(v), b(v)) - max(0, a(v) + b(v) - 1) <= 1/2, so
+    delta <= 1/4 needs no row.  For effects a and b, g = 0 meets every row
+    at delta = -1 (y = 0), so the lower bound leaves the optimum alone and
+    every row starts on its slack; inputs that leave the LP infeasible are
+    no effects: ValueError, as are inputs on two spaces or with other than
+    two outcomes."""
     space = common_space([a_obs, b_obs])
     if a_obs.n_outcomes != 2 or b_obs.n_outcomes != 2:
         raise ValueError("both observables must be dichotomic")
@@ -121,7 +121,6 @@ def _dichotomic_margin_lp(a_obs: Observable, b_obs: Observable) -> tuple:
         av, bv = dot(a, v), dot(b, v)
         p.add_ge(gv + [(d, -one)], max(zero, av + bv - one) - one)
         p.add_ge([(j, -x) for j, x in gv] + [(d, -one)], -min(av, bv) - one)
-    p.add_ge([(d, -one)], -2 * one)
     res = lp_solve(p, ctx)
     if not res.feasible:  # y = 0 meets every row when a and b are effects
         raise ValueError("the dichotomic margin LP needs effects")

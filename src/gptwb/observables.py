@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .numerics import DEFAULT, Context, dot, rank
+from .numerics import DEFAULT, Context, dot, mat_mul, rank
 from .spaces import StateSpace, UnsupportedSpace, Vector, space_from_json, space_from_ref
 
 
@@ -114,20 +114,17 @@ def mix_observables(weights: Sequence, parts: Sequence[Observable]) -> Observabl
         raise ValueError("mixture needs a common outcome set")
     if len(weights) != len(parts):
         raise ValueError(f"{len(weights)} weights for {len(parts)} parts of a mixture")
-    effects = []
-    for x in range(k):
-        acc = [ctx.zero()] * space.ambient_dim
-        for w, part in zip(weights, parts):
-            w = ctx.scalar(w)
-            acc = [a + w * b for a, b in zip(acc, part.effects[x])]
-        effects.append(tuple(acc))
-    return Observable(space, tuple(effects), parts[0].outcomes)
+    ws = [[ctx.scalar(w) for w in weights]]
+    effects = tuple(mat_mul(ws, [part.effects[x] for part in parts])[0] for x in range(k))
+    return Observable(space, effects, parts[0].outcomes)
 
 
 def apply_postprocessing(nu: Sequence[Sequence], source: Observable) -> Observable:
-    """Row-stochastic nu (|Lambda| x |Omega|) applied to the source observable.
-    ValueError unless nu has one row per source outcome, all of one length;
-    on floats whether the result is valid is ``validate``'s call."""
+    """Row-stochastic nu (|Lambda| x |Omega|) applied to the source observable:
+    the effects are nu's transpose times the source's, and every weight
+    counts, however small.  ValueError unless nu has one row per source
+    outcome, all of one length; on floats whether the result is valid is
+    ``validate``'s call."""
     space = source.space
     ctx = space.ctx
     if len(nu) != source.n_outcomes:
@@ -135,15 +132,8 @@ def apply_postprocessing(nu: Sequence[Sequence], source: Observable) -> Observab
     n_out = len(nu[0])
     if any(len(row) != n_out for row in nu):
         raise ValueError("post-processing rows differ in length")
-    effects = []
-    for x in range(n_out):
-        acc = [ctx.zero()] * space.ambient_dim
-        for y, row in enumerate(nu):
-            w = ctx.scalar(row[x])
-            if not ctx.is_zero(w):
-                acc = [a + w * b for a, b in zip(acc, source.effects[y])]
-        effects.append(tuple(acc))
-    return Observable(space, tuple(effects), tuple(range(n_out)))
+    nu_t = [[ctx.scalar(w) for w in col] for col in zip(*nu)]
+    return Observable(space, mat_mul(nu_t, source.effects), tuple(range(n_out)))
 
 
 # ----------------------------------------------------------------- predicates
@@ -242,18 +232,10 @@ def minimally_sufficient(a: Observable) -> Observable:
                 break
         else:
             kept.append([i])
-    effects = []
-    outcomes = []
-    for cls in kept:
-        acc = [ctx.zero()] * space.ambient_dim
-        for i in cls:
-            acc = [x + y for x, y in zip(acc, a.effects[i])]
-        effects.append(tuple(acc))
-        outcomes.append(a.outcomes[cls[0]])
-    if not effects:  # all effects vanished: degenerate, keep the unit outcome
-        effects = [tuple(space.unit)]
-        outcomes = [a.outcomes[0] if a.outcomes else 0]
-    return Observable(space, tuple(effects), tuple(outcomes))
+    if not kept:  # all effects vanished: degenerate, keep the unit outcome
+        return Observable(space, (tuple(space.unit),), (a.outcomes[0] if a.outcomes else 0,))
+    merge = [[ctx.one() if i in cls else ctx.zero() for i in range(a.n_outcomes)] for cls in kept]
+    return Observable(space, mat_mul(merge, a.effects), tuple(a.outcomes[cls[0]] for cls in kept))
 
 
 def is_extreme_clean(a: Observable) -> bool:

@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .numerics import LPProblem, independent_subsets, lp_solve
+from .numerics import LPProblem, independent_subsets, lp_solve, mat_mul
 from .observables import (
     Observable,
     common_space,
@@ -127,14 +127,9 @@ def verify_sim_witness(target: Observable, simulators: Sequence[Observable],
             if any(v < -tol for v in row) or abs(sum(row) - p) > tol:
                 return False
     fit = tol if ctx.exact else max(tol, 1e-9)
-    for x in range(n):
-        acc = [ctx.zero()] * target.space.ambient_dim
-        for m, b in zip(witness.matrices, simulators):
-            for y, row in enumerate(m):
-                acc = [a + row[x] * e for a, e in zip(acc, b.effects[y])]
-        if any(abs(a - t) > fit for a, t in zip(acc, target.effects[x])):
-            return False
-    return True
+    stacked = list(zip(*[row for m in witness.matrices for row in m]))
+    rebuilt = mat_mul(stacked, [e for b in simulators for e in b.effects])
+    return all(abs(a - t) <= fit for r, e in zip(rebuilt, target.effects) for a, t in zip(r, e))
 
 
 def is_simulation_irreducible(a: Observable) -> bool:
@@ -294,18 +289,13 @@ def observable_in_noise_class(a: Observable, t) -> bool:
 def range_in_effect_class(a: Observable, predicate: Callable[[Sequence], bool]) -> bool:
     """Every partial sum of effects (the observable's range) satisfies the
     effect predicate; the outcome set is capped at 16."""
-    if a.n_outcomes > 16:
+    n = a.n_outcomes
+    if n > 16:
         raise ValueError("outcome set too large for range enumeration")
     ctx = a.space.ctx
-    dim = a.space.ambient_dim
-    for r in range(a.n_outcomes + 1):
-        for combo in itertools.combinations(range(a.n_outcomes), r):
-            acc = [ctx.zero()] * dim
-            for i in combo:
-                acc = [x + y for x, y in zip(acc, a.effects[i])]
-            if not predicate(tuple(acc)):
-                return False
-    return True
+    subsets = [[ctx.one() if i in combo else ctx.zero() for i in range(n)]
+               for r in range(n + 1) for combo in itertools.combinations(range(n), r)]
+    return all(predicate(e) for e in mat_mul(subsets, a.effects))
 
 
 def noise_class_gap_observable(t: float = 0.2) -> tuple[Observable, float]:

@@ -26,6 +26,7 @@ from .numerics import (
     dot,
     independent_subsets,
     lp_solve,
+    mat_mul,
     rank,
 )
 
@@ -391,9 +392,8 @@ class EffectBlock:
     def effects(self, x: Sequence) -> tuple:
         """The k effects at an LP solution x."""
         w = len(self.gens)
-        return tuple(tuple(sum(x[self.start + i * w + j] * g[c] for j, g in enumerate(self.gens))
-                           for c in range(len(self.cols)))
-                     for i in range(self.k))
+        return mat_mul([x[self.start + i * w:self.start + (i + 1) * w] for i in range(self.k)],
+                       self.gens)
 
 
 def effect_block(p: LPProblem, space: StateSpace, k: int) -> EffectBlock:

@@ -251,8 +251,8 @@ def test_margin_lower_bound_leaves_the_optimum_alone(monkeypatch):
 def test_margin_lp_keeps_the_two_rows_per_vertex_that_can_bind(ctx, monkeypatch):
     """Of g >= delta and u - a - b + g >= delta only the larger lower bound
     on g(v) - delta can bind, and of a - g >= delta and b - g >= delta only
-    the smaller upper bound: the LP has 2 |vertices| rows and delta <= 1,
-    and its optimum is the four-row LP's, equal on exact and within 1e-9 on
+    the smaller upper bound: the LP has 2 |vertices| rows, which bound
+    delta by 1/4, and its optimum is the four-row LP's, equal on exact and within 1e-9 on
     floats."""
     posed = []
     monkeypatch.setattr(compatibility, "lp_solve",
@@ -268,7 +268,7 @@ def test_margin_lp_keeps_the_two_rows_per_vertex_that_can_bind(ctx, monkeypatch)
             posed.clear()
             got = dichotomic_compat_margin(a, b)
             (p,) = posed
-            assert not p.eq and len(p.ge) == 2 * sp.n_vertices + 1
+            assert not p.eq and len(p.ge) == 2 * sp.n_vertices
             want = four_row_margin(a, b, -ctx.one())
             if ctx.exact:
                 assert isinstance(got, Fraction) and got == want
@@ -304,7 +304,8 @@ def test_joint_reproduces_every_marginal(ctx):
 
 def test_unnormalized_inputs_are_incompatible():
     """An input whose effects do not sum to u has no joint observable, and
-    no g either, though the margin LP reads only the first effects."""
+    no g or margin either, though the margin LP reads only the first
+    effects."""
     for sp in (make_polygon(6), cube4(FLOAT)):
         a = random_observable(sp, 2, random.Random(41), margin=0.3)
         short = observable(sp, (a.effects[0], tuple(0.9 * x for x in a.effects[1])))
@@ -313,6 +314,8 @@ def test_unnormalized_inputs_are_incompatible():
         for pair in ([a, short], [short, a]):
             assert are_compatible(pair) is None
             assert dichotomic_compat_g(*pair) is None
+            with pytest.raises(ValueError, match="sum to u"):
+                dichotomic_compat_margin(*pair)
 
 
 # ------------------------------------------ spaces without a dual-ray generator

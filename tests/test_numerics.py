@@ -339,18 +339,19 @@ def test_lp_exact_backend_agrees_with_floats():
 
 @pytest.mark.parametrize("ctx,conv", BACKENDS, ids=["exact", "float"])
 def test_lp_feasible_origin_makes_no_phase1_pivot(ctx, conv, monkeypatch):
-    """Every >= row holds at the origin, so each starts on its slack: phase
-    1 makes no pivot, and one violated row brings phase 1 back.  The LP is
-    max x0 + 2 x1 + x2 subject to x0 + x1 <= 3, x0 - 2 x1 + x2 >= -4,
-    x2 >= x1, x0 >= 0, -1 <= x1 <= 1 and x2 <= 5, with optimum 9 at
-    x = (2, 1, 5), posed on y = (x0, x1 + 1, 5 - x2) >= 0."""
+    """Every >= row holds at the origin, so each starts on its slack, one
+    with a zero right-hand side included: phase 1 makes no pivot, and one
+    violated row brings phase 1 back.  The LP is max x0 + 2 x1 + x2
+    subject to x0 + x1 <= 3, x0 - 2 x1 + x2 >= -4, x2 >= x1, x1 + x2 <= 4,
+    x0 >= 0, -1 <= x1 <= 1 and x2 <= 5, with optimum 7 (at x = (2, 1, 3),
+    say), posed on y = (x0, x1 + 1, 5 - x2) >= 0."""
     counts = count_pivots(monkeypatch)
     ge = [([(0, -1), (1, -1)], -4), ([(0, 1), (1, -2), (2, -1)], conv(-11)),
-          ([(1, -1), (2, -1)], -6), ([(1, -1)], conv(-2))]
+          ([(1, -1), (2, -1)], -6), ([(1, -1)], conv(-2)), ([(2, 1), (1, -1)], conv(0))]
     p = LPProblem(n=3, objective=[(0, 1), (1, 2), (2, -1)], ge=list(ge))
     res = lp_solve(p, ctx)
     assert counts[1] == 0 and counts[2] > 0
-    assert res.feasible and abs(res.value + 3 - 9) <= 1e-12  # y = (2, 2, 0)
+    assert res.feasible and abs(res.value + 3 - 7) <= 1e-12
     counts[2] = 0
     assert lp_solve(LPProblem(n=3, ge=list(ge)), ctx).feasible
     assert counts == {1: 0, 2: 0}
@@ -463,6 +464,16 @@ def test_lp_beale_reaches_optimum(ctx, conv):
     res = lp_solve(p, ctx)
     assert res.feasible and abs(res.value - Fraction(1, 20)) <= 1e-12
     assert abs(res.x[0] - Fraction(1, 25)) <= 1e-12 and abs(res.x[2] - 1) <= 1e-12
+
+
+@pytest.mark.parametrize("ctx,conv", BACKENDS, ids=["exact", "float"])
+def test_simplex_ratio_tie_leaves_the_lowest_basic_index(ctx, conv):
+    """Column 0 enters and both rows tie in the ratio test at 1: the row
+    whose basic variable has the lower index (2, not 3) leaves."""
+    tableau = [[conv(v) for v in row] for row in ([1, 0, 1, 0, 1], [1, 1, 0, 1, 1])]
+    basis = [2, 3]
+    assert _run_simplex(tableau, basis, [conv(c) for c in (-1, 0, 0, 0)], ctx)
+    assert basis == [0, 3]
 
 
 @pytest.mark.parametrize("ctx,conv", BACKENDS, ids=["exact", "float"])
