@@ -4,13 +4,19 @@ A communication matrix is the row-stochastic outcome table of a
 prepare-and-measure scenario.  Majorization D <= C (existence of row-stochastic
 L, R with LCR = D) is decided by monotone screens, exact shortcuts for a D
 whose rows are all equal and for identity-shaped endpoints, and otherwise a
-warm-started search: projected least-squares sweeps (rows projected onto the
-simplex in closed form), then alternating exact least-absolute-deviation LPs
-for L and R.  Each LP has one deviation column per fitted entry, in a ">="
-row whose slack is the other deviation, so every fit row starts on its slack
-and only the row sums need phase 1.  It is sound for "yes" (witnesses are
-normalised in the matrix's field and re-verified) and honest about
-"inconclusive".
+warm-started search on D's distinct rows: five projected least-squares
+sweeps (rows projected onto the simplex in closed form, one gradient step
+per row of L), then rounds of exact least-absolute-deviation LPs.  Each
+round fits the rows of L, then moves R to the nearest R with (L C) R = D,
+a projection onto the row space of L C that keeps R's row sums at 1; it
+ends the search when that R is nonnegative and fits, and otherwise R is
+fitted by an LP too.  Each LP has one deviation column per fitted entry, in
+a ">=" row whose slack is the other deviation, so every fit row starts on
+its slack and only the row sums need phase 1.  It is sound for "yes"
+(witnesses are normalised in the matrix's field and re-verified) and honest
+about "inconclusive".  On the exact backend a search witness, here and in
+the factorizations below, is exactly row-stochastic but reproduces the
+target only within the 1e-9 of the re-verification.
 The nonnegative-rank and psd-rank monotones are reported as certified
 intervals; the exact values are computationally hard in general.  The upper
 end of the nonnegative-rank interval comes from row-stochastic factorizations
@@ -150,7 +156,7 @@ def nonneg_factorization(c: CommMatrix, k: int, *, seed: int = 0) -> Optional[tu
         return None
     tol = ctx.eps
     target = [[float(v) for v in row] for row in c.matrix]
-    hull = _row_hull(target, k) if rank(c.matrix, ctx) == k else None
+    basis = _row_basis(target, k) if rank(c.matrix, ctx) == k else None
     for attempt in range(_FACTOR_RESTARTS):
         rng = random.Random(seed * 1_000_003 + k * 1009 + attempt)
         if attempt == 0:
@@ -158,7 +164,7 @@ def nonneg_factorization(c: CommMatrix, k: int, *, seed: int = 0) -> Optional[tu
             w = [[1.0 if (i % k) == j else 0.0 for j in range(k)] for i in range(n)]
         else:
             w = _random_stochastic(rng, n, k)
-        fact = _hals_stochastic(target, w, hull)
+        fact = _hals_stochastic(target, w, basis)
         if fact is None or _factor_error(*fact, target) > max(tol, 1e-10):
             continue
         wq, hq = _field_stochastic(fact, ctx)
@@ -170,8 +176,8 @@ def nonneg_factorization(c: CommMatrix, k: int, *, seed: int = 0) -> Optional[tu
 
 _FACTOR_RESTARTS = 4      # HALS restarts of nonneg_factorization
 _ULTRAWEAK_STARTS = 6     # random starts of the ultraweak search
-_ULTRAWEAK_WARM = 10      # projected sweeps before the LP rounds
-_ULTRAWEAK_L_STEPS = 3    # projected-gradient steps per L row and sweep
+_ULTRAWEAK_WARM = 5       # projected sweeps before the LP rounds
+_ULTRAWEAK_L_STEPS = 1    # projected-gradient steps per L row and sweep
 _ULTRAWEAK_TARGET = 1e-10  # max error at which a start succeeds
 _HALS_CHECK_EVERY = 20    # sweeps between max-error checks
 _HALS_MIN_SWEEPS = 200    # no stall or rate verdict before this many sweeps
@@ -180,11 +186,11 @@ _HALS_TARGET = 1e-11      # max error at which the sweeps stop
 _HALS_STALL = 0.9         # a check above this share of the last one is a stall
 
 
-def _hals_stochastic(target, w, hull=None):
+def _hals_stochastic(target, w, basis=None):
     """Nonnegative HALS (Gillis & Glineur 2012) on target ~ W H from W, then
     rescale to row-stochastic factors: each row of H to sum 1 with the
     matching column of W scaled up, then each row of W divided by its sum.
-    With ``hull`` (from _row_hull, k = rank of the target) the first error
+    With ``basis`` (from _row_basis, k = rank of the target) the first error
     check first tries _hull_finish and returns its factors when it succeeds.
     Returns float (W, H), or None when a factor row has no mass."""
     m = len(target[0])
@@ -196,11 +202,11 @@ def _hals_stochastic(target, w, hull=None):
         _hals_update(h, wc, ct)       # rows of H for fixed W
         _hals_update(wc, h, target)   # columns of W for fixed H
         if sweep % _HALS_CHECK_EVERY == 0:
-            if hull is not None:      # the finish is tried at the first check only
-                fact = _hull_finish(target, h, *hull)
+            if basis is not None:     # the finish is tried at the first check only
+                fact = _hull_finish(target, h, basis)
                 if fact is not None:
                     return fact
-                hull = None
+                basis = None
             err = _factor_error(list(zip(*wc)), h, target)
             if err <= _HALS_TARGET:
                 break
@@ -226,10 +232,10 @@ def _hals_stochastic(target, w, hull=None):
     return w, h
 
 
-def _row_hull(target, k) -> tuple:
+def _row_basis(target, k) -> list:
     """An orthonormal basis of the span of the target's rows, whose rank is k
     (Gram-Schmidt, each step taking the row with the largest remaining
-    part), and the centroid of the rows."""
+    part)."""
     mul = operator.mul
     rest = [list(row) for row in target]
     basis = []
@@ -241,11 +247,10 @@ def _row_hull(target, k) -> tuple:
         for r in rest:
             d = sum(map(mul, r, q))
             r[:] = [a - d * b for a, b in zip(r, q)]
-    centre = [sum(col) / len(target) for col in zip(*target)]
-    return basis, centre
+    return basis
 
 
-def _hull_finish(target, h, basis, centre):
+def _hull_finish(target, h, basis):
     """Exact-rank finish (the nested-polytopes view of Vavasis 2009): when
     k = rank(C), H's rows span the same space as C's rows, so C's rows lie
     in the convex hull of H's rows inside their affine hull.  Each row of
@@ -256,6 +261,7 @@ def _hull_finish(target, h, basis, centre):
     Returns float (W, H) when W >= 0 and the max error is within
     _HALS_TARGET, else None."""
     mul = operator.mul
+    centre = [sum(col) / len(target) for col in zip(*target)]
     rows = []
     for row in h:
         coords = [sum(map(mul, q, row)) for q in basis]
@@ -345,10 +351,13 @@ def _factor_error(w, h, target) -> float:
 
 def _ultraweak_fit(cf, target, left, right):
     """Float row-stochastic (L, R) with max |L C R - D| <= _ULTRAWEAK_TARGET
-    from the start (left, right), or None: warm sweeps, then rounds of
-    exact least-absolute-deviation LPs (_lad_fit: one deviation column per
-    fitted entry, the other deviation its row's starting slack), one per row
-    of L and one over all of R, until a round fails to halve the max error."""
+    from the start (left, right), or None: _ULTRAWEAK_WARM warm sweeps,
+    then rounds of exact least-absolute-deviation LPs (_lad_fit: one
+    deviation column per fitted entry, the other deviation its row's
+    starting slack).  A round fits each row of L by one LP, then tries the
+    exact-fit finish _exact_right, which returns when the nearest R with
+    (L C) R = D is nonnegative and fits; otherwise one LP over all of R.
+    The rounds stop when one fails to halve the max error."""
     mul = operator.mul
     k, m = len(cf[0]), len(target[0])
     ct = list(zip(*cf))
@@ -359,6 +368,9 @@ def _ultraweak_fit(cf, target, left, right):
         crt = [[(j, a) for j, a in enumerate(col) if a] for col in crt]
         left = [_lad_fit(1, len(cf), list(zip(crt, d)))[0] for d in target]
         lc = [[sum(map(mul, row, col)) for col in ct] for row in left]
+        exact = _exact_right(lc, target, right)
+        if exact is not None:
+            return left, exact
         # entry (y, b) of R, column y * m + b, has coefficient (L C)[i][y]
         fits = [([(y * m + b, a) for y, a in enumerate(row) if a], v)
                 for row, d in zip(lc, target) for b, v in enumerate(d)]
@@ -369,6 +381,31 @@ def _ultraweak_fit(cf, target, left, right):
         if err > 0.5 * prev:
             return None
         prev = err
+
+
+def _exact_right(lc, target, right):
+    """The R nearest ``right`` in the Frobenius norm with (L C) R = D: each
+    column r of R becomes r + P^T (Z^+ d - P r), where the rows of P are an
+    orthonormal basis of the rows of L C (_row_basis), Z = (L C) P^T, and
+    Z^+ d solves the normal equations Z^T Z x = Z^T d.  L C and D are
+    row-stochastic, so the rows of that R still sum to 1.  Returns it when
+    R >= 0 and the max error is within _ULTRAWEAK_TARGET, else None."""
+    mul = operator.mul
+    p = _row_basis(lc, rank(lc))
+    zt = [[sum(map(mul, row, q)) for row in lc] for q in p]  # columns of Z
+    gram = [[sum(map(mul, a, b)) for b in zt] for a in zt]
+    pt = list(zip(*p))
+    cols = []
+    for d, r in zip(zip(*target), zip(*right)):
+        x = solve_unique(gram, [sum(map(mul, a, d)) for a in zt])
+        if x is None:
+            return None
+        step = [v - sum(map(mul, q, r)) for v, q in zip(x, p)]
+        cols.append([v + sum(map(mul, step, prow)) for v, prow in zip(r, pt)])
+    new = [list(row) for row in zip(*cols)]
+    if min(map(min, new)) < 0.0 or _factor_error(lc, new, target) > _ULTRAWEAK_TARGET:
+        return None
+    return new
 
 
 def _ultraweak_warm_sweeps(cf, target, left, right) -> None:
@@ -461,11 +498,13 @@ def ultraweak_leq(d: CommMatrix, c: CommMatrix, *, seed: int = 0) -> UltraweakRe
     whose rows are all equal and identity-shaped endpoints are decided
     exactly, and otherwise a search looks for row-stochastic witnesses L, R.
 
-    Each of up to _ULTRAWEAK_STARTS starts draws random row-stochastic L and R
-    from ``random.Random(seed * 1_000_003 + attempt)`` and runs
-    _ultraweak_fit.  A fit is converted to the matrices' field, each row
-    divided by its exact sum, and returned only if verify_ultraweak_witness
-    accepts it there; when every start fails the answer is "inconclusive"."""
+    The search fits D's distinct rows, each repeated row of D taking its
+    first copy's row of L.  Each of up to _ULTRAWEAK_STARTS starts draws
+    random row-stochastic L and R from
+    ``random.Random(seed * 1_000_003 + attempt)`` and runs _ultraweak_fit.
+    A fit is converted to the matrices' field, each row divided by its exact
+    sum, and returned only if verify_ultraweak_witness accepts it there;
+    when every start fails the answer is "inconclusive"."""
     ctx = d.ctx
     md = monotones(d, search_upper=False)
     mc = monotones(c, search_upper=False)
@@ -495,17 +534,18 @@ def ultraweak_leq(d: CommMatrix, c: CommMatrix, *, seed: int = 0) -> UltraweakRe
             return UltraweakResult("yes", fact[0], fact[1])
         return UltraweakResult("inconclusive")
 
-    n, m = d.shape
+    distinct = list(dict.fromkeys(d.matrix))  # a repeated row of D repeats its row of L
     j, k = c.shape
-    target = [[float(v) for v in row] for row in d.matrix]
+    target = [[float(v) for v in row] for row in distinct]
     cf = [[float(v) for v in row] for row in c.matrix]
     for attempt in range(_ULTRAWEAK_STARTS):
         rng = random.Random(seed * 1_000_003 + attempt)
-        left = _random_stochastic(rng, n, j)
-        right = _random_stochastic(rng, k, m)
+        left = _random_stochastic(rng, len(distinct), j)
+        right = _random_stochastic(rng, k, d.shape[1])
         fit = _ultraweak_fit(cf, target, left, right)
         if fit is not None:
             lq, rq = _field_stochastic(fit, ctx)
+            lq = tuple(lq[distinct.index(row)] for row in d.matrix)
             if verify_ultraweak_witness(d, c, lq, rq):
                 return UltraweakResult("yes", lq, rq)
     return UltraweakResult("inconclusive")

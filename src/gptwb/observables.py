@@ -86,7 +86,10 @@ def _same_space(a: StateSpace, b: StateSpace) -> bool:
 
 
 def common_space(obs: Sequence[Observable]) -> StateSpace:
-    """The state space of all the observables (``_same_space``), or ValueError."""
+    """The state space of all the observables (``_same_space``), or ValueError
+    (also for no observables)."""
+    if not obs:
+        raise ValueError("no observables to share a space")
     space = obs[0].space
     if not all(_same_space(o.space, space) for o in obs[1:]):
         raise ValueError("observables live on different spaces")
@@ -123,8 +126,8 @@ def apply_postprocessing(nu: Sequence[Sequence], source: Observable) -> Observab
     """Row-stochastic nu (|Lambda| x |Omega|) applied to the source observable:
     the effects are nu's transpose times the source's, and every weight
     counts, however small.  ValueError unless nu has one row per source
-    outcome, all of one length; on floats whether the result is valid is
-    ``validate``'s call."""
+    outcome, all of one nonzero length; on floats whether the result is
+    valid is ``validate``'s call."""
     space = source.space
     ctx = space.ctx
     if len(nu) != source.n_outcomes:
@@ -132,6 +135,8 @@ def apply_postprocessing(nu: Sequence[Sequence], source: Observable) -> Observab
     n_out = len(nu[0])
     if any(len(row) != n_out for row in nu):
         raise ValueError("post-processing rows differ in length")
+    if n_out == 0:
+        raise ValueError("post-processing rows are empty: no outcome to map to")
     nu_t = [[ctx.scalar(w) for w in col] for col in zip(*nu)]
     return Observable(space, mat_mul(nu_t, source.effects), tuple(range(n_out)))
 

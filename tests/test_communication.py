@@ -218,10 +218,10 @@ def test_nonneg_factorization_exact_witness_is_stochastic():
     assert _max_error(w, h, prod) <= 1e-9
 
 
-def _comm_search_factor_targets():
-    """The four factorization targets (C, k) of the comm-search benchmark,
-    replayed from its planted draws of random.Random(2020): the six
-    ultraweak pairs are drawn first."""
+def _comm_search_instances():
+    """The six ultraweak pairs (D, C) and the four factorization targets
+    (C, k) of the comm-search benchmark, replayed from its planted draws of
+    random.Random(2020): the pairs are drawn first."""
     rng = random.Random(2020)
 
     def stochastic(n, m):
@@ -235,12 +235,17 @@ def _comm_search_factor_targets():
         return [[sum(row[t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
                 for row in a]
 
+    pairs = []
     for k, j, n, m in ((2, 3, 3, 3), (2, 4, 3, 4), (3, 4, 4, 3), (2, 5, 4, 4),
                        (3, 5, 3, 4), (3, 3, 4, 4)):
         c = mul(stochastic(j, k), stochastic(k, j))
-        mul(mul(stochastic(n, j), c), stochastic(j, m))
-    return [(mul(stochastic(n, k), stochastic(k, n)), k)
-            for k, n in ((2, 5), (2, 5), (3, 6), (3, 6))]
+        pairs.append((mul(mul(stochastic(n, j), c), stochastic(j, m)), c))
+    return pairs, [(mul(stochastic(n, k), stochastic(k, n)), k)
+                   for k, n in ((2, 5), (2, 5), (3, 6), (3, 6))]
+
+
+def _comm_search_factor_targets():
+    return _comm_search_instances()[1]
 
 
 def test_hals_gives_up_a_restart_too_slow_to_converge(monkeypatch):
@@ -466,6 +471,93 @@ def test_ultraweak_exact_witness_is_stochastic():
     assert res.verdict == "yes"
     assert all(isinstance(v, Fraction) for row in res.left + res.right for v in row)
     assert is_row_stochastic(res.left, EXACT) and is_row_stochastic(res.right, EXACT)
+    assert verify_ultraweak_witness(d, c, res.left, res.right)
+
+
+def _planted_right_fit(rng, k, j, n, m):
+    """(L C, D, R) with D = (L C) R for row-stochastic L (n x j) and R (j x m),
+    and C (j x j) of rank at most k."""
+    c = mat_mul(random_stochastic(j, k, rng), random_stochastic(k, j, rng))
+    lc = mat_mul(random_stochastic(n, j, rng), c)
+    right = random_stochastic(j, m, rng)
+    return [list(row) for row in lc], [list(row) for row in mat_mul(lc, right)], right
+
+
+def _frobenius(a, b):
+    return math.sqrt(sum((x - y) ** 2 for ra, rb in zip(a, b) for x, y in zip(ra, rb)))
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 4, 4), (2, 4, 3, 4), (2, 3, 3, 3)],
+                         ids=["full-column-rank", "rank-2-of-4", "rank-2-of-3"])
+def test_exact_right_lands_on_the_fit_nearest_its_start(shape):
+    # a start close to a witness R: the projection is row-stochastic (its
+    # rows sum to 1 within 1e-9; the normal equations of an ill-conditioned
+    # full-rank L C lose a few digits there), fits (L C) R = D within 1e-12,
+    # and is no farther from the start than R
+    rng = random.Random(31)
+    for _ in range(10):
+        lc, d, right = _planted_right_fit(rng, *shape)
+        noise = random_stochastic(len(right), len(right[0]), rng)
+        start = [[0.99 * a + 0.01 * b for a, b in zip(ra, rb)] for ra, rb in zip(right, noise)]
+        got = communication._exact_right(lc, d, start)
+        assert got is not None
+        assert is_row_stochastic(got, FLOAT) and min(map(min, got)) >= 0.0
+        assert _max_error(lc, got, d) <= 1e-12
+        assert _frobenius(got, start) <= _frobenius(right, start) + 1e-12
+
+
+def test_exact_right_refuses_an_inconsistent_target(monkeypatch):
+    # C is 3 x 3, so (L C) R has rank at most 3 whatever L is, and a 4 x 4
+    # target of rank 4 is never fitted: every round's projection is refused
+    # and the R LAD fit runs instead
+    rng = random.Random(32)
+    lc, d, right = _planted_right_fit(rng, 3, 3, 4, 4)
+    d = [[0.9 * a + 0.1 * (i == b) for b, a in enumerate(row)] for i, row in enumerate(d)]
+    assert communication._exact_right(lc, d, right) is None
+    finishes, rows_per_fit = [], []
+    exact, lad = communication._exact_right, communication._lad_fit
+    monkeypatch.setattr(communication, "_exact_right",
+                        lambda *args: finishes.append(exact(*args)) or finishes[-1])
+    monkeypatch.setattr(communication, "_lad_fit",
+                        lambda rows, width, fits: rows_per_fit.append(rows)
+                        or lad(rows, width, fits))
+    cf = mat_mul(random_stochastic(3, 3, rng), random_stochastic(3, 3, rng))
+    left, start = random_stochastic(4, 3, rng), random_stochastic(3, 4, rng)
+    assert communication._ultraweak_fit(cf, d, left, start) is None
+    assert finishes and all(f is None for f in finishes)
+    assert sum(rows > 1 for rows in rows_per_fit) == len(finishes)
+
+
+def test_exact_fit_finish_skips_r_fits(monkeypatch):
+    # the six planted ultraweak pairs of the comm-search benchmark took 10 R
+    # LAD fits (the ones with more than one row) before the projection
+    # finish; with it and the shorter warm start they take at most 6
+    rows_per_fit = []
+    lad = communication._lad_fit
+    monkeypatch.setattr(communication, "_lad_fit",
+                        lambda rows, width, fits: rows_per_fit.append(rows)
+                        or lad(rows, width, fits))
+    for d, c in _comm_search_instances()[0]:
+        assert ultraweak_leq(comm_matrix(d), comm_matrix(c)).verdict == "yes"
+    assert sum(rows > 1 for rows in rows_per_fit) <= 6
+
+
+def test_search_fits_the_distinct_rows_of_the_target(monkeypatch):
+    # a repeated row of D weighs twice in every R fit and can hold the
+    # rounds at a local minimum; the search fits each distinct row once and
+    # repeats its row of L in the witness
+    targets = []
+    fit = communication._ultraweak_fit
+    monkeypatch.setattr(communication, "_ultraweak_fit",
+                        lambda cf, target, *args: targets.append(target) or fit(cf, target, *args))
+    rng = random.Random(44)
+    base = random_stochastic(3, 3, rng)
+    d = comm_matrix([row + [0.0] for row in base + [base[0]]])
+    c = canonical_reduce(d)
+    res = ultraweak_leq(d, c)
+    assert res.verdict == "yes"
+    assert targets and all(len(t) == 3 for t in targets)
+    assert res.left[3] == res.left[0]
     assert verify_ultraweak_witness(d, c, res.left, res.right)
 
 

@@ -101,6 +101,13 @@ def test_mixture_needs_one_weight_per_part():
         mix_observables((0.5,), (a, uniform_trivial(sp, 2)))
 
 
+def test_mixture_of_nothing_is_refused():
+    with pytest.raises(ValueError, match="no observables"):
+        mix_observables([], [])
+    with pytest.raises(ValueError, match="no observables"):
+        common_space([])
+
+
 def test_common_space_compares_geometry_not_labels():
     """Spaces built apart with one context, kind, unit and vertex list are one
     space whatever their labels; a change of field, polygon or kind is not,

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from gptwb.numerics import is_row_stochastic
+from gptwb.numerics import EXACT, is_row_stochastic
 from gptwb.observables import (
     apply_postprocessing,
     is_trivial,
@@ -13,7 +13,7 @@ from gptwb.observables import (
     trivial_observable,
 )
 from gptwb.postprocess import are_pp_equivalent, find_postprocessing, is_pp_clean
-from gptwb.spaces import make_classical, make_polygon, polygon_extreme_even
+from gptwb.spaces import make_classical, make_polygon, make_square, polygon_extreme_even
 from conftest import random_observable
 
 
@@ -43,6 +43,15 @@ def test_postprocessing_rows_of_one_length():
     _, b = hexagon_pair()
     with pytest.raises(ValueError, match="rows differ in length"):
         apply_postprocessing(((1.0, 0.0), (0.0, 0.5, 0.5)), b)
+
+
+@pytest.mark.parametrize("space", [make_polygon(6), make_square(EXACT)],
+                         ids=["polygon6", "exact-square"])
+def test_postprocessing_rows_must_not_be_empty(space):
+    """A nu with empty rows maps to no outcome: its image has no effects,
+    which cannot sum to the unit."""
+    with pytest.raises(ValueError, match="rows are empty"):
+        apply_postprocessing([[]], observable(space, [space.unit]))
 
 
 def test_any_observable_reaches_any_trivial():
