@@ -1,32 +1,25 @@
 """Communication matrices, ultraweak majorization and the monotone family.
 
 A communication matrix is the row-stochastic outcome table of a
-prepare-and-measure scenario.  Majorization D <= C (existence of row-stochastic
-L, R with LCR = D) is decided by monotone screens, exact shortcuts for a D
-whose rows are all equal and for identity-shaped endpoints, and otherwise a
-warm-started search on D's distinct rows: five projected least-squares
-sweeps (rows projected onto the simplex in closed form, one gradient step
-per row of L), then rounds of exact least-absolute-deviation LPs.  Each
-round fits the rows of L, then moves R to the nearest R with (L C) R = D,
-a projection onto the row space of L C that keeps R's row sums at 1; it
-ends the search when that R is nonnegative and fits, and otherwise R is
-fitted by an LP too.  Each LP has one deviation column per fitted entry, in
-a ">=" row whose slack is the other deviation, so every fit row starts on
-its slack and only the row sums need phase 1.  It is sound for "yes"
-(witnesses are normalised in the matrix's field and re-verified) and honest
-about "inconclusive".  On the exact backend a search witness, here and in
-the factorizations below, is exactly row-stochastic but reproduces the
-target only within the 1e-9 of the re-verification.
-The nonnegative-rank and psd-rank monotones are reported as certified
-intervals; the exact values are computationally hard in general.  The upper
-end of the nonnegative-rank interval comes from row-stochastic factorizations
-C = W H found by HALS sweeps in floats (no LP), normalised exactly in the
-matrix's field and re-verified before they count.  When k equals the rank of
-C, the first sweep check of each restart also tries an exact-rank finish:
-C's rows must lie in the convex hull of H's rows inside the affine hull of
-C's rows (Vavasis 2009), so H's rows are projected there and pushed out to
-the simplex boundary, and W is read off as barycentric coordinates.  For k
-above the rank, and after a failed finish, the sweeps run on their own.
+prepare-and-measure scenario.  Majorization D <= C means row-stochastic L, R
+with L C R = D exist.  Monotone screens certify "no".  Exact shortcuts
+answer a D whose rows are all equal, identity-shaped endpoints, and a D
+whose rows are all rows of C.  Otherwise a search fits D's distinct rows:
+five projected least-squares warm sweeps, then rounds of
+least-absolute-deviation LPs.  Each round fits L by LPs, then moves R to
+the nearest R with (L C) R = D; it ends when that R is nonnegative and
+fits, and otherwise fits R by an LP too.
+
+The nonnegative-rank and psd-rank monotones are certified intervals.  The
+upper end of the nonnegative-rank interval comes from factorizations
+C = W H found by HALS sweeps in floats.  When k equals the rank of C, every
+check of the sweeps also tries an exact-rank finish (Vavasis 2009): H's
+rows are pushed out to the simplex inside C's affine hull, and W is read
+off as barycentric coordinates.
+
+Every "yes" and every factorization is normalised in the matrix's field
+and re-verified, so it is exactly row-stochastic and reproduces the target
+within 1e-9.  A failed search is "inconclusive", never "no".
 """
 
 from __future__ import annotations
@@ -135,16 +128,11 @@ def nonneg_factorization(c: CommMatrix, k: int, *, seed: int = 0) -> Optional[tu
     """Row-stochastic W (n x k), H (k x m) with W H = C within tolerance, or
     None when the search fails (inconclusive, not a certificate).
 
-    Each restart runs nonnegative HALS sweeps in floats (no LP).  Only the
-    product is fitted: once H is rescaled to be row-stochastic, W H = C forces
-    the rows of W to sum to 1, because C is row-stochastic.  When k equals
-    the rank of C in its context, the first error check of each restart
-    first tries the hull finish (_hull_finish), which ends the restart when
-    it yields W >= 0 within _HALS_TARGET; for k above the rank, and after a
-    failed finish, the sweeps run as they are.
-    The factors are converted to the context's field, each row divided by
-    its sum there, and returned only if both are row-stochastic in that
-    field and re-substitute within 1e-9."""
+    Each of _FACTOR_RESTARTS restarts runs _hals_stochastic, with the
+    exact-rank finish when k is the rank of C in its context.  The factors
+    are converted to the context's field, each row divided by its sum
+    there, and returned only if both are row-stochastic in that field and
+    re-substitute within 1e-9."""
     ctx = c.ctx
     n, m = c.shape
     if k >= min(n, m):
@@ -177,21 +165,21 @@ def nonneg_factorization(c: CommMatrix, k: int, *, seed: int = 0) -> Optional[tu
 _FACTOR_RESTARTS = 4      # HALS restarts of nonneg_factorization
 _ULTRAWEAK_STARTS = 6     # random starts of the ultraweak search
 _ULTRAWEAK_WARM = 5       # projected sweeps before the LP rounds
-_ULTRAWEAK_L_STEPS = 1    # projected-gradient steps per L row and sweep
 _ULTRAWEAK_TARGET = 1e-10  # max error at which a start succeeds
 _HALS_CHECK_EVERY = 20    # sweeps between max-error checks
-_HALS_MIN_SWEEPS = 200    # no stall or rate verdict before this many sweeps
 _HALS_MAX_SWEEPS = 2000
 _HALS_TARGET = 1e-11      # max error at which the sweeps stop
-_HALS_STALL = 0.9         # a check above this share of the last one is a stall
 
 
 def _hals_stochastic(target, w, basis=None):
     """Nonnegative HALS (Gillis & Glineur 2012) on target ~ W H from W, then
-    rescale to row-stochastic factors: each row of H to sum 1 with the
-    matching column of W scaled up, then each row of W divided by its sum.
-    With ``basis`` (from _row_basis, k = rank of the target) the first error
-    check first tries _hull_finish and returns its factors when it succeeds.
+    rescaled to row-stochastic factors: H's rows to sum 1 with W's columns
+    scaled to match, then W's rows divided by their sums.  Every
+    _HALS_CHECK_EVERY sweeps a check first tries _hull_finish when
+    ``basis`` (from _row_basis, k = rank of the target) is given, and
+    returns its factors when it succeeds.  The sweeps stop when the max
+    error reaches _HALS_TARGET, or when its rate since the last check
+    cannot reach the target in the checks left.
     Returns float (W, H), or None when a factor row has no mass."""
     m = len(target[0])
     wc = [list(col) for col in zip(*w)]
@@ -202,20 +190,16 @@ def _hals_stochastic(target, w, basis=None):
         _hals_update(h, wc, ct)       # rows of H for fixed W
         _hals_update(wc, h, target)   # columns of W for fixed H
         if sweep % _HALS_CHECK_EVERY == 0:
-            if basis is not None:     # the finish is tried at the first check only
+            if basis is not None:
                 fact = _hull_finish(target, h, basis)
                 if fact is not None:
                     return fact
-                basis = None
             err = _factor_error(list(zip(*wc)), h, target)
-            if err <= _HALS_TARGET:
+            # stop at the target, or at a rate that cannot reach it in the
+            # checks left (a rate of 1 or more never does)
+            checks_left = (_HALS_MAX_SWEEPS - sweep) // _HALS_CHECK_EVERY
+            if err <= _HALS_TARGET or err * min(err / prev, 1.0) ** checks_left > _HALS_TARGET:
                 break
-            if sweep >= _HALS_MIN_SWEEPS:
-                # a stall, or a rate too slow to reach the target in the checks left
-                checks_left = (_HALS_MAX_SWEEPS - sweep) // _HALS_CHECK_EVERY
-                if (err > _HALS_STALL * prev
-                        or err * (err / prev) ** checks_left > _HALS_TARGET):
-                    break
             prev = err
     for t, row in enumerate(h):
         s = sum(row)
@@ -410,8 +394,8 @@ def _exact_right(lc, target, right):
 
 def _ultraweak_warm_sweeps(cf, target, left, right) -> None:
     """Projected least-squares sweeps on |L C R - D|^2, in place: each row of
-    R by a HALS step projected onto the simplex, then each row of L by
-    projected-gradient steps on |l G - d_i|^2 with G = C R."""
+    R by a HALS step projected onto the simplex, then each row of L by one
+    projected-gradient step on |l G - d_i|^2 with G = C R."""
     mul = operator.mul
     ct = list(zip(*cf))
     dt = list(zip(*target))
@@ -423,11 +407,8 @@ def _ultraweak_warm_sweeps(cf, target, left, right) -> None:
         step = 1.0 / max(map(sum, ggt))  # G G^T >= 0, so this is 1 / |G G^T|_inf
         for i, d in enumerate(target):
             dg = [sum(map(mul, d, grow)) for grow in g]
-            lrow = left[i]
-            for _ in range(_ULTRAWEAK_L_STEPS):
-                grad = [sum(map(mul, lrow, col)) - v for col, v in zip(ggt, dg)]
-                lrow = _project_simplex([a - step * b for a, b in zip(lrow, grad)])
-            left[i] = lrow
+            grad = [sum(map(mul, left[i], col)) - v for col, v in zip(ggt, dg)]
+            left[i] = _project_simplex([a - step * b for a, b in zip(left[i], grad)])
 
 
 def _lad_fit(rows: int, width: int, fits):
@@ -494,9 +475,10 @@ class UltraweakResult:
 
 
 def ultraweak_leq(d: CommMatrix, c: CommMatrix, *, seed: int = 0) -> UltraweakResult:
-    """Decide D <= C (ultraweak): monotone screens give certified "no", a D
-    whose rows are all equal and identity-shaped endpoints are decided
-    exactly, and otherwise a search looks for row-stochastic witnesses L, R.
+    """Decide D <= C (ultraweak): monotone screens give certified "no"; a D
+    whose rows are all equal, identity-shaped endpoints and a D whose rows
+    are all rows of C are decided exactly; otherwise a search looks for
+    row-stochastic witnesses L, R.
 
     The search fits D's distinct rows, each repeated row of D taking its
     first copy's row of L.  Each of up to _ULTRAWEAK_STARTS starts draws
@@ -533,6 +515,17 @@ def ultraweak_leq(d: CommMatrix, c: CommMatrix, *, seed: int = 0) -> UltraweakRe
         if fact is not None:
             return UltraweakResult("yes", fact[0], fact[1])
         return UltraweakResult("inconclusive")
+    if d.shape[1] == c.shape[1]:
+        # every row of D a row of C: L selects those rows and R = I
+        picks = [next((i for i, crow in enumerate(c.matrix) if all(map(ctx.eq, row, crow))),
+                      None) for row in d.matrix]
+        if None not in picks:
+            one, zero = ctx.one(), ctx.zero()
+            left = tuple(tuple(one if i == p else zero for i in range(c.shape[0]))
+                         for p in picks)
+            right = identity_matrix(c.shape[1], ctx).matrix
+            if verify_ultraweak_witness(d, c, left, right):
+                return UltraweakResult("yes", left, right)
 
     distinct = list(dict.fromkeys(d.matrix))  # a repeated row of D repeats its row of L
     j, k = c.shape

@@ -60,11 +60,10 @@ class StateSpace:
 
     def __init__(self, kind: str, *, vertices=None, unit=None, ball_dim=None,
                  summands=None, ctx: Context = DEFAULT,
-                 label: str = "", psym: bool = False):
+                 label: str = ""):
         self.kind = kind
         self.ctx = ctx
         self.label = label
-        self.psym = psym
         self.summands: Optional[tuple[Summand, ...]] = tuple(summands) if summands else None
         if kind == "polytopic":
             vs = tuple(tuple(self.ctx.scalar(x) for x in v) for v in vertices)
@@ -89,7 +88,6 @@ class StateSpace:
             self._vertices = None
             self.ball_dim = ball_dim
             self.unit = tuple([self.ctx.scalar(0)] * ball_dim + [self.ctx.scalar(1)])
-            self.psym = True
         else:
             raise ValueError(f"unknown space kind {kind!r}")
         self._cache: dict = {}
@@ -122,6 +120,23 @@ class StateSpace:
     def n_vertices(self) -> int:
         return len(self.vertices)
 
+    @property
+    def psym(self) -> bool:
+        """Point symmetry in the canonical embedding, which the Bloch form
+        needs: a ball, or u = (0, ..., 0, 1) with v -> (-v[:-1], 1) mapping
+        the vertices onto themselves (so a single point is symmetric)."""
+        if self.kind == "ball":
+            return True
+        key = "psym"
+        if key not in self._cache:
+            ctx, vs = self.ctx, self.vertices
+            canonical = (ctx.zero(),) * (len(self.unit) - 1) + (ctx.one(),)
+            self._cache[key] = (
+                all(map(ctx.eq, self.unit, canonical))
+                and all(any(all(ctx.eq(a, -b) for a, b in zip(v[:-1], w[:-1])) for w in vs)
+                        for v in vs))
+        return self._cache[key]
+
     def spans_ambient(self) -> bool:
         """Whether the vertices span the ambient space; if not, the dual cone
         holds a line (the direction every state annihilates), so it has no
@@ -145,8 +160,9 @@ class StateSpace:
             return math.sqrt(float(sum(x * x for x in avec)))
         if not self.psym:
             raise UnsupportedSpace("effect norm needs a point-symmetric embedding")
-        top = max(dot(avec, v[:-1]) for v in self.vertices)
-        return top
+        if not avec:  # a single point: the only Bloch vector is empty
+            return self.ctx.zero()
+        return max(dot(avec, v[:-1]) for v in self.vertices)
 
     def bloch(self, effect: Sequence) -> tuple[tuple, object]:
         """(a, alpha) with effect = (a, alpha)/2; canonical embedding only.
@@ -451,7 +467,7 @@ def make_polygon(n: int, ctx: Context = DEFAULT) -> StateSpace:
     vertices = [(r * math.cos(2 * k * math.pi / n), r * math.sin(2 * k * math.pi / n), 1.0)
                 for k in range(1, n + 1)]
     return StateSpace("polytopic", vertices=vertices, unit=(0.0, 0.0, 1.0), ctx=ctx,
-                      label=f"polygon:{n}", psym=(n % 2 == 0))
+                      label=f"polygon:{n}")
 
 
 def make_ball(d: int, ctx: Context = DEFAULT) -> StateSpace:
@@ -464,7 +480,7 @@ def make_square(ctx: Context = DEFAULT) -> StateSpace:
     one = ctx.one()
     vs = [(one, one, one), (-one, one, one), (-one, -one, one), (one, -one, one)]
     return StateSpace("polytopic", vertices=vs, unit=(ctx.zero(), ctx.zero(), one), ctx=ctx,
-                      label="square", psym=True)
+                      label="square")
 
 
 def direct_sum(spaces: Sequence[StateSpace]) -> StateSpace:

@@ -77,6 +77,14 @@ def padded_square(ctx):
                       label="padded-square")
 
 
+def cube3(ctx):
+    """The rational 3-cube: affine dimension 3, square facets of 4 vertices."""
+    one = ctx.one()
+    vs = [tuple(s * one for s in signs) + (one,) for signs in itertools.product((1, -1), repeat=3)]
+    return StateSpace("polytopic", vertices=vs, unit=(ctx.zero(),) * 3 + (one,), ctx=ctx,
+                      label="cube3")
+
+
 def cube4(ctx):
     """The 4-cube at height 1 (affine dimension 4: no dual-ray enumeration)."""
     one, zero = ctx.one(), ctx.zero()

@@ -282,15 +282,45 @@ def test_exact_rank_finish_returns_at_the_first_check(monkeypatch):
         assert _max_error(w, h, target) <= 1e-9
 
 
+def _slack_matrix(space):
+    """Row-normalised slack matrix of a polygon: entry (i, j) is facet j's
+    functional at vertex i."""
+    rows = [[max(dot(r.direction, v), 0.0) for r in space.dual_rays()] for v in space.vertices]
+    return [[x / sum(row) for x in row] for row in rows]
+
+
+_HALF = Fraction(1, 2)
+SQUARE_SLACK = [[_HALF, _HALF, 0, 0], [0, _HALF, _HALF, 0], [0, 0, _HALF, _HALF],
+                [_HALF, 0, 0, _HALF]]
+
+
 @pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
-def test_exact_rank_finish_fails_safe_on_the_square_slack_matrix(ctx):
+def test_exact_rank_finish_fails_safe_on_the_square_slack_matrix(ctx, monkeypatch):
     # the slack matrix of the square has rank 3 and nonnegative rank 4: no
-    # hull of three rows contains its rows, so the finish must not accept one
-    half = Fraction(1, 2)
-    slack = [[half, half, 0, 0], [0, half, half, 0], [0, 0, half, half], [half, 0, 0, half]]
-    cm = comm_matrix(slack, ctx)
-    assert nonneg_factorization(cm, 3) is None
-    assert monotones(cm).nn_rank == (3, 4)
+    # hull of three rows contains its rows, so the finish must not accept
+    # one, and each of the four restarts gives up after a few checks
+    checks = []
+    error = communication._factor_error
+    monkeypatch.setattr(communication, "_factor_error",
+                        lambda *args: checks.append(1) or error(*args))
+    assert nonneg_factorization(comm_matrix(SQUARE_SLACK, ctx), 3) is None
+    assert len(checks) <= 20
+
+
+@pytest.mark.parametrize("matrix, ctx, interval", [
+    (SQUARE_SLACK, FLOAT, (3, 4)),
+    (SQUARE_SLACK, EXACT, (3, 4)),
+    (_slack_matrix(make_polygon(5)), FLOAT, (3, 5)),
+], ids=["square-float", "square-exact", "pentagon"])
+def test_monotones_keep_the_slack_matrix_intervals(matrix, ctx, interval):
+    # the regular pentagon's slack matrix has nonnegative rank 5; the upper
+    # end is backed by a verified factorization
+    cm = comm_matrix(matrix, ctx)
+    assert monotones(cm).nn_rank == interval
+    w, h = nonneg_factorization(cm, interval[1])
+    assert len(h) == interval[1]
+    assert is_row_stochastic(w, ctx) and is_row_stochastic(h, ctx)
+    assert _max_error(w, h, cm.matrix) <= 1e-9
 
 
 def test_ceil_sqrt_is_the_integer_ceiling():
@@ -454,6 +484,25 @@ def test_ultraweak_search_hit_rate_on_planted_pairs():
                 assert verify_ultraweak_witness(d, c, res.left, res.right)
                 found += 1
     assert found >= 36
+
+
+@pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+@pytest.mark.parametrize("shape", [(3, 3), (4, 3), (3, 4), (4, 4), (5, 3)],
+                         ids=lambda shape: "%dx%d" % shape)
+def test_rows_of_c_are_below_c(shape, ctx):
+    # C <= C, and any D made of rows of C, by L selecting those rows and
+    # R = I, exactly: the search's LAD rounds can stall on these pairs
+    n, m = shape
+    for s in range(1000, 1040 if ctx is FLOAT else 1005):
+        rng = random.Random(s)
+        rows = (random_stochastic if ctx is FLOAT else _rational_stochastic)(n, m, rng)
+        c = comm_matrix(rows, ctx)
+        for d in (c, comm_matrix(rows[::-1] + rows[:1], ctx)):
+            res = ultraweak_leq(d, c)
+            assert res.verdict == "yes"
+            assert res.right == identity_matrix(m, ctx).matrix
+            assert all(row.count(1) == 1 for row in res.left)
+            assert verify_ultraweak_witness(d, c, res.left, res.right)
 
 
 def test_ultraweak_search_is_deterministic():

@@ -45,6 +45,7 @@ from gptwb.spaces import (
 )
 from conftest import (
     count_pivots,
+    cube3,
     cube4,
     padded_square,
     random_observable,
@@ -392,6 +393,27 @@ def test_psym_oracle_equivalence_on_hexagon_grid():
             assert lp == (verdict.verdict == "iff_compatible")
             agree += 1
     assert agree >= 90
+
+
+def test_psym_oracle_equivalence_on_the_cube():
+    """The 3-cube is point-symmetric, so the norm criterion decides its
+    unbiased pairs; the exact joint-observable LP must agree on every pair."""
+    sp = cube3(EXACT)
+    assert sp.psym
+    rng = random.Random(8)
+    half = Fraction(1, 2)
+    verdicts = set()
+    for _ in range(30):
+        pair = []
+        for _ in range(2):
+            raw = [Fraction(rng.randint(-4, 4), 8) for _ in range(3)]
+            scale = max(1, sum(map(abs, raw)))  # the cube's effect norm is the 1-norm
+            pair.append(tuple(x / scale / 2 for x in raw) + (half,))
+        verdict = psym_compat_test(sp, *pair).verdict
+        verdicts.add(verdict)
+        joint = are_compatible([dichotomic(sp, e) for e in pair])
+        assert (joint is not None) == (verdict == "iff_compatible")
+    assert verdicts == {"iff_compatible", "incompatible"}
 
 
 def test_ball_closed_form_verdicts():

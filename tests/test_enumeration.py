@@ -16,7 +16,7 @@ import pytest
 from gptwb.numerics import EXACT, FLOAT, Echelon, dot, independent_subsets
 from gptwb.simulation import enumerate_irreducibles
 from gptwb.spaces import DualRay, StateSpace, UnsupportedSpace, make_polygon, space_from_ref
-from conftest import padded_square
+from conftest import cube3, padded_square
 
 
 # ------------------------------------------------------------------ oracle
@@ -157,14 +157,6 @@ def oracle_irreducibles(sp):
 
 
 # ------------------------------------------------------------------ spaces
-def cube3(ctx):
-    """The rational 3-cube: affine dimension 3, square facets of 4 vertices."""
-    one = ctx.one()
-    vs = [tuple(s * one for s in signs) + (one,) for signs in itertools.product((1, -1), repeat=3)]
-    return StateSpace("polytopic", vertices=vs, unit=(ctx.zero(),) * 3 + (one,), ctx=ctx,
-                      label="cube3")
-
-
 def octahedron(ctx):
     """The rational octahedron: affine dimension 3, triangular facets."""
     one, zero = ctx.one(), ctx.zero()

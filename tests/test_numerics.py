@@ -496,7 +496,7 @@ def rational_hexagon(ctx):
     regular one), usable on both backends."""
     vs = [(1, 0, 1), (1, 1, 1), (0, 1, 1), (-1, 0, 1), (-1, -1, 1), (0, -1, 1)]
     return StateSpace("polytopic", vertices=vs, unit=(0, 0, 1), ctx=ctx,
-                      label="hexagon", psym=True)
+                      label="hexagon")
 
 
 def hexagon_triple(space, t):

@@ -1,5 +1,6 @@
 """State-space construction, dual-cone geometry and serialization."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -248,6 +249,67 @@ def test_vertex_and_psym_operations_refuse_other_spaces(call):
     qubit ball, and the point-symmetric criteria on the pentagon."""
     with pytest.raises(UnsupportedSpace):
         call()
+
+
+@pytest.mark.parametrize("ref, symmetric", [
+    ("classical:1", True), ("classical:2", False), ("classical:3", False), ("square", True),
+    ("polygon:4", True), ("polygon:5", False), ("polygon:6", True), ("polygon:7", False),
+    ("ball:2", True), ("dsum:square+classical:2", False), ("dsum:polygon:6+polygon:6", False),
+])
+def test_point_symmetry_is_read_off_the_space(ref, symmetric):
+    """A ball, or u = (0, ..., 0, 1) with the vertices closed under
+    v -> (-v[:-1], 1); a single point (classical:1) is its own mirror image."""
+    assert space_from_ref(ref).psym is symmetric
+
+
+Q, H = Fraction(1, 4), Fraction(1, 2)
+
+
+def _unlabelled_round_trip(sp):
+    bare = StateSpace("polytopic", vertices=sp.vertices, unit=sp.unit, ctx=sp.ctx)
+    return space_from_json(json.loads(json.dumps(bare.to_json_dict())), sp.ctx)
+
+
+@pytest.mark.parametrize("sp, pairs", [
+    (make_polygon(6), [(polygon_extreme_even(6, 1), polygon_extreme_even(6, 2)),
+                       (polygon_extreme_even(6, 1), polygon_extreme_even(6, 4)),
+                       ((0.1, 0.2, 0.5), (-0.2, 0.1, 0.5)), ((0.1, 0.0, 0.4), (0.0, 0.1, 0.45))]),
+    (make_square(EXACT), [((Q, Q, H), (Q, -Q, H)), ((H, 0, H), (0, H, H)),
+                          ((Q / 2, 0, Q), (0, 0, H))]),
+], ids=["hexagon", "exact-square"])
+def test_point_symmetry_survives_a_json_round_trip(sp, pairs):
+    """An unlabelled space read back from its own dict is point-symmetric
+    too, and the closed-form criteria answer on it as on the original."""
+    back = _unlabelled_round_trip(sp)
+    assert back.psym
+    for a, b in pairs:
+        assert psym_compat_test(back, a, b) == psym_compat_test(sp, a, b)
+        assert (effect_in_depolarized_class(back, a, Fraction(1, 2))
+                == effect_in_depolarized_class(sp, a, Fraction(1, 2)))
+
+
+@pytest.mark.parametrize("sp", [make_polygon(5), direct_sum([make_square(), make_square()])],
+                         ids=["pentagon", "dsum"])
+def test_point_symmetric_criteria_refuse_asymmetric_spaces(sp):
+    e = tuple(x / 2 for x in sp.unit)
+    for space in (sp, _unlabelled_round_trip(sp)):
+        with pytest.raises(UnsupportedSpace):
+            psym_compat_test(space, e, e)
+        with pytest.raises(UnsupportedSpace):
+            effect_in_depolarized_class(space, e, 0.5)
+
+
+@pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+def test_single_point_criterion_agrees_with_the_joint_lp(ctx):
+    """On classical:1 every effect is p u and every pair is compatible; the
+    norm criterion reads 0 there."""
+    sp = make_classical(1, ctx)
+    half, third = ctx.one() / 2, ctx.one() / 3
+    assert psym_compat_test(sp, (half,), (half,)).verdict == "iff_compatible"
+    assert psym_compat_test(sp, (half,), (third,)).verdict == "necessary_passed"
+    for a, b in (((half,), (half,)), ((half,), (third,))):
+        pair = [observable(sp, (e, (ctx.one() - e[0],))) for e in (a, b)]
+        assert are_compatible(pair) is not None
 
 
 def test_effectively_dichotomic_screens_answer_on_balls():
