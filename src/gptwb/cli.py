@@ -5,13 +5,16 @@ irreducible counts, noise bounds), ``check`` runs a relation decision on input
 files, ``comm`` reports communication-matrix monotones or compares two
 matrices.  The exit code follows the report's verdict: 0 = yes or none (tables,
 monotones), 1 = no, 2 = inconclusive, 3+ = error.  ``--tolerance`` must be finite
-and >= 0 on either backend, and ``GPTWB_SEED`` (overrides ``--seed``) an
-integer.  Text reports print each value as JSON does.
+and at least 1e-12 on either backend, and ``GPTWB_SEED`` (overrides ``--seed``)
+an integer.  An input file that holds no observable or no row-stochastic
+matrix is an error naming the file.  Text reports print each value as JSON
+does.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -133,27 +136,41 @@ def _load_json(path: str):
         return json.load(fh)
 
 
+@contextlib.contextmanager
+def _naming(path: str):
+    """Prefix every ValueError raised inside with the file's path."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _load_observable(path: str, config: RunConfig) -> Observable:
     """The observable in a file; ValueError naming the file when it is not
-    one at ``--tolerance`` (the exact backend refuses it on construction)."""
-    obs = observable_from_json(_load_json(path), config.context())
-    errors = validation_errors(obs)
-    if errors:
-        raise ValueError(f"{path}: invalid observable: " + "; ".join(errors))
+    one at ``--tolerance`` (construction refuses effects that do not sum to
+    u, and on the exact backend invalid effects)."""
+    with _naming(path):
+        obs = observable_from_json(_load_json(path), config.context())
+        errors = validation_errors(obs)
+        if errors:
+            raise ValueError("invalid observable: " + "; ".join(errors))
     return obs
 
 
 def _load_comm(path: str, config: RunConfig) -> CommMatrix:
-    if path.endswith(".json"):
-        rows = _load_json(path)
-        if isinstance(rows, dict):
-            if "matrix" not in rows:
-                raise ValueError(f"{path}: a matrix object needs a \"matrix\" key")
-            rows = rows["matrix"]
-    else:
-        with open(path) as fh:
-            rows = [line.split(",") for line in map(str.strip, fh) if line]
-    return comm_matrix(rows, config.context())
+    """The matrix in a CSV or JSON file; ValueError naming the file when it
+    is no communication matrix."""
+    with _naming(path):
+        if path.endswith(".json"):
+            rows = _load_json(path)
+            if isinstance(rows, dict):
+                if "matrix" not in rows:
+                    raise ValueError("a matrix object needs a \"matrix\" key")
+                rows = rows["matrix"]
+        else:
+            with open(path) as fh:
+                rows = [line.split(",") for line in map(str.strip, fh) if line]
+        return comm_matrix(rows, config.context())
 
 
 def _resolve_simulators(selector: str, config: RunConfig, space: StateSpace):

@@ -3,12 +3,12 @@
 A communication matrix is the row-stochastic outcome table of a
 prepare-and-measure scenario.  Majorization D <= C means row-stochastic L, R
 with L C R = D exist.  Monotone screens certify "no".  Exact shortcuts
-answer a D whose rows are all equal, identity-shaped endpoints, and a D
-whose rows are all rows of C.  Otherwise a search fits D's distinct rows:
-five projected least-squares warm sweeps, then rounds of
-least-absolute-deviation LPs.  Each round fits L by LPs, then moves R to
-the nearest R with (L C) R = D; it ends when that R is nonnegative and
-fits, and otherwise fits R by an LP too.
+answer a D whose rows are all equal, identity-shaped endpoints, a D whose
+rows are all rows of C, and a D that has every column of C.  Otherwise a
+search fits D's distinct rows: five projected least-squares warm sweeps,
+then rounds of least-absolute-deviation LPs.  Each round fits L by LPs,
+then moves R to the nearest R with (L C) R = D; it ends when that R is
+nonnegative and fits, and otherwise fits R by an LP too.
 
 The nonnegative-rank and psd-rank monotones are certified intervals.  The
 upper end of the nonnegative-rank interval comes from factorizations
@@ -47,12 +47,16 @@ from .spaces import StateSpace, effect_block, in_convex_hull, make_classical
 
 @dataclass(frozen=True)
 class CommMatrix:
-    matrix: tuple            # row-stochastic rows
+    matrix: tuple            # row-stochastic rows of one length, checked when built
     ctx: Context = DEFAULT
 
     def __post_init__(self):
         if not self.matrix:
             raise ValueError("a communication matrix needs at least one row")
+        if len({len(row) for row in self.matrix}) > 1:
+            raise ValueError("matrix rows differ in length")
+        if not is_row_stochastic(self.matrix, self.ctx):
+            raise ValueError("matrix is not row-stochastic")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -60,12 +64,7 @@ class CommMatrix:
 
 
 def comm_matrix(rows: Sequence[Sequence], ctx: Context = DEFAULT) -> CommMatrix:
-    mat = tuple(tuple(ctx.scalar(v) for v in row) for row in rows)
-    if len({len(row) for row in mat}) > 1:
-        raise ValueError("matrix rows differ in length")
-    if not is_row_stochastic(mat, ctx):
-        raise ValueError("matrix is not row-stochastic")
-    return CommMatrix(mat, ctx)
+    return CommMatrix(tuple(tuple(ctx.scalar(v) for v in row) for row in rows), ctx)
 
 
 def build_comm_matrix(states: Sequence[Sequence], m: Observable) -> CommMatrix:
@@ -476,9 +475,10 @@ class UltraweakResult:
 
 def ultraweak_leq(d: CommMatrix, c: CommMatrix, *, seed: int = 0) -> UltraweakResult:
     """Decide D <= C (ultraweak): monotone screens give certified "no"; a D
-    whose rows are all equal, identity-shaped endpoints and a D whose rows
-    are all rows of C are decided exactly; otherwise a search looks for
-    row-stochastic witnesses L, R.
+    whose rows are all equal, identity-shaped endpoints, a D whose rows are
+    all rows of C and a D that has every column of C are decided exactly,
+    each witness re-substituted by verify_ultraweak_witness; otherwise a
+    search looks for row-stochastic witnesses L, R.
 
     The search fits D's distinct rows, each repeated row of D taking its
     first copy's row of L.  Each of up to _ULTRAWEAK_STARTS starts draws
@@ -507,7 +507,8 @@ def ultraweak_leq(d: CommMatrix, c: CommMatrix, *, seed: int = 0) -> UltraweakRe
     if _is_identity(d, ctx):  # distinguishability shortcut
         # the iota screen passed: C has d.shape[0] rows with pairwise disjoint supports
         left, right = _identity_witness(c, orthogonal_rows(c.matrix, ctx)[:d.shape[0]], ctx)
-        return UltraweakResult("yes", left, right)
+        if verify_ultraweak_witness(d, c, left, right):
+            return UltraweakResult("yes", left, right)
     if _is_identity(c, ctx):  # classical-capacity shortcut
         # the rank and lambda_max screens passed, so D's nn_rank lower bound
         # max(rank, ceil lambda) is at most c.shape[0] = nn_rank(C)
@@ -517,13 +518,19 @@ def ultraweak_leq(d: CommMatrix, c: CommMatrix, *, seed: int = 0) -> UltraweakRe
         return UltraweakResult("inconclusive")
     if d.shape[1] == c.shape[1]:
         # every row of D a row of C: L selects those rows and R = I
-        picks = [next((i for i, crow in enumerate(c.matrix) if all(map(ctx.eq, row, crow))),
-                      None) for row in d.matrix]
-        if None not in picks:
-            one, zero = ctx.one(), ctx.zero()
-            left = tuple(tuple(one if i == p else zero for i in range(c.shape[0]))
-                         for p in picks)
+        picks = _first_matches(d.matrix, c.matrix, ctx)
+        if picks is not None:
+            left = _selection(picks, c.shape[0], ctx)
             right = identity_matrix(c.shape[1], ctx).matrix
+            if verify_ultraweak_witness(d, c, left, right):
+                return UltraweakResult("yes", left, right)
+    if d.shape[0] == c.shape[0]:
+        # every column of C a column of D (say D = C P for a permutation P):
+        # L = I and R sends each column of C to its column of D
+        picks = _first_matches(zip(*c.matrix), list(zip(*d.matrix)), ctx)
+        if picks is not None:
+            left = identity_matrix(c.shape[0], ctx).matrix
+            right = _selection(picks, d.shape[1], ctx)
             if verify_ultraweak_witness(d, c, left, right):
                 return UltraweakResult("yes", left, right)
 
@@ -554,18 +561,27 @@ def _is_identity(c: CommMatrix, ctx) -> bool:
 
 
 def _identity_witness(c: CommMatrix, rows_idx: tuple[int, ...], ctx):
+    """L selects the rows ``rows_idx`` of C, whose supports are disjoint, and
+    R sends each column to the first of them whose support holds it."""
     n, m = c.shape
-    k = len(rows_idx)
-    one, zero = ctx.one(), ctx.zero()
-    left = tuple(tuple(one if i == rows_idx[a] else zero for i in range(n))
-                 for a in range(k))
     supports = [frozenset(j for j, v in enumerate(c.matrix[i]) if not ctx.is_zero(v))
                 for i in rows_idx]
-    right_rows = []
-    for j in range(m):
-        owner = next((b for b, sup in enumerate(supports) if j in sup), 0)
-        right_rows.append(tuple(one if b == owner else zero for b in range(k)))
-    return left, tuple(right_rows)
+    owners = [next((b for b, sup in enumerate(supports) if j in sup), 0) for j in range(m)]
+    return _selection(rows_idx, n, ctx), _selection(owners, len(rows_idx), ctx)
+
+
+def _first_matches(vectors, pool: Sequence, ctx) -> Optional[list]:
+    """For each vector, the index of the first vector of ``pool`` equal to it
+    entry by entry (``ctx.eq``); None when one has no equal."""
+    picks = [next((i for i, p in enumerate(pool) if all(map(ctx.eq, v, p))), None)
+             for v in vectors]
+    return None if None in picks else picks
+
+
+def _selection(picks: Sequence[int], width: int, ctx) -> tuple:
+    """The 0/1 matrix whose row a has its one in column picks[a]."""
+    one, zero = ctx.one(), ctx.zero()
+    return tuple(tuple(one if i == p else zero for i in range(width)) for p in picks)
 
 
 def verify_ultraweak_witness(d: CommMatrix, c: CommMatrix, left, right) -> bool:

@@ -1,6 +1,6 @@
 """Joint measurability: product-outcome LPs, closed-form point-symmetric
 criteria, the noise-based sufficient condition, and the fully-compatible /
-non-disturbing observable classes.
+non-disturbing observable classes.  Inputs sum to u (``Observable``).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .observables import (
     is_trivial,
     mix_observables,
     noise_content,
-    sums_to_unit,
     uniform_trivial,
 )
 from .postprocess import find_postprocessing
@@ -32,18 +31,16 @@ FC_MIN_T = 1e-3         # smallest irreducible weight t it returns
 
 def are_compatible(obs: Sequence[Observable]) -> Optional[Observable]:
     """Joint observable on the product outcome set with matching marginals,
-    or None when the LP is infeasible or an input's effects do not sum to u.
+    or None when the LP is infeasible.
 
     The first input's marginals make the joint effects sum to u; given that,
     each later input's last marginal follows from its others, so its rows
-    are left out, which needs every input normalized."""
+    are left out."""
     space = common_space(obs)
     sizes = [o.n_outcomes for o in obs]
     total = math.prod(sizes)
     if total > MAX_PRODUCT_OUTCOMES:
         raise ValueError("product outcome set too large")
-    if not all(sums_to_unit(o) for o in obs):
-        return None
     cells = list(itertools.product(*[range(s) for s in sizes]))
     p = LPProblem(n=0)
     joint = effect_block(p, space, total)
@@ -72,10 +69,7 @@ def dichotomic_compat_g(a_obs: Observable, b_obs: Observable) -> Optional[tuple]
     g with g >= 0, a >= g, b >= g, u >= a + b - g on all states, so that
     g, a - g, b - g and u - a - b + g form a joint observable.  It is the g
     of the margin LP (``_dichotomic_margin_lp``), which meets all four
-    constraints whenever the optimal margin is >= 0; None otherwise, or when
-    an input's effects do not sum to u, which is checked before the LP."""
-    if not (sums_to_unit(a_obs) and sums_to_unit(b_obs)):
-        return None
+    constraints whenever the optimal margin is >= 0; None otherwise."""
     g, delta = _dichotomic_margin_lp(a_obs, b_obs)
     ctx = a_obs.space.ctx
     return g if ctx.ge(delta, ctx.zero()) else None
@@ -84,11 +78,7 @@ def dichotomic_compat_g(a_obs: Observable, b_obs: Observable) -> Optional[tuple]
 def dichotomic_compat_margin(a_obs: Observable, b_obs: Observable):
     """Largest slack delta in [-1, 1/4] so all four cone constraints of g
     hold with margin delta on every vertex; positive iff strictly
-    compatible, used to flag boundary instances.  The LP reads only each
-    input's first effect, so an input whose effects do not sum to u raises
-    ValueError, as one that is no effect does."""
-    if not (sums_to_unit(a_obs) and sums_to_unit(b_obs)):
-        raise ValueError("the dichotomic margin needs observables whose effects sum to u")
+    compatible, used to flag boundary instances."""
     return _dichotomic_margin_lp(a_obs, b_obs)[1]
 
 
@@ -219,11 +209,13 @@ def noise_sufficient_compat(obs: Sequence[Observable]) -> NoiseCompatReport:
     for i, o in enumerate(obs):
         pi = p[i]
         if ctx.pos(pi):
-            effects = tuple(
-                tuple((ox - (one - pi) * trivials[i][x] * u) / pi
-                      for ox, u in zip(o.effects[x], space.unit))
-                for x in range(o.n_outcomes))
-            sims.append(Observable(space, effects, o.outcomes))
+            # the last effect is u minus the others: a small p_i amplifies rounding
+            effects = [tuple((ox - (one - pi) * trivials[i][x] * u) / pi
+                             for ox, u in zip(o.effects[x], space.unit))
+                       for x in range(o.n_outcomes - 1)]
+            effects.append(tuple(u - sum(e[c] for e in effects)
+                                 for c, u in enumerate(space.unit)))
+            sims.append(Observable(space, tuple(effects), o.outcomes))
         else:
             sims.append(o)
     witnesses = []

@@ -3,9 +3,9 @@
 Everything downstream (state spaces, relation LPs, monotones) runs on top of
 a :class:`Context` that fixes the scalar field.  Every comparison is one
 expression in the context's tolerance ``eps``.  The float context uses IEEE
-doubles with an absolute ``eps``; the exact context is the same code with
-``fractions.Fraction`` scalars and ``eps`` the integer 0, so it compares
-exactly and serves as the correctness oracle for the float path.
+doubles with an absolute ``eps >= MIN_FLOAT_EPS``; the exact context is the
+same code with ``fractions.Fraction`` scalars and ``eps`` the integer 0, so
+it compares exactly and serves as the correctness oracle for the float path.
 ``Context.scalar`` is the one way an outside number (int, float, Fraction or
 a string such as ``"0.25"`` or ``"1/3"``) enters the field; on the exact
 backend it never rounds, so a float stands for its exact binary value.
@@ -21,14 +21,17 @@ from typing import Union
 
 Scalar = Union[int, float, Fraction]
 
+# below it, the rounding of derived floats (irreducibles, joints) can exceed eps
+MIN_FLOAT_EPS = 1e-12
+
 
 @dataclass(frozen=True)
 class Context:
     """Scalar field plus comparison tolerance.
 
-    backend: "float" (IEEE doubles, tolerance ``eps`` finite and >= 0) or "exact"
-    (arbitrary-precision rationals, ``eps`` the integer 0: a float zero
-    would turn ``Fraction + eps`` into a float).
+    backend: "float" (IEEE doubles, tolerance ``eps`` finite and at least
+    ``MIN_FLOAT_EPS``) or "exact" (arbitrary-precision rationals, ``eps`` the
+    integer 0: a float zero would turn ``Fraction + eps`` into a float).
     """
 
     backend: str = "float"
@@ -39,8 +42,9 @@ class Context:
             raise ValueError(f"unknown backend {self.backend!r}; use 'float' or 'exact'")
         if self.exact and not (self.eps == 0 and isinstance(self.eps, int)):
             raise ValueError("the exact backend compares exactly; eps must be the integer 0")
-        if not (math.isfinite(self.eps) and self.eps >= 0):
-            raise ValueError(f"the tolerance must be finite and >= 0, not {self.eps}")
+        if not (self.exact or (math.isfinite(self.eps) and self.eps >= MIN_FLOAT_EPS)):
+            raise ValueError(f"the float tolerance must be finite and >= {MIN_FLOAT_EPS}, "
+                             f"not {self.eps}")
 
     @property
     def exact(self) -> bool:
@@ -113,6 +117,7 @@ __all__ = [
     "FLOAT",
     "LPProblem",
     "LPResult",
+    "MIN_FLOAT_EPS",
     "Scalar",
     "UnboundedObjective",
     "dot",

@@ -6,9 +6,10 @@ max/min monotones, plus the minimally sufficient representative used to
 canonicalize post-processing equivalence classes.  The predicates and
 monotones read each effect's range over the states
 (``StateSpace.effect_range``) and the dual-ray test
-(``StateSpace.extreme_ray``) from the space, whatever its kind.  On the
-exact backend an invalid observable cannot be built; on floats validity is
-a tolerance judgement that ``validate`` reports.
+(``StateSpace.extreme_ray``) from the space, whatever its kind.  No
+observable can be built whose effects do not sum to u within the tolerance,
+nor on the exact backend one with an invalid effect; on floats effect
+validity is a tolerance judgement that ``validate`` reports.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ class Observable:
             if len(e) != dim:
                 raise ValueError(f"invalid observable: effect {lbl!r} has {len(e)} "
                                  f"coordinates, the space {dim}")
+        if not sums_to_unit(self):
+            raise ValueError("invalid observable: effects do not sum to the unit functional")
         if self.space.ctx.exact:
             errors = validation_errors(self)
             if errors:
@@ -68,6 +71,7 @@ def observable(space: StateSpace, effects: Sequence[Sequence], outcomes=None) ->
 
 
 def trivial_observable(space: StateSpace, probs: Sequence) -> Observable:
+    """Effects p_x u; the probabilities must sum to 1, so that they sum to u."""
     ctx = space.ctx
     return observable(space, [tuple(ctx.scalar(p) * x for x in space.unit) for p in probs])
 
@@ -109,7 +113,8 @@ def _space_ref(space: StateSpace):
 
 def mix_observables(weights: Sequence, parts: Sequence[Observable]) -> Observable:
     """Convex mixture; all parts must share the space and the outcome set,
-    and there is one weight per part."""
+    and there is one weight per part.  The result must sum to u, so the
+    weights must sum to 1."""
     space = common_space(parts)
     ctx = space.ctx
     k = parts[0].n_outcomes
@@ -126,8 +131,9 @@ def apply_postprocessing(nu: Sequence[Sequence], source: Observable) -> Observab
     """Row-stochastic nu (|Lambda| x |Omega|) applied to the source observable:
     the effects are nu's transpose times the source's, and every weight
     counts, however small.  ValueError unless nu has one row per source
-    outcome, all of one nonzero length; on floats whether the result is
-    valid is ``validate``'s call."""
+    outcome, all of one nonzero length, and unless the result sums to u,
+    which needs nu's rows to sum to 1; on floats whether each effect of the
+    result is valid is ``validate``'s call."""
     space = source.space
     ctx = space.ctx
     if len(nu) != source.n_outcomes:
@@ -151,16 +157,13 @@ def validation_errors(a: Observable) -> list[str]:
     for lbl, e in zip(a.outcomes, a.effects):
         if not a.space.is_valid_effect(e):
             errors.append(f"effect {lbl!r}: not a valid effect")
-    if not sums_to_unit(a):
-        errors.append("effects do not sum to the unit functional")
     return errors
 
 
 def sums_to_unit(a: Observable) -> bool:
-    """The effects sum to u within the context's tolerance."""
-    ctx = a.space.ctx
-    total = [sum(col) for col in zip(*a.effects)]
-    return all(ctx.eq(t, u) for t, u in zip(total, a.space.unit))
+    """The effects sum to u within the context's tolerance (no effects do
+    not: u is nonzero)."""
+    return bool(a.effects) and all(map(a.space.ctx.eq, map(sum, zip(*a.effects)), a.space.unit))
 
 
 def is_trivial(a: Observable) -> bool:
@@ -220,7 +223,8 @@ def _proportionality(ctx: Context, e: Sequence, f: Sequence) -> Optional[object]
 
 
 def minimally_sufficient(a: Observable) -> Observable:
-    """Drop zero effects and merge positively proportional outcome classes.
+    """Merge positively proportional outcome classes, and fold the zero
+    effects into the first class (there is one: the effects sum to u).
 
     Ties in the merge order resolve to the lowest outcome label, so repeated
     runs give an identical representative.
@@ -228,8 +232,10 @@ def minimally_sufficient(a: Observable) -> Observable:
     space = a.space
     ctx = space.ctx
     kept: list[list[int]] = []
+    zeros = []
     for i in range(a.n_outcomes):
         if is_zero_effect(space, a.effects[i]):
+            zeros.append(i)
             continue
         for cls in kept:
             if _proportionality(ctx, a.effects[cls[0]], a.effects[i]) is not None:
@@ -237,8 +243,7 @@ def minimally_sufficient(a: Observable) -> Observable:
                 break
         else:
             kept.append([i])
-    if not kept:  # all effects vanished: degenerate, keep the unit outcome
-        return Observable(space, (tuple(space.unit),), (a.outcomes[0] if a.outcomes else 0,))
+    kept[0] += zeros  # each is zero within eps, their sum need not be: keep it
     merge = [[ctx.one() if i in cls else ctx.zero() for i in range(a.n_outcomes)] for cls in kept]
     return Observable(space, mat_mul(merge, a.effects), tuple(a.outcomes[cls[0]] for cls in kept))
 

@@ -8,9 +8,8 @@ p_i is the sum of M^(i)'s row 0, a full row of variables.  In each later
 row the last column is no LP variable but the slack of
 p_i - sum_{x < last} M^(i)[y][x] >= 0, so the row sums hold by construction
 and these rows start on their slacks.  The target's last outcome has no rows
-either: when the target's effects and every simulator's sum to u, the other
-outcomes and sum_i p_i = 1 imply them.  ``is_simulable`` checks that
-normalization once, up front.
+either: every observable's effects sum to u (``Observable`` refuses any
+other), so the other outcomes and sum_i p_i = 1 imply them.
 The module also enumerates the extreme simulation-irreducible observables of
 a polytopic space and implements the simulation-closed noise restrictions:
 an effect's noise class is read off its range over the states and an
@@ -32,7 +31,6 @@ from .observables import (
     minimally_sufficient,
     noise_content,
     observable,
-    sums_to_unit,
 )
 from .postprocess import is_pp_clean
 from .spaces import StateSpace, UnsupportedSpace, make_polygon, polygon_extreme_even
@@ -53,17 +51,10 @@ def is_simulable(target: Observable, simulators: Sequence[Observable]) -> Option
 
     The LP's variables are the entries of each M^(i): all of row 0, whose
     sum is the weight p_i, and all but the last column of every later row,
-    whose last entry is the slack of its >= row (module docstring).  A
-    target whose effects do not sum to u is simulable by nothing: None.  A
-    simulator whose effects do not sum to u raises ValueError, since the LP
-    leaves out the rows that normalization implies."""
+    whose last entry is the slack of its >= row (module docstring)."""
     if not simulators:
         raise ValueError("empty simulator list")
     space = common_space([target, *simulators])
-    if not all(sums_to_unit(b) for b in simulators):
-        raise ValueError("simulator effects do not sum to the unit functional")
-    if not sums_to_unit(target):
-        return None
     ctx = space.ctx
     zero, one = ctx.zero(), ctx.one()
     w = target.n_outcomes - 1  # columns of a later row of M^(i) that are LP variables

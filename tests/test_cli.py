@@ -133,7 +133,39 @@ def test_check_refuses_an_effect_shorter_than_the_space(tmp_path, backend, ref, 
     path = tmp_path / "short.json"
     path.write_text(json.dumps({"space_ref": ref, "effects": [[0, 0], [0, 0]]}))
     assert main(["--backend", backend, "check", "compat", str(path), str(path)]) == 3
-    assert "effect 0 has 2 coordinates" in capsys.readouterr().err
+    assert f"{path}: invalid observable: effect 0 has 2 coordinates" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("backend, ref", [("float", "polygon:6"), ("exact", "square")])
+def test_unnormalized_observable_file_is_an_error_naming_it(tmp_path, backend, ref, capsys):
+    """Effects summing to 0.9 u build no observable on either backend:
+    whichever input the file is, the check exits 3 naming it."""
+    short, half = tmp_path / "short.json", tmp_path / "half.json"
+    short.write_text(json.dumps({"space_ref": ref, "effects": [[0, 0, 0.45], [0, 0, 0.45]]}))
+    half.write_text(json.dumps({"space_ref": ref, "effects": [[0, 0, 0.5], [0, 0, 0.5]]}))
+    for args in (["compat", str(half), str(short)], ["postprocess", str(short), str(half)],
+                 ["sim", str(half), "--simulators", str(short)]):
+        assert main(["--backend", backend, "check"] + args) == 3
+        err = capsys.readouterr().err
+        assert f"{short}: invalid observable: effects do not sum to the unit functional" in err
+
+
+@pytest.mark.parametrize("backend", ["float", "exact"])
+def test_comm_file_that_is_no_communication_matrix_is_an_error_naming_it(
+        hexagon_files, tmp_path, backend, capsys):
+    """A matrix whose rows do not sum to 1, a ragged one and one with a
+    word for an entry exit 3, naming the file, in every command that reads
+    a matrix."""
+    for name, text, cause in (("sub.csv", "0.5,0.6\n0.2,0.8\n", "not row-stochastic"),
+                              ("ragged.csv", "1\n0.5,0.5\n", "rows differ in length"),
+                              ("word.csv", "a,b\n", "Invalid literal")):
+        path = tmp_path / name
+        path.write_text(text)
+        for args in (["comm", str(path)], ["comm", "compare", str(path), hexagon_files["I2"]],
+                     ["check", "ultraweak", hexagon_files["I2"], str(path)]):
+            assert main(["--backend", backend] + args) == 3
+            captured = capsys.readouterr()
+            assert captured.out == "" and f"{path}: " in captured.err and cause in captured.err
 
 
 @pytest.mark.parametrize("role", ["postprocess-source", "sim-simulator", "compat-input"])
@@ -403,7 +435,26 @@ def test_tolerance_outside_the_finite_nonnegatives_is_an_error(hexagon_files, to
         assert captured.out == "" and "tolerance" in captured.err
 
 
-@pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("tolerance", ["0", "1e-13"])
+def test_tolerance_below_the_floor_is_an_error(hexagon_files, tolerance, capsys):
+    """Below 1e-12 the float rounding of the library's own derived values
+    (here the hexagon's irreducibles) can exceed the tolerance."""
+    assert main(["--tolerance", tolerance, "check", "sim", hexagon_files["t"],
+                 "--simulators", "irr(polygon:6)"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "tolerance" in captured.err and "1e-12" in captured.err
+
+
+def test_tolerance_at_the_floor_decides(hexagon_files, capsys):
+    """At --tolerance 1e-12 the irreducibles, a joint and the irreducible
+    table all build."""
+    t = hexagon_files["t"]
+    for args in (["check", "compat", t, t], ["check", "sim", t, "--simulators", "irr(polygon:6)"],
+                 ["tables", "irreducibles"]):
+        assert run_cli(["--tolerance", "1e-12"] + args, capsys)[0] == 0
+
+
+@pytest.mark.parametrize("tolerance", ["-1", "nan", "inf", "0", "1e-13"])
 def test_exact_backend_refuses_the_tolerance_floats_refuse(tolerance, capsys):
     # the exact backend ignores the tolerance, but does not accept a bad one
     assert main(["--backend", "exact", "--tolerance", tolerance, "tables", "noise_bounds"]) == 3

@@ -10,6 +10,7 @@ from gptwb.numerics import EXACT, FLOAT, LPProblem, dot, is_row_stochastic, lp_s
 from gptwb.observables import observable, trivial_observable
 import gptwb.communication as communication
 from gptwb.communication import (
+    CommMatrix,
     build_comm_matrix,
     canonical_reduce,
     comm_matrix,
@@ -79,6 +80,23 @@ def test_non_stochastic_matrix_rejected():
 def test_ragged_matrix_rejected():
     with pytest.raises(ValueError):
         comm_matrix([[1.0], [0.5, 0.5]])
+
+
+@pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+def test_comm_matrix_type_refuses_what_is_no_communication_matrix(ctx):
+    """CommMatrix itself refuses rows that do not sum to 1, negative entries
+    and ragged rows, so no decision sees them: on ((0.5, 0.6), (0.2, 0.8))
+    ultraweak_leq against I2 would answer "yes" with that matrix as L."""
+    for rows, cause in [([["1/2", "3/5"], ["1/5", "4/5"]], "row-stochastic"),
+                        ([["3/2", "-1/2"], [0, 1]], "row-stochastic"),
+                        ([[1], ["1/2", "1/2"]], "differ in length"),
+                        ([[]], "row-stochastic"),
+                        ([], "at least one row")]:
+        with pytest.raises(ValueError, match=cause):
+            CommMatrix(tuple(tuple(ctx.scalar(v) for v in row) for row in rows), ctx)
+        with pytest.raises(ValueError, match=cause):
+            comm_matrix(rows, ctx)
+    assert CommMatrix(identity_matrix(2, ctx).matrix, ctx).shape == (2, 2)
 
 
 def test_empty_matrix_rejected():
@@ -491,8 +509,10 @@ def test_ultraweak_search_hit_rate_on_planted_pairs():
                          ids=lambda shape: "%dx%d" % shape)
 def test_rows_of_c_are_below_c(shape, ctx):
     # C <= C, and any D made of rows of C, by L selecting those rows and
-    # R = I, exactly: the search's LAD rounds can stall on these pairs
+    # R = I; and D = C P for a permutation P of the columns, by L = I and
+    # R = P; all exactly: the search's LAD rounds can stall on these pairs
     n, m = shape
+    shift = list(range(1, m)) + [0]  # column b of C P is column shift[b] of C
     for s in range(1000, 1040 if ctx is FLOAT else 1005):
         rng = random.Random(s)
         rows = (random_stochastic if ctx is FLOAT else _rational_stochastic)(n, m, rng)
@@ -503,6 +523,12 @@ def test_rows_of_c_are_below_c(shape, ctx):
             assert res.right == identity_matrix(m, ctx).matrix
             assert all(row.count(1) == 1 for row in res.left)
             assert verify_ultraweak_witness(d, c, res.left, res.right)
+        d = comm_matrix([[row[a] for a in shift] for row in rows], ctx)
+        res = ultraweak_leq(d, c)
+        assert res.verdict == "yes"
+        assert res.left == identity_matrix(n, ctx).matrix
+        assert all(res.right[shift[b]][b] == 1 for b in range(m))
+        assert verify_ultraweak_witness(d, c, res.left, res.right)
 
 
 def test_ultraweak_search_is_deterministic():

@@ -303,20 +303,21 @@ def test_joint_reproduces_every_marginal(ctx):
     assert found >= 12
 
 
-def test_unnormalized_inputs_are_incompatible():
-    """An input whose effects do not sum to u has no joint observable, and
-    no g or margin either, though the margin LP reads only the first
-    effects."""
-    for sp in (make_polygon(6), cube4(FLOAT)):
-        a = random_observable(sp, 2, random.Random(41), margin=0.3)
-        short = observable(sp, (a.effects[0], tuple(0.9 * x for x in a.effects[1])))
+def test_unnormalized_inputs_are_refused():
+    """Effects that do not sum to u are refused where they are built, on
+    both backends, so no joint-observable or margin LP, each of which leaves
+    out rows that normalization implies, ever reads them."""
+    for sp in (make_polygon(6), cube4(FLOAT), cube4(EXACT)):
+        if sp.ctx.exact:
+            a = random_rational_observable(sp, 2, random.Random(41))
+        else:
+            a = random_observable(sp, 2, random.Random(41), margin=0.3)
         assert are_compatible([a, a]) is not None
         assert dichotomic_compat_g(a, a) is not None
-        for pair in ([a, short], [short, a]):
-            assert are_compatible(pair) is None
-            assert dichotomic_compat_g(*pair) is None
-            with pytest.raises(ValueError, match="sum to u"):
-                dichotomic_compat_margin(*pair)
+        assert dichotomic_compat_margin(a, a) >= 0
+        nine_tenths = sp.ctx.scalar("0.9")
+        with pytest.raises(ValueError, match="do not sum to the unit functional"):
+            observable(sp, (a.effects[0], tuple(nine_tenths * x for x in a.effects[1])))
 
 
 # ------------------------------------------ spaces without a dual-ray generator

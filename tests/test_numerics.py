@@ -22,6 +22,7 @@ from gptwb.numerics import (
     FLOAT,
     Context,
     LPProblem,
+    MIN_FLOAT_EPS,
     UnboundedObjective,
     lp_solve,
     mat_mul,
@@ -93,10 +94,12 @@ def test_exact_context_compares_with_the_integer_zero():
 
 @pytest.mark.parametrize("backend, eps", [
     ("float", -1e-9), ("float", math.nan), ("float", math.inf), ("double", 1e-9),
+    ("float", 0.0), ("float", MIN_FLOAT_EPS / 10),
 ])
 def test_context_rejects_a_bad_tolerance_or_backend(backend, eps):
-    """A tolerance that is negative or not finite, or a backend other than
-    "float" or "exact", fails where the context is made, naming the cause."""
+    """A tolerance that is not finite or is below MIN_FLOAT_EPS, or a
+    backend other than "float" or "exact", fails where the context is made,
+    naming the cause."""
     with pytest.raises(ValueError, match="tolerance" if backend == "float" else "backend"):
         Context(backend, eps)
 

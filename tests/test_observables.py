@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from gptwb.numerics import EXACT, FLOAT, dot
 from gptwb.observables import (
     PreconditionViolated,
+    apply_postprocessing,
     common_space,
     is_extreme_clean,
     is_indecomposable_effect,
@@ -58,9 +59,23 @@ def test_hexagon_antipodal_pair_validates():
 
 
 def test_subnormalized_family_fails():
-    sp = make_polygon(6)
-    bad = observable(sp, [tuple(0.45 * u for u in sp.unit)] * 2)
-    assert not validate(bad)
+    """Effects that do not sum to u build no observable, on either backend,
+    however they are built: given directly (no effects at all among them),
+    as a trivial observable's probabilities, mixture weights or
+    post-processing rows that do not sum to 1."""
+    for sp in (make_polygon(6), make_square(EXACT)):
+        ctx = sp.ctx
+        t = trivial_observable(sp, ("1/2", "1/2"))
+        assert validate(mix_observables(("1/4", "3/4"), (t, t)))
+        assert validate(apply_postprocessing(((1, 0), ("1/2", "1/2")), t))
+        builds = [lambda: observable(sp, [tuple(ctx.scalar("0.45") * u for u in sp.unit)] * 2),
+                  lambda: observable(sp, []),
+                  lambda: trivial_observable(sp, ("0.2", "0.3")),
+                  lambda: mix_observables(("0.5", "0.4"), (t, t)),
+                  lambda: apply_postprocessing(((1, 0), ("0.5", "0.4")), t)]
+        for build in builds:
+            with pytest.raises(ValueError, match="do not sum to the unit functional"):
+                build()
 
 
 # ------------------------------------------------------------------ triviality
