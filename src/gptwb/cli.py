@@ -138,10 +138,13 @@ def _load_json(path: str):
 
 @contextlib.contextmanager
 def _naming(path: str):
-    """Prefix every ValueError raised inside with the file's path."""
+    """Prefix every ValueError, missing key or unsupported space raised
+    inside with the file's path."""
     try:
         yield
-    except ValueError as exc:
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
+    except (ValueError, UnsupportedSpace) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 

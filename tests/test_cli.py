@@ -136,6 +136,21 @@ def test_check_refuses_an_effect_shorter_than_the_space(tmp_path, backend, ref, 
     assert f"{path}: invalid observable: effect 0 has 2 coordinates" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("backend, content, cause", [
+    ("float", {"space_ref": "polygon:6"}, "missing key 'effects'"),
+    ("exact", {"space_ref": "polygon:6", "effects": [[0, 0, 1]]}, "irrational"),
+], ids=["no-effects", "exact-polygon"])
+def test_observable_file_without_effects_or_space_names_it(tmp_path, backend, content, cause,
+                                                           capsys):
+    """A file with no effects, or a polygon on the exact backend, exits 3
+    naming the file."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(content))
+    assert main(["--backend", backend, "check", "compat", str(path), str(path)]) == 3
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and cause in err
+
+
 @pytest.mark.parametrize("backend, ref", [("float", "polygon:6"), ("exact", "square")])
 def test_unnormalized_observable_file_is_an_error_naming_it(tmp_path, backend, ref, capsys):
     """Effects summing to 0.9 u build no observable on either backend:
@@ -433,16 +448,6 @@ def test_tolerance_outside_the_finite_nonnegatives_is_an_error(hexagon_files, to
         assert main(["--tolerance", tolerance] + args) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "tolerance" in captured.err
-
-
-@pytest.mark.parametrize("tolerance", ["0", "1e-13"])
-def test_tolerance_below_the_floor_is_an_error(hexagon_files, tolerance, capsys):
-    """Below 1e-12 the float rounding of the library's own derived values
-    (here the hexagon's irreducibles) can exceed the tolerance."""
-    assert main(["--tolerance", tolerance, "check", "sim", hexagon_files["t"],
-                 "--simulators", "irr(polygon:6)"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == "" and "tolerance" in captured.err and "1e-12" in captured.err
 
 
 def test_tolerance_at_the_floor_decides(hexagon_files, capsys):

@@ -84,18 +84,12 @@ def test_ragged_matrix_rejected():
 
 @pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
 def test_comm_matrix_type_refuses_what_is_no_communication_matrix(ctx):
-    """CommMatrix itself refuses rows that do not sum to 1, negative entries
-    and ragged rows, so no decision sees them: on ((0.5, 0.6), (0.2, 0.8))
+    """CommMatrix itself refuses rows that do not sum to 1 and negative
+    entries, so no decision sees them: on ((0.5, 0.6), (0.2, 0.8))
     ultraweak_leq against I2 would answer "yes" with that matrix as L."""
-    for rows, cause in [([["1/2", "3/5"], ["1/5", "4/5"]], "row-stochastic"),
-                        ([["3/2", "-1/2"], [0, 1]], "row-stochastic"),
-                        ([[1], ["1/2", "1/2"]], "differ in length"),
-                        ([[]], "row-stochastic"),
-                        ([], "at least one row")]:
-        with pytest.raises(ValueError, match=cause):
+    for rows in ([["1/2", "3/5"], ["1/5", "4/5"]], [["3/2", "-1/2"], [0, 1]]):
+        with pytest.raises(ValueError, match="row-stochastic"):
             CommMatrix(tuple(tuple(ctx.scalar(v) for v in row) for row in rows), ctx)
-        with pytest.raises(ValueError, match=cause):
-            comm_matrix(rows, ctx)
     assert CommMatrix(identity_matrix(2, ctx).matrix, ctx).shape == (2, 2)
 
 

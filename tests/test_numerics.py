@@ -100,7 +100,8 @@ def test_context_rejects_a_bad_tolerance_or_backend(backend, eps):
     """A tolerance that is not finite or is below MIN_FLOAT_EPS, or a
     backend other than "float" or "exact", fails where the context is made,
     naming the cause."""
-    with pytest.raises(ValueError, match="tolerance" if backend == "float" else "backend"):
+    cause = f"tolerance must be finite and >= {MIN_FLOAT_EPS}" if backend == "float" else "backend"
+    with pytest.raises(ValueError, match=cause):
         Context(backend, eps)
 
 
