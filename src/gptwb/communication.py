@@ -8,14 +8,15 @@ rows are all rows of C, and a D that has every column of C.  Otherwise a
 search fits D's distinct rows: five projected least-squares warm sweeps,
 then rounds of least-absolute-deviation LPs.  Each round fits L by LPs,
 then moves R to the nearest R with (L C) R = D; it ends when that R is
-nonnegative and fits, and otherwise fits R by an LP too.
+nonnegative up to round-off and fits, and otherwise fits R by an LP too.
 
 The nonnegative-rank and psd-rank monotones are certified intervals.  The
 upper end of the nonnegative-rank interval comes from factorizations
-C = W H found by HALS sweeps in floats.  When k equals the rank of C, every
-check of the sweeps also tries an exact-rank finish (Vavasis 2009): H's
-rows are pushed out to the simplex inside C's affine hull, and W is read
-off as barycentric coordinates.
+C = W H found by HALS sweeps in floats.  When k equals the rank of C, the
+sweeps try an exact-rank finish (Vavasis 2009) after sweeps 1, 2, 4, 8 and
+16 and at every check, and stop at the first iterate it accepts: H's rows
+are pushed out to the simplex inside C's affine hull, and W is read off as
+barycentric coordinates.
 
 Every "yes" and every factorization is normalised in the matrix's field
 and re-verified, so it is exactly row-stochastic and reproduces the target
@@ -32,13 +33,13 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .numerics import (
+    Echelon,
     LPProblem,
     is_row_stochastic,
     lp_solve,
     mat_mul,
     orthogonal_rows,
     rank,
-    solve_unique,
 )
 from .numerics import Context, DEFAULT
 from .observables import Observable, minimally_sufficient, observable
@@ -128,7 +129,8 @@ def nonneg_factorization(c: CommMatrix, k: int, *, seed: int = 0) -> Optional[tu
     None when the search fails (inconclusive, not a certificate).
 
     Each of _FACTOR_RESTARTS restarts runs _hals_stochastic, with the
-    exact-rank finish when k is the rank of C in its context.  The factors
+    exact-rank finish when k is the rank of C in its context; a restart then
+    ends at the first iterate the finish accepts.  The factors
     are converted to the context's field, each row divided by its sum
     there, and returned only if both are row-stochastic in that field and
     re-substitute within 1e-9."""
@@ -173,12 +175,14 @@ _HALS_TARGET = 1e-11      # max error at which the sweeps stop
 def _hals_stochastic(target, w, basis=None):
     """Nonnegative HALS (Gillis & Glineur 2012) on target ~ W H from W, then
     rescaled to row-stochastic factors: H's rows to sum 1 with W's columns
-    scaled to match, then W's rows divided by their sums.  Every
-    _HALS_CHECK_EVERY sweeps a check first tries _hull_finish when
-    ``basis`` (from _row_basis, k = rank of the target) is given, and
-    returns its factors when it succeeds.  The sweeps stop when the max
-    error reaches _HALS_TARGET, or when its rate since the last check
-    cannot reach the target in the checks left.
+    scaled to match, then W's rows divided by their sums.  When ``basis``
+    (from _row_basis, k = rank of the target) is given, _hull_finish is
+    tried after sweeps 1, 2, 4, 8 and 16, the powers of two below
+    _HALS_CHECK_EVERY, and then at every check, and its factors are
+    returned at the first attempt that succeeds.  Every _HALS_CHECK_EVERY
+    sweeps a check measures the max error; the sweeps stop when it reaches
+    _HALS_TARGET, or when its rate since the last check cannot reach the
+    target in the checks left.
     Returns float (W, H), or None when a factor row has no mass."""
     m = len(target[0])
     wc = [list(col) for col in zip(*w)]
@@ -188,11 +192,13 @@ def _hals_stochastic(target, w, basis=None):
     for sweep in range(1, _HALS_MAX_SWEEPS + 1):
         _hals_update(h, wc, ct)       # rows of H for fixed W
         _hals_update(wc, h, target)   # columns of W for fixed H
-        if sweep % _HALS_CHECK_EVERY == 0:
-            if basis is not None:
-                fact = _hull_finish(target, h, basis)
-                if fact is not None:
-                    return fact
+        check = sweep % _HALS_CHECK_EVERY == 0
+        early = sweep < _HALS_CHECK_EVERY and sweep & (sweep - 1) == 0  # 1, 2, 4, 8, 16
+        if basis is not None and (check or early):
+            fact = _hull_finish(target, h, basis)
+            if fact is not None:
+                return fact
+        if check:
             err = _factor_error(list(zip(*wc)), h, target)
             # stop at the target, or at a rate that cannot reach it in the
             # checks left (a rate of 1 or more never does)
@@ -240,7 +246,7 @@ def _hull_finish(target, h, basis):
     ``h`` is projected onto that affine hull (onto the span, then rescaled
     to sum 1) and pushed away from the centroid of C's rows out to the
     simplex boundary; each row of W is then C's row in barycentric
-    coordinates.
+    coordinates, read off one ``Echelon`` form of H's rows.
     Returns float (W, H) when W >= 0 and the max error is within
     _HALS_TARGET, else None."""
     mul = operator.mul
@@ -257,10 +263,12 @@ def _hull_finish(target, h, basis):
         if t is None:
             return None
         rows.append([max(0.0, g + t * v) for g, v in zip(centre, d)])
-    cols = list(zip(*rows))
+    ech = Echelon.of(rows, len(centre), slots=len(rows))
+    if ech is None:
+        return None
     w = []
     for row in target:
-        x = solve_unique(cols, row)
+        x = ech.solve(row)
         if x is None or min(x) < 0.0:
             return None
         w.append(x)
@@ -339,7 +347,8 @@ def _ultraweak_fit(cf, target, left, right):
     deviation column per fitted entry, the other deviation its row's
     starting slack).  A round fits each row of L by one LP, then tries the
     exact-fit finish _exact_right, which returns when the nearest R with
-    (L C) R = D is nonnegative and fits; otherwise one LP over all of R.
+    (L C) R = D is nonnegative up to round-off and fits; otherwise one LP
+    over all of R.
     The rounds stop when one fails to halve the max error."""
     mul = operator.mul
     k, m = len(cf[0]), len(target[0])
@@ -370,23 +379,30 @@ def _exact_right(lc, target, right):
     """The R nearest ``right`` in the Frobenius norm with (L C) R = D: each
     column r of R becomes r + P^T (Z^+ d - P r), where the rows of P are an
     orthonormal basis of the rows of L C (_row_basis), Z = (L C) P^T, and
-    Z^+ d solves the normal equations Z^T Z x = Z^T d.  L C and D are
-    row-stochastic, so the rows of that R still sum to 1.  Returns it when
-    R >= 0 and the max error is within _ULTRAWEAK_TARGET, else None."""
+    Z^+ d solves the normal equations Z^T Z x = Z^T d, all columns on one
+    ``Echelon`` form of Z^T Z.  L C and D are row-stochastic, so the rows of
+    that R still sum to 1.  An entry below -_ULTRAWEAK_TARGET refuses R;
+    entries between that and 0 are round-off and become 0.  Returns R when
+    its max error is then within _ULTRAWEAK_TARGET, else None."""
     mul = operator.mul
     p = _row_basis(lc, rank(lc))
     zt = [[sum(map(mul, row, q)) for row in lc] for q in p]  # columns of Z
     gram = [[sum(map(mul, a, b)) for b in zt] for a in zt]
+    ech = Echelon.of(gram, len(gram), slots=len(gram))  # symmetric: rows are columns
+    if ech is None:
+        return None
     pt = list(zip(*p))
     cols = []
     for d, r in zip(zip(*target), zip(*right)):
-        x = solve_unique(gram, [sum(map(mul, a, d)) for a in zt])
+        x = ech.solve([sum(map(mul, a, d)) for a in zt])
         if x is None:
             return None
         step = [v - sum(map(mul, q, r)) for v, q in zip(x, p)]
         cols.append([v + sum(map(mul, step, prow)) for v, prow in zip(r, pt)])
-    new = [list(row) for row in zip(*cols)]
-    if min(map(min, new)) < 0.0 or _factor_error(lc, new, target) > _ULTRAWEAK_TARGET:
+    if min(map(min, cols)) < -_ULTRAWEAK_TARGET:
+        return None
+    new = [[max(v, 0.0) for v in row] for row in zip(*cols)]  # round-off below 0 is 0
+    if _factor_error(lc, new, target) > _ULTRAWEAK_TARGET:
         return None
     return new
 

@@ -39,8 +39,8 @@ def solve_unique(a: Sequence[Sequence], b: Sequence, ctx: Context = DEFAULT) -> 
     """Unique solution of ``a x = b`` or None (inconsistent or underdetermined):
     x holds b's coefficients over the columns of a, which must be independent."""
     cols = [[ctx.scalar(v) for v in col] for col in zip(*a)]
-    ech = Echelon.of(cols, len(a), ctx, slots=len(cols), target=[ctx.scalar(x) for x in b])
-    return None if ech is None else ech.coefficients()
+    ech = Echelon.of(cols, len(a), ctx, slots=len(cols))
+    return None if ech is None else ech.solve([ctx.scalar(x) for x in b])
 
 
 class Echelon:
@@ -112,6 +112,20 @@ class Echelon:
         if not self.spans_target():
             return None
         return tuple(-x for x in self.residual[self.dim:self.dim + len(self.rows)])
+
+    def solve(self, b: Sequence) -> Optional[tuple]:
+        """b's coefficients over the vectors, in the order added, when b lies
+        in their span, else None; needs ``slots`` >= the number of vectors.
+        b is reduced against the rows already built, so one form answers any
+        number of right-hand sides without a new elimination."""
+        ctx, dim = self.ctx, self.dim
+        r = list(b) + [ctx.zero()] * self.slots
+        for row, p in zip(self.rows, self.pivots):
+            if r[p]:
+                r = _sub_multiple(r, r[p], row)
+        if not all(ctx.is_zero(x) for x in r[:dim]):
+            return None
+        return tuple(-x for x in r[dim:dim + len(self.rows)])
 
     def kernel(self) -> tuple:
         """The nonzero vector, 1 in the one non-pivot column, that every

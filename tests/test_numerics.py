@@ -21,6 +21,7 @@ from gptwb.numerics import (
     EXACT,
     FLOAT,
     Context,
+    Echelon,
     LPProblem,
     MIN_FLOAT_EPS,
     UnboundedObjective,
@@ -30,6 +31,7 @@ from gptwb.numerics import (
     rank,
     solve_unique,
 )
+import gptwb.numerics.lp as lp_engine
 from gptwb.numerics.lp import _run_simplex
 from gptwb.observables import apply_postprocessing, observable
 from gptwb.postprocess import find_postprocessing
@@ -188,15 +190,25 @@ def test_rank_matches_the_oracle(n, m, k, seed):
 def test_solve_unique_matches_the_oracle(m, n, k, consistent, seed):
     """a is m x n of rank at most k; b lies in its column space or is drawn
     at random.  The solution is unique exactly when the oracle ranks of a and
-    of (a | b) are both n, and then it solves the system exactly."""
+    of (a | b) are both n, and then it solves the system exactly.  One
+    ``Echelon`` form of a's columns, built once per backend, then solves
+    three more right-hand sides, two of them drawn at random: each answer is
+    None exactly when that b is outside the column space, and otherwise
+    solves the system (exactly, or within 1e-9 of the exact one in floats)."""
     rng = random.Random(seed)
     a = _product(rng, m, k, n)
-    if consistent:
-        x0 = [Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(n)]
-        b = [sum(r * x for r, x in zip(row, x0)) for row in a]
-    else:
-        b = [Fraction(rng.randint(-5, 5)) for _ in range(m)]
-    unique = oracle_rank(a) == n == oracle_rank([row + [rhs] for row, rhs in zip(a, b)])
+
+    def draw(consistent):
+        if consistent:
+            x0 = [Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(n)]
+            return [sum(r * x for r, x in zip(row, x0)) for row in a]
+        return [Fraction(rng.randint(-5, 5)) for _ in range(m)]
+
+    def in_span(b):
+        return oracle_rank([row + [rhs] for row, rhs in zip(a, b)]) == oracle_rank(a)
+
+    b = draw(consistent)
+    unique = oracle_rank(a) == n and in_span(b)
     x = solve_unique(a, b, EXACT)
     assert (x is not None) == unique
     if unique:
@@ -205,6 +217,18 @@ def test_solve_unique_matches_the_oracle(m, n, k, consistent, seed):
     assert (xf is not None) == unique
     if unique:
         assert all(abs(u - v) <= 1e-9 for u, v in zip(xf, x))
+
+    exact = Echelon.of([[Fraction(v) for v in col] for col in zip(*a)], m, EXACT, slots=n)
+    floats = Echelon.of([[float(v) for v in col] for col in zip(*a)], m, FLOAT, slots=n)
+    assert (exact is not None) == (floats is not None) == (oracle_rank(a) == n)
+    if exact is None:
+        return
+    for b in (draw(True), draw(False), draw(False)):
+        x, xf = exact.solve(b), floats.solve([float(v) for v in b])
+        assert (x is not None) == (xf is not None) == in_span(b)
+        if x is not None:
+            assert [sum(r * v for r, v in zip(row, x)) for row in a] == b
+            assert all(abs(u - v) <= 1e-9 for u, v in zip(xf, x))
 
 
 # ----------------------------------------------------------------------- lp
@@ -480,19 +504,50 @@ def test_simplex_ratio_tie_leaves_the_lowest_basic_index(ctx, conv):
     assert basis == [0, 3]
 
 
+def _beale_tableau(conv, rows=BEALE_ROWS):
+    """Beale's rows (or ``rows``) with their slacks, columns 4 on, as the
+    starting basis, and the cost over every column."""
+    m = len(rows)
+    tableau = [[conv(v) for v in row + [int(i == k) for k in range(m)] + [b]]
+               for i, (row, b) in enumerate(rows)]
+    return tableau, [4 + i for i in range(m)], [conv(c) for c in BEALE_COST] + [conv(0)] * m
+
+
 @pytest.mark.parametrize("ctx,conv", BACKENDS, ids=["exact", "float"])
 def test_simplex_beale_tableau_leaves_the_cycle(ctx, conv):
     """From the slack basis, most-negative pricing with lowest-index ties
     cycles on Beale's tableau; the Bland fallback must end at the optimum."""
-    tableau = [[conv(v) for v in row + [int(i == k) for k in range(3)] + [b]]
-               for i, (row, b) in enumerate(BEALE_ROWS)]
-    basis = [4, 5, 6]
-    cost = [conv(c) for c in BEALE_COST] + [conv(0)] * 3
+    tableau, basis, cost = _beale_tableau(conv)
     assert _run_simplex(tableau, basis, cost, ctx)
     y = [0] * 7
     for i, b in enumerate(basis):
         y[b] = tableau[i][-1]
     assert abs(sum(c * v for c, v in zip(cost, y)) + Fraction(1, 20)) <= 1e-12
+
+
+@pytest.mark.parametrize("rows, pivots", [
+    (BEALE_ROWS, [(0, 0), (1, 1), (0, 2), (1, 3), (2, 0), (1, 4)]),
+    (BEALE_ROWS + [([0, 0, 0, 1], 1)], [(0, 0), (1, 1), (0, 2), (1, 3), (0, 4), (1, 0), (2, 2)]),
+], ids=["m=3", "m=4"])
+@pytest.mark.parametrize("ctx,conv", BACKENDS, ids=["exact", "float"])
+def test_simplex_switches_to_bland_after_m_plus_one_degenerate_pivots(ctx, conv, rows, pivots,
+                                                                      monkeypatch):
+    """The (row, column) of every pivot from the slack basis.  Dantzig's
+    rule makes the first m + 1 pivots of Beale's cycle, all degenerate;
+    then Bland's rule (the first improving column) pivots until one makes
+    progress, and Dantzig's rule ends the run.  With m = 3 Bland's first
+    pivot, (2, 0), makes progress at once.  There Bland's and Dantzig's
+    fourth pivots coincide, so the bound x7 <= 1 adds a fourth row: its
+    fifth pivot is still Dantzig's, and Bland's (1, 0) and (2, 2) follow.
+    Starting Bland a pivot earlier or later changes a sequence."""
+    seen = []
+    pivot = lp_engine._pivot
+    monkeypatch.setattr(lp_engine, "_pivot",
+                        lambda tableau, basis, r, c, ctx: seen.append((r, c))
+                        or pivot(tableau, basis, r, c, ctx))
+    tableau, basis, cost = _beale_tableau(conv, rows)
+    assert _run_simplex(tableau, basis, cost, ctx)
+    assert seen == pivots
 
 
 def rational_hexagon(ctx):
