@@ -19,8 +19,8 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import NamedTuple
 
 from .communication import (
     CommMatrix,
@@ -30,7 +30,7 @@ from .communication import (
     ultraweak_leq,
 )
 from .compatibility import are_compatible, fc_noise_lower_bound
-from .numerics import EXACT, Context
+from .numerics import EXACT, Context, Validated
 from .observables import Observable, observable_from_json, validation_errors
 from .postprocess import find_postprocessing
 from .simulation import enumerate_irreducibles, is_simulable
@@ -44,18 +44,24 @@ EXIT_ERROR = 3
 _EXIT_CODES = {False: EXIT_NO, "no": EXIT_NO, "inconclusive": EXIT_INCONCLUSIVE}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    tolerance: float = 1e-9
-    seed: int = 0
-    backend: str = "float"
-    fmt: str = "json"
-    out: str | None = None
+class _RunConfigFields(NamedTuple):
+    tolerance: float
+    seed: int
+    backend: str
+    fmt: str
+    out: str | None
 
-    def __post_init__(self):
+
+class RunConfig(Validated, _RunConfigFields):
+    __slots__ = ()
+
+    def __new__(cls, tolerance: float = 1e-9, seed: int = 0, backend: str = "float",
+                fmt: str = "json", out: str | None = None):
+        self = tuple.__new__(cls, (tolerance, seed, backend, fmt, out))
         # the float backend's tolerance check, run on both backends, so that
         # the exact backend refuses what the float backend refuses
         Context("float", self.tolerance)
+        return self
 
     def context(self) -> Context:
         return EXACT if self.backend == "exact" else Context("float", self.tolerance)
@@ -289,7 +295,7 @@ def cmd_comm(args: list[str], config: RunConfig) -> dict:
 
 def main(argv=None) -> int:
     ns = _build_parser().parse_args(argv)
-    flags = {f.name: getattr(ns, f.name) for f in fields(RunConfig) if hasattr(ns, f.name)}
+    flags = {f: getattr(ns, f) for f in RunConfig._fields if hasattr(ns, f)}
     env_seed = os.environ.get("GPTWB_SEED")
     try:
         if env_seed is not None:

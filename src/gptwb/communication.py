@@ -29,8 +29,7 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .numerics import (
     Echelon,
@@ -41,23 +40,28 @@ from .numerics import (
     orthogonal_rows,
     rank,
 )
-from .numerics import Context, DEFAULT
+from .numerics import Context, DEFAULT, Validated
 from .observables import Observable, minimally_sufficient, observable
 from .spaces import StateSpace, effect_block, in_convex_hull, make_classical
 
 
-@dataclass(frozen=True)
-class CommMatrix:
+class _CommMatrixFields(NamedTuple):
     matrix: tuple            # row-stochastic rows of one length, checked when built
-    ctx: Context = DEFAULT
+    ctx: Context
 
-    def __post_init__(self):
+
+class CommMatrix(Validated, _CommMatrixFields):
+    __slots__ = ()
+
+    def __new__(cls, matrix: tuple, ctx: Context = DEFAULT):
+        self = tuple.__new__(cls, (matrix, ctx))
         if not self.matrix:
             raise ValueError("a communication matrix needs at least one row")
         if len({len(row) for row in self.matrix}) > 1:
             raise ValueError("matrix rows differ in length")
         if not is_row_stochastic(self.matrix, self.ctx):
             raise ValueError("matrix is not row-stochastic")
+        return self
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -89,8 +93,7 @@ def uniform_matrix(n: int, *, ctx: Context = DEFAULT) -> CommMatrix:
 
 
 # ----------------------------------------------------------------- monotones
-@dataclass(frozen=True)
-class MonotoneReport:
+class MonotoneReport(NamedTuple):
     iota: int
     lambda_max: object
     lambda_min: object
@@ -481,8 +484,7 @@ def canonical_reduce(c: CommMatrix) -> CommMatrix:
 
 
 # ------------------------------------------------------- ultraweak majorization
-@dataclass(frozen=True)
-class UltraweakResult:
+class UltraweakResult(NamedTuple):
     verdict: str                      # "yes" | "no" | "inconclusive"
     left: Optional[tuple] = None      # L with L C R = D
     right: Optional[tuple] = None
@@ -608,8 +610,7 @@ def verify_ultraweak_witness(d: CommMatrix, c: CommMatrix, left, right) -> bool:
 
 
 # ------------------------------------------------------------ space dimensions
-@dataclass(frozen=True)
-class SpaceDims:
+class SpaceDims(NamedTuple):
     d_op: int
     lambda_max: float
     d_lin: int

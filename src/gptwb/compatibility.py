@@ -7,8 +7,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .numerics import LPProblem, dot, lp_solve, mat_mul
 from .observables import (
@@ -119,8 +118,7 @@ def _dichotomic_margin_lp(a_obs: Observable, b_obs: Observable) -> tuple:
 
 
 # ------------------------------------------------------------ point-symmetric
-@dataclass(frozen=True)
-class PsymVerdict:
+class PsymVerdict(NamedTuple):
     verdict: str       # "incompatible" | "iff_compatible" | "necessary_passed"
     criterion: object  # ||a+b||_E + ||a-b||_E, in the space's field
     boundary: bool     # |criterion - 2| below the boundary band
@@ -173,8 +171,7 @@ def construct_joint_unbiased(space: StateSpace, a, b) -> Observable:
 
 
 # ------------------------------------------------------------ noise condition
-@dataclass(frozen=True)
-class NoiseCompatReport:
+class NoiseCompatReport(NamedTuple):
     verdict: str                     # "compatible" | "inconclusive"
     noise_sum: object
     weights: Optional[tuple] = None

@@ -6,10 +6,9 @@ relations; indecomposability additionally requires pure (vertex) preparations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .numerics import DEFAULT, Context, dot
+from .numerics import DEFAULT, Context, Validated, dot
 from .observables import (
     Observable,
     is_zero_effect,
@@ -20,15 +19,20 @@ from .postprocess import find_postprocessing, is_pp_clean
 from .spaces import StateSpace, space_from_json
 
 
-@dataclass(frozen=True)
-class MPInstrument:
+class _MPInstrumentFields(NamedTuple):
     observable: Observable
     prepared_states: tuple
     output_space: StateSpace
 
-    def __post_init__(self):
+
+class MPInstrument(Validated, _MPInstrumentFields):
+    __slots__ = ()
+
+    def __new__(cls, observable: Observable, prepared_states: tuple, output_space: StateSpace):
+        self = tuple.__new__(cls, (observable, prepared_states, output_space))
         if len(self.prepared_states) != self.observable.n_outcomes:
             raise ValueError("one prepared state per outcome required")
+        return self
 
     def apply(self, state: Sequence) -> tuple:
         """Subnormalized conditional outputs A_x(s) * s'_x."""

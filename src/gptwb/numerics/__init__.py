@@ -15,9 +15,8 @@ Functions that take a context default it to ``DEFAULT`` (floats).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 Scalar = Union[int, float, Fraction]
 
@@ -25,8 +24,25 @@ Scalar = Union[int, float, Fraction]
 MIN_FLOAT_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class Context:
+class Validated:
+    """Mixin for a NamedTuple record whose ``__new__`` checks its fields.
+    A NamedTuple's own ``_make`` builds with ``tuple.__new__``, skipping the
+    check, and ``_replace`` goes through ``_make``; this ``_make`` calls the
+    constructor.  Pickling and copying call ``__new__``, so they check too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _ContextFields(NamedTuple):
+    backend: str
+    eps: float
+
+
+class Context(Validated, _ContextFields):
     """Scalar field plus comparison tolerance.
 
     backend: "float" (IEEE doubles, tolerance ``eps`` finite and at least
@@ -34,10 +50,10 @@ class Context:
     integer 0: a float zero would turn ``Fraction + eps`` into a float).
     """
 
-    backend: str = "float"
-    eps: float = 1e-9
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, backend: str = "float", eps: float = 1e-9):
+        self = tuple.__new__(cls, (backend, eps))
         if self.backend not in ("float", "exact"):
             raise ValueError(f"unknown backend {self.backend!r}; use 'float' or 'exact'")
         if self.exact and not (self.eps == 0 and isinstance(self.eps, int)):
@@ -45,6 +61,7 @@ class Context:
         if not (self.exact or (math.isfinite(self.eps) and self.eps >= MIN_FLOAT_EPS)):
             raise ValueError(f"the float tolerance must be finite and >= {MIN_FLOAT_EPS}, "
                              f"not {self.eps}")
+        return self
 
     @property
     def exact(self) -> bool:
@@ -120,6 +137,7 @@ __all__ = [
     "MIN_FLOAT_EPS",
     "Scalar",
     "UnboundedObjective",
+    "Validated",
     "dot",
     "independent_subsets",
     "is_row_stochastic",

@@ -25,8 +25,7 @@ found at tolerance ``eps``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import DEFAULT, Context
 
@@ -35,20 +34,22 @@ class UnboundedObjective(Exception):
     """Raised when maximizing along an unbounded direction."""
 
 
-@dataclass
 class LPProblem:
     """maximize objective . x  subject to
     eq:  row . x == rhs        ge:  row . x >= rhs        x >= 0
 
     A row and the objective are sequences of ``(column, coefficient)`` pairs
     over the n variables; a column not listed has coefficient 0, and a
-    column listed twice adds.
+    column listed twice adds.  ``eq`` and ``ge`` are lists of
+    ``(pairs, rhs)``, which ``add_eq`` and ``add_ge`` append to.
     """
 
-    n: int
-    objective: Optional[Sequence] = None       # [(column, coefficient), ...]
-    eq: list = field(default_factory=list)     # [(pairs, rhs), ...]
-    ge: list = field(default_factory=list)     # [(pairs, rhs), ...]
+    def __init__(self, n: int, objective: Optional[Sequence] = None,
+                 eq: Optional[list] = None, ge: Optional[list] = None):
+        self.n = n
+        self.objective = objective
+        self.eq = [] if eq is None else eq
+        self.ge = [] if ge is None else ge
 
     def add_eq(self, row, rhs) -> None:
         self.eq.append((row, rhs))
@@ -57,8 +58,7 @@ class LPProblem:
         self.ge.append((row, rhs))
 
 
-@dataclass(frozen=True)
-class LPResult:
+class LPResult(NamedTuple):
     feasible: bool
     x: Optional[tuple] = None
     value: Optional[object] = None

@@ -10,15 +10,18 @@ monotones read each effect's range over the states
 observable can be built whose effects do not sum to u within the tolerance,
 nor on the exact backend one with an invalid effect; on floats effect
 validity is a tolerance judgement that ``validate`` reports.
+
+An ``Observable`` is a NamedTuple ``(space, effects, outcomes)``: it
+compares equal to the plain tuple of those three fields, and ``len()``
+counts the fields, not the outcomes; the outcome count is ``n_outcomes``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .numerics import DEFAULT, Context, dot, mat_mul, rank
+from .numerics import DEFAULT, Context, Validated, dot, mat_mul, rank
 from .spaces import StateSpace, UnsupportedSpace, Vector, space_from_json, space_from_ref
 
 
@@ -26,13 +29,17 @@ class PreconditionViolated(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Observable:
+class _ObservableFields(NamedTuple):
     space: StateSpace
     effects: tuple[Vector, ...]
     outcomes: tuple
 
-    def __post_init__(self):
+
+class Observable(Validated, _ObservableFields):
+    __slots__ = ()
+
+    def __new__(cls, space: StateSpace, effects: tuple[Vector, ...], outcomes: tuple):
+        self = tuple.__new__(cls, (space, effects, outcomes))
         if len(self.effects) != len(self.outcomes):
             raise ValueError("one effect per outcome required")
         dim = self.space.ambient_dim
@@ -46,6 +53,7 @@ class Observable:
             errors = validation_errors(self)
             if errors:
                 raise ValueError("invalid observable: " + "; ".join(errors))
+        return self
 
     @property
     def n_outcomes(self) -> int:
@@ -177,8 +185,7 @@ def is_zero_effect(space: StateSpace, e: Sequence) -> bool:
     return space.ctx.is_zero(lo) and space.ctx.is_zero(hi)
 
 
-@dataclass(frozen=True)
-class NoiseReport:
+class NoiseReport(NamedTuple):
     w_trivial: object
     per_outcome_min: tuple
 

@@ -19,8 +19,7 @@ observable's off its noise content, so neither solves an LP.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .numerics import LPProblem, independent_subsets, lp_solve, mat_mul
 from .observables import (
@@ -36,8 +35,7 @@ from .postprocess import is_pp_clean
 from .spaces import StateSpace, UnsupportedSpace, make_polygon, polygon_extreme_even
 
 
-@dataclass(frozen=True)
-class SimWitness:
+class SimWitness(NamedTuple):
     """weights p_i and per-simulator matrices M^(i) (rows sum to p_i) with
     target_x = sum_i sum_y M^(i)[y][x] * simulator_i_effect_y."""
 
@@ -167,8 +165,7 @@ def enumerate_irreducibles(space: StateSpace) -> tuple[Observable, ...]:
 
 
 # ------------------------------------------------------- effectively dichotomic
-@dataclass(frozen=True)
-class DichotomicVerdict:
+class DichotomicVerdict(NamedTuple):
     value: bool
     via: str  # "screen_a" | "screen_b" | "lp"
     witness: Optional[SimWitness] = None

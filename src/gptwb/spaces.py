@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .numerics import (
     DEFAULT,
@@ -37,16 +36,14 @@ class UnsupportedSpace(Exception):
     """Operation not available for this space kind or size."""
 
 
-@dataclass(frozen=True)
-class DualRay:
+class DualRay(NamedTuple):
     """Extreme ray of the dual cone, scaled so the largest vertex value is 1."""
 
     direction: Vector
     vanishing_vertices: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Summand:
+class Summand(NamedTuple):
     """One block of a direct-sum decomposition."""
 
     coord_offset: int

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, formats, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from gptwb.cli import main
+from gptwb.cli import RunConfig, _build_parser, main
 from gptwb.observables import observable, trivial_observable
 from gptwb.spaces import make_polygon, polygon_extreme_even
 
@@ -379,6 +380,16 @@ def test_backend_flag_respected_in_both_positions(tmp_path, capsys):
     code = main(["--backend", "exact", "check", "postprocess", str(poly), str(poly)])
     capsys.readouterr()
     assert code == 3
+
+
+def test_every_run_config_field_is_a_flag_before_and_after_the_subcommand():
+    """``main`` reads the flags that ``RunConfig._fields`` names: a field
+    that the shared parent parser does not declare would silently keep its
+    default."""
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for p in [parser, *commands.choices.values()]:
+        assert set(RunConfig._fields) <= {a.dest for a in p._actions}, p.prog
 
 
 def test_check_sim_from_simulator_files(hexagon_files, capsys):
