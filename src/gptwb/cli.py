@@ -30,7 +30,7 @@ from .communication import (
     ultraweak_leq,
 )
 from .compatibility import are_compatible, fc_noise_lower_bound
-from .numerics import EXACT, Context, Validated
+from .numerics import BACKENDS, EXACT, Context, Validated
 from .observables import Observable, observable_from_json, validation_errors
 from .postprocess import find_postprocessing
 from .simulation import enumerate_irreducibles, is_simulable
@@ -42,6 +42,7 @@ EXIT_INCONCLUSIVE = 2
 EXIT_ERROR = 3
 # a report's verdict to its exit code; any other verdict, or none, is EXIT_YES
 _EXIT_CODES = {False: EXIT_NO, "no": EXIT_NO, "inconclusive": EXIT_INCONCLUSIVE}
+FORMATS = ("json", "csv", "text")
 
 
 class _RunConfigFields(NamedTuple):
@@ -58,6 +59,9 @@ class RunConfig(Validated, _RunConfigFields):
     def __new__(cls, tolerance: float = 1e-9, seed: int = 0, backend: str = "float",
                 fmt: str = "json", out: str | None = None):
         self = tuple.__new__(cls, (tolerance, seed, backend, fmt, out))
+        for name, value, choices in (("backend", backend, BACKENDS), ("format", fmt, FORMATS)):
+            if value not in choices:
+                raise ValueError(f"unknown {name} {value!r}; use one of {choices}")
         # the float backend's tolerance check, run on both backends, so that
         # the exact backend refuses what the float backend refuses
         Context("float", self.tolerance)
@@ -81,8 +85,8 @@ def _build_parser() -> _Parser:
     common = _Parser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--tolerance", type=float)
     common.add_argument("--seed", type=int)
-    common.add_argument("--backend", choices=["float", "exact"])
-    common.add_argument("--format", dest="fmt", choices=["json", "csv", "text"])
+    common.add_argument("--backend", choices=BACKENDS)
+    common.add_argument("--format", dest="fmt", choices=FORMATS)
     common.add_argument("--out")
 
     p = _Parser(prog="gptwb", description=__doc__, parents=[common])

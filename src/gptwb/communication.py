@@ -20,25 +20,28 @@ barycentric coordinates.
 
 Every "yes" and every factorization is normalised in the matrix's field
 and re-verified, so it is exactly row-stochastic and reproduces the target
-within 1e-9.  A failed search is "inconclusive", never "no".
+within 1e-9.  A failed search is "inconclusive", never "no".  Every float
+sum is ``numerics.dot``, ``mat_mul`` or ``total``, added left to right, so
+a search's path and witness are the same on every interpreter.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 import random
 from typing import NamedTuple, Optional, Sequence
 
 from .numerics import (
     Echelon,
     LPProblem,
+    dot,
     is_row_stochastic,
     lp_solve,
     mat_mul,
     orthogonal_rows,
     rank,
+    total,
 )
 from .numerics import Context, DEFAULT, Validated
 from .observables import Observable, minimally_sufficient, observable
@@ -107,8 +110,8 @@ def monotones(c: CommMatrix, *, seed: int = 0, search_upper: bool = True) -> Mon
     mat = c.matrix
     n, m = c.shape
     iota = len(orthogonal_rows(mat, ctx))
-    lam_max = sum(max(row[j] for row in mat) for j in range(m))
-    lam_min = 0 - sum(min(row[j] for row in mat) for j in range(m))  # not -0.0
+    lam_max = total(max(row[j] for row in mat) for j in range(m))
+    lam_min = 0 - total(min(row[j] for row in mat) for j in range(m))  # not -0.0
     rk = rank(mat, ctx)
     nn_lo = max(rk, ctx.ceil(lam_max))
     nn_hi = nn_lo
@@ -210,14 +213,14 @@ def _hals_stochastic(target, w, basis=None):
                 break
             prev = err
     for t, row in enumerate(h):
-        s = sum(row)
+        s = total(row)
         if s <= 0.0:
             return None
         h[t] = [v / s for v in row]
         wc[t] = [v * s for v in wc[t]]
     w = []
     for row in zip(*wc):
-        s = sum(row)
+        s = total(row)
         if s <= 0.0:
             return None
         w.append([v / s for v in row])
@@ -228,16 +231,15 @@ def _row_basis(target, k) -> list:
     """An orthonormal basis of the span of the target's rows, whose rank is k
     (Gram-Schmidt, each step taking the row with the largest remaining
     part)."""
-    mul = operator.mul
     rest = [list(row) for row in target]
     basis = []
     for _ in range(k):
-        norms = [sum(map(mul, r, r)) for r in rest]
+        norms = [dot(r, r) for r in rest]
         i = max(range(len(rest)), key=norms.__getitem__)
         q = [v / norms[i] ** 0.5 for v in rest[i]]
         basis.append(q)
         for r in rest:
-            d = sum(map(mul, r, q))
+            d = dot(r, q)
             r[:] = [a - d * b for a, b in zip(r, q)]
     return basis
 
@@ -252,13 +254,12 @@ def _hull_finish(target, h, basis):
     coordinates, read off one ``Echelon`` form of H's rows.
     Returns float (W, H) when W >= 0 and the max error is within
     _HALS_TARGET, else None."""
-    mul = operator.mul
-    centre = [sum(col) / len(target) for col in zip(*target)]
+    centre = [total(col) / len(target) for col in zip(*target)]
     rows = []
     for row in h:
-        coords = [sum(map(mul, q, row)) for q in basis]
-        p = [sum(map(mul, coords, col)) for col in zip(*basis)]
-        s = sum(p)
+        coords = [dot(q, row) for q in basis]
+        p = [dot(coords, col) for col in zip(*basis)]
+        s = total(p)
         if s <= 0.0:
             return None
         d = [v / s - g for v, g in zip(p, centre)]
@@ -286,12 +287,11 @@ def _hals_update(x, y, data, project=None) -> None:
     optimum max(0, (y_t . data - sum_{s != t} (y_t . y_s) x_s) / (y_t . y_t))
     over nonnegative vectors, using the x[s] already updated; with
     ``project`` = _project_simplex the optimum is over the simplex instead."""
-    mul = operator.mul
     for t, yt in enumerate(y):
-        gram = [sum(map(mul, yt, ys)) for ys in y]
+        gram = [dot(yt, ys) for ys in y]
         if gram[t] <= 0.0:
             continue
-        acc = [sum(map(mul, yt, d)) for d in data]
+        acc = [dot(yt, d) for d in data]
         for s, g in enumerate(gram):
             if s != t and g != 0.0:
                 acc = [a - g * v for a, v in zip(acc, x[s])]
@@ -318,12 +318,7 @@ def _project_simplex(v: list) -> list:
 
 
 def _random_stochastic(rng: random.Random, n: int, m: int) -> list:
-    out = []
-    for _ in range(n):
-        raw = [rng.random() for _ in range(m)]
-        s = sum(raw)
-        out.append([v / s for v in raw])
-    return out
+    return [_normalise_row([rng.random() for _ in range(m)]) for _ in range(n)]
 
 
 def _field_stochastic(factors, ctx: Context) -> tuple:
@@ -334,7 +329,7 @@ def _field_stochastic(factors, ctx: Context) -> tuple:
 
 
 def _normalise_row(row: list) -> tuple:
-    s = sum(row)
+    s = total(row)
     return tuple(v / s for v in row)
 
 
@@ -353,16 +348,14 @@ def _ultraweak_fit(cf, target, left, right):
     (L C) R = D is nonnegative up to round-off and fits; otherwise one LP
     over all of R.
     The rounds stop when one fails to halve the max error."""
-    mul = operator.mul
     k, m = len(cf[0]), len(target[0])
-    ct = list(zip(*cf))
     _ultraweak_warm_sweeps(cf, target, left, right)
     prev = float("inf")
     while True:
-        crt = [[sum(map(mul, row, col)) for row in cf] for col in zip(*right)]  # columns of C R
-        crt = [[(j, a) for j, a in enumerate(col) if a] for col in crt]
+        crt = [[(j, a) for j, a in enumerate(col) if a]
+               for col in zip(*mat_mul(cf, right))]  # columns of C R
         left = [_lad_fit(1, len(cf), list(zip(crt, d)))[0] for d in target]
-        lc = [[sum(map(mul, row, col)) for col in ct] for row in left]
+        lc = mat_mul(left, cf)
         exact = _exact_right(lc, target, right)
         if exact is not None:
             return left, exact
@@ -387,21 +380,20 @@ def _exact_right(lc, target, right):
     that R still sum to 1.  An entry below -_ULTRAWEAK_TARGET refuses R;
     entries between that and 0 are round-off and become 0.  Returns R when
     its max error is then within _ULTRAWEAK_TARGET, else None."""
-    mul = operator.mul
     p = _row_basis(lc, rank(lc))
-    zt = [[sum(map(mul, row, q)) for row in lc] for q in p]  # columns of Z
-    gram = [[sum(map(mul, a, b)) for b in zt] for a in zt]
+    zt = [[dot(row, q) for row in lc] for q in p]  # columns of Z
+    gram = [[dot(a, b) for b in zt] for a in zt]
     ech = Echelon.of(gram, len(gram), slots=len(gram))  # symmetric: rows are columns
     if ech is None:
         return None
     pt = list(zip(*p))
     cols = []
     for d, r in zip(zip(*target), zip(*right)):
-        x = ech.solve([sum(map(mul, a, d)) for a in zt])
+        x = ech.solve([dot(a, d) for a in zt])
         if x is None:
             return None
-        step = [v - sum(map(mul, q, r)) for v, q in zip(x, p)]
-        cols.append([v + sum(map(mul, step, prow)) for v, prow in zip(r, pt)])
+        step = [v - dot(q, r) for v, q in zip(x, p)]
+        cols.append([v + dot(step, prow) for v, prow in zip(r, pt)])
     if min(map(min, cols)) < -_ULTRAWEAK_TARGET:
         return None
     new = [[max(v, 0.0) for v in row] for row in zip(*cols)]  # round-off below 0 is 0
@@ -414,18 +406,16 @@ def _ultraweak_warm_sweeps(cf, target, left, right) -> None:
     """Projected least-squares sweeps on |L C R - D|^2, in place: each row of
     R by a HALS step projected onto the simplex, then each row of L by one
     projected-gradient step on |l G - d_i|^2 with G = C R."""
-    mul = operator.mul
-    ct = list(zip(*cf))
     dt = list(zip(*target))
     for _ in range(_ULTRAWEAK_WARM):
-        lct = [[sum(map(mul, col, row)) for row in left] for col in ct]  # columns of L C
+        lct = list(zip(*mat_mul(left, cf)))  # columns of L C
         _hals_update(right, lct, dt, _project_simplex)
-        g = [[sum(map(mul, row, col)) for col in zip(*right)] for row in cf]  # C R
-        ggt = [[sum(map(mul, a, b)) for b in g] for a in g]
-        step = 1.0 / max(map(sum, ggt))  # G G^T >= 0, so this is 1 / |G G^T|_inf
+        g = mat_mul(cf, right)
+        ggt = [[dot(a, b) for b in g] for a in g]
+        step = 1.0 / max(map(total, ggt))  # G G^T >= 0, so this is 1 / |G G^T|_inf
         for i, d in enumerate(target):
-            dg = [sum(map(mul, d, grow)) for grow in g]
-            grad = [sum(map(mul, left[i], col)) - v for col, v in zip(ggt, dg)]
+            dg = [dot(d, grow) for grow in g]
+            grad = [dot(left[i], col) - v for col, v in zip(ggt, dg)]
             left[i] = _project_simplex([a - step * b for a, b in zip(left[i], grad)])
 
 

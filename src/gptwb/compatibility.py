@@ -9,7 +9,7 @@ import itertools
 import math
 from typing import NamedTuple, Optional, Sequence
 
-from .numerics import LPProblem, dot, lp_solve, mat_mul
+from .numerics import LPProblem, dot, lp_solve, mat_mul, total
 from .observables import (
     Observable,
     common_space,
@@ -37,12 +37,12 @@ def are_compatible(obs: Sequence[Observable]) -> Optional[Observable]:
     are left out."""
     space = common_space(obs)
     sizes = [o.n_outcomes for o in obs]
-    total = math.prod(sizes)
-    if total > MAX_PRODUCT_OUTCOMES:
+    n_joint = math.prod(sizes)
+    if n_joint > MAX_PRODUCT_OUTCOMES:
         raise ValueError("product outcome set too large")
     cells = list(itertools.product(*[range(s) for s in sizes]))
     p = LPProblem(n=0)
-    joint = effect_block(p, space, total)
+    joint = effect_block(p, space, n_joint)
     for i, o in enumerate(obs):  # marginals reproduce the inputs
         for x in range(sizes[i] if i == 0 else sizes[i] - 1):
             joint.sum_eq(p, [z for z, cell in enumerate(cells) if cell[i] == x], o.effects[x])
@@ -189,12 +189,12 @@ def noise_sufficient_compat(obs: Sequence[Observable]) -> NoiseCompatReport:
     m = len(obs)
     reports = [noise_content(o) for o in obs]
     ws = [r.w_trivial for r in reports]
-    total = sum(ws)
-    if not ctx.ge(total, (m - 1) * ctx.one()):
-        return NoiseCompatReport("inconclusive", total)
+    noise = total(ws)
+    if not ctx.ge(noise, (m - 1) * ctx.one()):
+        return NoiseCompatReport("inconclusive", noise)
     one = ctx.one()
     p = [one - w for w in ws[:-1]]
-    p.append(one - sum(p))
+    p.append(one - total(p))
     trivials = []
     for o, rep, w in zip(obs, reports, ws):
         if ctx.pos(w):
@@ -210,7 +210,7 @@ def noise_sufficient_compat(obs: Sequence[Observable]) -> NoiseCompatReport:
             effects = [tuple((ox - (one - pi) * trivials[i][x] * u) / pi
                              for ox, u in zip(o.effects[x], space.unit))
                        for x in range(o.n_outcomes - 1)]
-            effects.append(tuple(u - sum(e[c] for e in effects)
+            effects.append(tuple(u - total(e[c] for e in effects)
                                  for c, u in enumerate(space.unit)))
             sims.append(Observable(space, tuple(effects), o.outcomes))
         else:
@@ -230,8 +230,8 @@ def noise_sufficient_compat(obs: Sequence[Observable]) -> NoiseCompatReport:
         witnesses.append(SimWitness(tuple(p), tuple(mats)))
     for o, w in zip(obs, witnesses):
         if not verify_sim_witness(o, sims, w):
-            return NoiseCompatReport("inconclusive", total)
-    return NoiseCompatReport("compatible", total, tuple(p), tuple(sims), tuple(witnesses))
+            return NoiseCompatReport("inconclusive", noise)
+    return NoiseCompatReport("compatible", noise, tuple(p), tuple(sims), tuple(witnesses))
 
 
 # ------------------------------------------------------- fully compatible set

@@ -10,6 +10,11 @@ it compares exactly and serves as the correctness oracle for the float path.
 a string such as ``"0.25"`` or ``"1/3"``) enters the field; on the exact
 backend it never rounds, so a float stands for its exact binary value.
 Functions that take a context default it to ``DEFAULT`` (floats).
+
+One accumulation rule: every sum of scalars is ``dot``, ``mat_mul`` or
+``total``, which add left to right, so no float result depends on the
+interpreter (CPython 3.12 made the builtin ``sum`` of floats compensated);
+the builtin ``sum`` only counts integers and joins tuples.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ Scalar = Union[int, float, Fraction]
 
 # below it, the rounding of derived floats (irreducibles, joints) can exceed eps
 MIN_FLOAT_EPS = 1e-12
+BACKENDS = ("float", "exact")
 
 
 class Validated:
@@ -54,7 +60,7 @@ class Context(Validated, _ContextFields):
 
     def __new__(cls, backend: str = "float", eps: float = 1e-9):
         self = tuple.__new__(cls, (backend, eps))
-        if self.backend not in ("float", "exact"):
+        if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}; use 'float' or 'exact'")
         if self.exact and not (self.eps == 0 and isinstance(self.eps, int)):
             raise ValueError("the exact backend compares exactly; eps must be the integer 0")
@@ -122,11 +128,12 @@ from .linalg import (  # noqa: E402
     mat_mul,
     orthogonal_rows,
     rank,
-    solve_unique,
+    total,
 )
 from .lp import LPProblem, LPResult, UnboundedObjective, lp_solve  # noqa: E402
 
 __all__ = [
+    "BACKENDS",
     "Context",
     "DEFAULT",
     "EXACT",
@@ -145,5 +152,5 @@ __all__ = [
     "mat_mul",
     "orthogonal_rows",
     "rank",
-    "solve_unique",
+    "total",
 ]

@@ -7,16 +7,21 @@ sizes only (tens of rows/columns), so plain Gaussian elimination is enough;
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add, mul
 from typing import Optional, Sequence
 
 from . import DEFAULT, Context  # defined before this module loads
 
 
 def dot(a: Sequence, b: Sequence):
-    s = a[0] * b[0]
-    for x, y in zip(a[1:], b[1:]):
-        s += x * y
-    return s
+    """a[0] * b[0] + a[1] * b[1] + ..., added left to right."""
+    return reduce(add, map(mul, a, b))
+
+
+def total(xs, start=0):
+    """start + xs[0] + xs[1] + ..., added left to right (see ``numerics``)."""
+    return reduce(add, xs, start)
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
@@ -33,14 +38,6 @@ def rank(matrix: Sequence[Sequence], ctx: Context = DEFAULT) -> int:
             break
         ech = ech.extend([ctx.scalar(v) for v in row]) or ech
     return len(ech.rows)
-
-
-def solve_unique(a: Sequence[Sequence], b: Sequence, ctx: Context = DEFAULT) -> Optional[tuple]:
-    """Unique solution of ``a x = b`` or None (inconsistent or underdetermined):
-    x holds b's coefficients over the columns of a, which must be independent."""
-    cols = [[ctx.scalar(v) for v in col] for col in zip(*a)]
-    ech = Echelon.of(cols, len(a), ctx, slots=len(cols))
-    return None if ech is None else ech.solve([ctx.scalar(x) for x in b])
 
 
 class Echelon:
@@ -179,12 +176,8 @@ def independent_subsets(vectors: Sequence[Sequence], max_size: int, ctx: Context
 
 
 def is_row_stochastic(matrix: Sequence[Sequence], ctx: Context = DEFAULT) -> bool:
-    for row in matrix:
-        if any(not ctx.ge(v, ctx.zero()) for v in row):
-            return False
-        if not ctx.eq(sum(row), ctx.one()):
-            return False
-    return True
+    zero, one = ctx.zero(), ctx.one()
+    return all(all(ctx.ge(v, zero) for v in row) and ctx.eq(total(row), one) for row in matrix)
 
 
 def orthogonal_rows(matrix: Sequence[Sequence], ctx: Context = DEFAULT) -> tuple[int, ...]:

@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence
 
 from . import DEFAULT, Context
+from .linalg import total
 
 
 class UnboundedObjective(Exception):
@@ -181,7 +182,7 @@ def lp_solve(problem: LPProblem, ctx: Context = DEFAULT) -> LPResult:
     # --- phase 1: nothing to do when every row starts on its slack ----------
     m = len(tableau)
     _run_simplex(tableau, basis, [zero] * width, ctx)
-    if sum((tableau[i][-1] for i in range(m) if basis[i] >= width), zero) > tol:
+    if total((tableau[i][-1] for i in range(m) if basis[i] >= width), zero) > tol:
         return LPResult(False)
 
     # drive artificials out of the basis; drop redundant rows
@@ -210,5 +211,5 @@ def lp_solve(problem: LPProblem, ctx: Context = DEFAULT) -> LPResult:
         y[b] = tableau[i][-1]
     x = tuple(y[:n])
     if problem.objective is not None:
-        value = sum((scalar(c) * x[j] for j, c in problem.objective), zero)
+        value = total((scalar(c) * x[j] for j, c in problem.objective), zero)
     return LPResult(True, x, value)

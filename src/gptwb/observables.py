@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .numerics import DEFAULT, Context, Validated, dot, mat_mul, rank
+from .numerics import DEFAULT, Context, Validated, dot, mat_mul, rank, total
 from .spaces import StateSpace, UnsupportedSpace, Vector, space_from_json, space_from_ref
 
 
@@ -89,21 +89,13 @@ def uniform_trivial(space: StateSpace, k: int) -> Observable:
     return trivial_observable(space, [p] * k)
 
 
-def _same_space(a: StateSpace, b: StateSpace) -> bool:
-    """Two spaces are the same when they are one object, or share the
-    context, kind, unit and, on polytopes, the vertex list (a ball's unit
-    fixes its dimension); labels do not count."""
-    return a is b or ((a.ctx, a.kind, a.unit) == (b.ctx, b.kind, b.unit) and
-                      (a.kind != "polytopic" or a.vertices == b.vertices))
-
-
 def common_space(obs: Sequence[Observable]) -> StateSpace:
-    """The state space of all the observables (``_same_space``), or ValueError
-    (also for no observables)."""
+    """The state space of all the observables (``StateSpace.__eq__``), or
+    ValueError (also for no observables)."""
     if not obs:
         raise ValueError("no observables to share a space")
     space = obs[0].space
-    if not all(_same_space(o.space, space) for o in obs[1:]):
+    if not all(o.space == space for o in obs[1:]):
         raise ValueError("observables live on different spaces")
     return space
 
@@ -112,7 +104,7 @@ def _space_ref(space: StateSpace):
     """The space's label where ``space_from_ref`` rebuilds the same space
     from it, else the space's JSON dict."""
     try:
-        if space.label and _same_space(space_from_ref(space.label, space.ctx), space):
+        if space.label and space_from_ref(space.label, space.ctx) == space:
             return space.label
     except (ValueError, UnsupportedSpace):  # a label that is no space reference
         pass
@@ -171,7 +163,7 @@ def validation_errors(a: Observable) -> list[str]:
 def sums_to_unit(a: Observable) -> bool:
     """The effects sum to u within the context's tolerance (no effects do
     not: u is nonzero)."""
-    return bool(a.effects) and all(map(a.space.ctx.eq, map(sum, zip(*a.effects)), a.space.unit))
+    return bool(a.effects) and all(map(a.space.ctx.eq, map(total, zip(*a.effects)), a.space.unit))
 
 
 def is_trivial(a: Observable) -> bool:
@@ -193,12 +185,12 @@ class NoiseReport(NamedTuple):
 def noise_content(a: Observable) -> NoiseReport:
     """Largest trivial weight in a convex decomposition: sum of per-effect minima."""
     mins = tuple(a.space.effect_range(e)[0] for e in a.effects)
-    return NoiseReport(sum(mins), mins)
+    return NoiseReport(total(mins), mins)
 
 
 def lambda_max_obs(a: Observable):
     """Sum of per-effect maxima over states (decoding power)."""
-    return sum(a.space.effect_range(e)[1] for e in a.effects)
+    return total(a.space.effect_range(e)[1] for e in a.effects)
 
 
 def lambda_min_obs(a: Observable):

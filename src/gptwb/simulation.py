@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .numerics import LPProblem, independent_subsets, lp_solve, mat_mul
+from .numerics import LPProblem, independent_subsets, lp_solve, mat_mul, total
 from .observables import (
     Observable,
     common_space,
@@ -80,13 +80,13 @@ def is_simulable(target: Observable, simulators: Sequence[Observable]) -> Option
     if not res.feasible:
         return None
     rows0 = [res.x[o:o + w + 1] for o in offsets]
-    weights = tuple(sum(row, zero) for row in rows0)
+    weights = tuple(total(row, zero) for row in rows0)
 
     def matrix_row(i: int, y: int) -> tuple:
         if y == 0:
             return rows0[i]
         head = tuple(res.x[idx(i, y, x)] for x in range(w))
-        return head + (weights[i] - sum(head, zero),)
+        return head + (weights[i] - total(head, zero),)
 
     matrices = tuple(tuple(matrix_row(i, y) for y in range(sizes[i]))
                      for i in range(len(simulators)))
@@ -107,13 +107,13 @@ def verify_sim_witness(target: Observable, simulators: Sequence[Observable],
     if any(len(m) != b.n_outcomes or any(len(row) != n for row in m)
            for m, b in zip(witness.matrices, simulators)):
         return False
-    if abs(sum(witness.weights) - 1) > tol:
+    if abs(total(witness.weights) - 1) > tol:
         return False
     for p, m in zip(witness.weights, witness.matrices):
         if p < -tol:
             return False
         for row in m:
-            if any(v < -tol for v in row) or abs(sum(row) - p) > tol:
+            if any(v < -tol for v in row) or abs(total(row) - p) > tol:
                 return False
     fit = tol if ctx.exact else max(tol, 1e-9)
     stacked = list(zip(*[row for m in witness.matrices for row in m]))
@@ -203,7 +203,7 @@ def is_effectively_dichotomic(a: Observable) -> DichotomicVerdict:
     space = a.space
     ctx = space.ctx
     per = [space.effect_range(e)[1] for e in a.effects]
-    lmax = sum(per)
+    lmax = total(per)
     if any(ctx.le(lmax - m, ctx.one()) for m in per):
         return DichotomicVerdict(True, "screen_a")
     if ctx.gt(lmax, 2 * ctx.one()):

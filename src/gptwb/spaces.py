@@ -27,6 +27,7 @@ from .numerics import (
     lp_solve,
     mat_mul,
     rank,
+    total,
 )
 
 Vector = tuple
@@ -146,6 +147,17 @@ class StateSpace:
     def __repr__(self) -> str:
         return f"StateSpace({self.label or self.kind})"
 
+    def __eq__(self, other) -> bool:
+        """One object, or the same context, kind, unit and vertex list (a
+        ball's unit fixes its dimension): labels do not count, so a pickled
+        or copied space equals its original."""
+        return self is other or (isinstance(other, StateSpace) and
+                                 (self.ctx, self.kind, self.unit, self._vertices)
+                                 == (other.ctx, other.kind, other.unit, other._vertices))
+
+    def __hash__(self) -> int:
+        return hash((self.ctx, self.kind, self.unit))
+
     # ------------------------------------------------------------- effects
     def zero_effect(self) -> Vector:
         return tuple([self.ctx.zero()] * self.ambient_dim)
@@ -154,7 +166,7 @@ class StateSpace:
         """Dual norm of a Bloch direction: sup over states of a . s.  A float on
         balls; on polytopes a scalar of the space's field."""
         if self.kind == "ball":
-            return math.sqrt(float(sum(x * x for x in avec)))
+            return math.sqrt(float(dot(avec, avec)))
         if not self.psym:
             raise UnsupportedSpace("effect norm needs a point-symmetric embedding")
         if not avec:  # a single point: the only Bloch vector is empty
@@ -321,7 +333,7 @@ class StateSpace:
             others = [j for j in range(len(verts)) if j not in subset]
             vals = [[dot(h, verts[j]) for j in others] for h in basis]
             for bounds in nonconstant:
-                evals = [sum(col) for col in zip(*(v for v, b in zip(vals, bounds) if b))]
+                evals = [total(col) for col in zip(*(v for v, b in zip(vals, bounds) if b))]
                 if not all(ctx.ge(x, zero) and ctx.le(x, one) for x in evals):
                     continue
                 tight = frozenset(zip(subset, bounds)) | frozenset(
@@ -330,7 +342,7 @@ class StateSpace:
                 combo = tuple(2 * j + b for j, b in zip(subset, bounds))
                 if tight not in first or combo < first[tight][0]:
                     first[tight] = (combo, bounds, basis)
-        return tuple(tuple(sum(c) for c in zip(*(h for h, b in zip(basis, bounds) if b)))
+        return tuple(tuple(total(c) for c in zip(*(h for h, b in zip(basis, bounds) if b)))
                      for _, bounds, basis in sorted(first.values(), key=lambda t: t[0]))
 
     # --------------------------------------------------------------- states
@@ -489,7 +501,7 @@ def direct_sum(spaces: Sequence[StateSpace]) -> StateSpace:
     if len(spaces) == 1:
         return spaces[0]
     ctx = spaces[0].ctx
-    total = sum(s.ambient_dim for s in spaces)
+    width = sum(s.ambient_dim for s in spaces)
     vertices: list[tuple] = []
     unit: list = []
     summands: list[Summand] = []
@@ -498,7 +510,7 @@ def direct_sum(spaces: Sequence[StateSpace]) -> StateSpace:
     for s in spaces:
         idxs = []
         for v in s.vertices:
-            padded = [ctx.zero()] * total
+            padded = [ctx.zero()] * width
             for k, x in enumerate(v):
                 padded[coord + k] = x
             vertices.append(tuple(padded))

@@ -10,7 +10,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from gptwb.numerics import dot, lp
+from gptwb.numerics import dot, lp, total
 from gptwb.observables import Observable, observable
 from gptwb.spaces import StateSpace
 
@@ -22,7 +22,7 @@ def random_observable(space: StateSpace, n_outcomes: int, rng: random.Random,
     k = n_outcomes
     dim = space.ambient_dim
     gs = [[rng.gauss(0.0, 1.0) for _ in range(dim)] for _ in range(k)]
-    gbar = [sum(col) / k for col in zip(*gs)]
+    gbar = [total(col) / k for col in zip(*gs)]
     dirs = [[a - b for a, b in zip(g, gbar)] for g in gs]
     worst = max((abs(float(dot(d, v))) for d in dirs for v in space.vertices),
                 default=0.0)
@@ -62,7 +62,7 @@ def random_stochastic(n: int, m: int, rng: random.Random) -> list[list[float]]:
     rows = []
     for _ in range(n):
         raw = [rng.random() + 1e-3 for _ in range(m)]
-        s = sum(raw)
+        s = total(raw)
         rows.append([v / s for v in raw])
     return rows
 

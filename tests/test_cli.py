@@ -285,11 +285,14 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
     (["tables", "dims"], "tables_dims.json"),
     (["tables", "irreducibles"], "tables_irreducibles.json"),
     (["--backend", "exact", "tables", "dims"], "tables_dims_exact.json"),
-], ids=["dims", "irreducibles", "dims-exact"])
+    (["comm", "compare", os.path.join(GOLDEN, "d.csv"), os.path.join(GOLDEN, "c.csv")],
+     "comm_compare.json"),
+], ids=["dims", "irreducibles", "dims-exact", "comm-compare"])
 def test_table_reports_match_the_golden_files(args, name, capsys):
     """The reports are byte-identical to the committed ones, so a change to
-    the LP engine or the enumerations that moves a report shows here.  After
-    a deliberate change, regenerate with
+    the LP engine, the enumerations or the ultraweak search (the float
+    search on CI's rational pair d.csv, c.csv) that moves a report shows
+    here.  After a deliberate change, regenerate with
     ``PYTHONPATH=src python -m gptwb.cli ARGS > tests/golden/NAME``."""
     code, out = run_cli(args, capsys)
     assert code == 0

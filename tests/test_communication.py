@@ -1,13 +1,23 @@
 """Communication matrices, monotones, ultraweak majorization, dimensions."""
 
+import builtins
+import hashlib
 import math
 import random
-import sys
 from fractions import Fraction
 
 import pytest
 
-from gptwb.numerics import EXACT, FLOAT, LPProblem, dot, is_row_stochastic, lp_solve, mat_mul
+from gptwb.numerics import (
+    EXACT,
+    FLOAT,
+    LPProblem,
+    dot,
+    is_row_stochastic,
+    lp_solve,
+    mat_mul,
+    total,
+)
 from gptwb.observables import observable, trivial_observable
 import gptwb.communication as communication
 from gptwb.communication import (
@@ -145,9 +155,7 @@ def test_nn_rank_interval_contains_truth_for_known_cases():
     for _ in range(10):
         w = random_stochastic(4, 2, rng)
         h = random_stochastic(2, 5, rng)
-        prod = [[sum(w[i][t] * h[t][j] for t in range(2)) for j in range(5)]
-                for i in range(4)]
-        rep = monotones(comm_matrix(prod))
+        rep = monotones(comm_matrix(mat_mul(w, h)))
         assert rep.nn_rank[0] <= 2 <= rep.nn_rank[1]
 
 
@@ -155,8 +163,7 @@ def test_nonneg_factorization_verifies():
     rng = random.Random(6)
     w = random_stochastic(4, 2, rng)
     h = random_stochastic(2, 4, rng)
-    prod = [[sum(w[i][t] * h[t][j] for t in range(2)) for j in range(4)]
-            for i in range(4)]
+    prod = mat_mul(w, h)
     cm = comm_matrix(prod)
     fact = nonneg_factorization(cm, 2)
     if fact is not None:  # heuristic search; success must be sound
@@ -168,10 +175,7 @@ def test_nonneg_factorization_verifies():
 
 
 def _planted_product(rng, n, k, m):
-    w = random_stochastic(n, k, rng)
-    h = random_stochastic(k, m, rng)
-    return [[sum(w[i][t] * h[t][j] for t in range(k)) for j in range(m)]
-            for i in range(n)]
+    return mat_mul(random_stochastic(n, k, rng), random_stochastic(k, m, rng))
 
 
 def _max_error(w, h, target):
@@ -211,7 +215,7 @@ def _rational_stochastic(n, m, rng):
     rows = []
     for _ in range(n):
         raw = [Fraction(rng.randint(1, 9)) for _ in range(m)]
-        rows.append([v / sum(raw) for v in raw])
+        rows.append([v / total(raw) for v in raw])
     return rows
 
 
@@ -220,8 +224,7 @@ def test_nonneg_factorization_exact_witness_is_stochastic():
     # the rationals, not only up to the float conversion
     rng = random.Random(3)
     w0, h0 = _rational_stochastic(5, 2, rng), _rational_stochastic(2, 5, rng)
-    prod = [[sum(w0[i][t] * h0[t][j] for t in range(2)) for j in range(5)]
-            for i in range(5)]
+    prod = mat_mul(w0, h0)
     cm = comm_matrix(prod, EXACT)
     fact = nonneg_factorization(cm, 2)
     assert fact is not None
@@ -241,24 +244,73 @@ def _comm_search_instances():
         rows = []
         for _ in range(n):
             raw = [rng.random() for _ in range(m)]
-            rows.append([v / sum(raw) for v in raw])
+            rows.append([v / total(raw) for v in raw])
         return rows
-
-    def mul(a, b):
-        return [[sum(row[t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
-                for row in a]
 
     pairs = []
     for k, j, n, m in ((2, 3, 3, 3), (2, 4, 3, 4), (3, 4, 4, 3), (2, 5, 4, 4),
                        (3, 5, 3, 4), (3, 3, 4, 4)):
-        c = mul(stochastic(j, k), stochastic(k, j))
-        pairs.append((mul(mul(stochastic(n, j), c), stochastic(j, m)), c))
-    return pairs, [(mul(stochastic(n, k), stochastic(k, n)), k)
+        c = mat_mul(stochastic(j, k), stochastic(k, j))
+        pairs.append((mat_mul(mat_mul(stochastic(n, j), c), stochastic(j, m)), c))
+    return pairs, [(mat_mul(stochastic(n, k), stochastic(k, n)), k)
                    for k, n in ((2, 5), (2, 5), (3, 6), (3, 6))]
 
 
 def _comm_search_factor_targets():
     return _comm_search_instances()[1]
+
+
+def _compensated_sum(iterable, start=0):
+    """A Python port of CPython 3.12's builtin ``sum``: an int prefix added
+    exactly; then, while the total is a float, float items added with
+    Neumaier's compensation and int items plainly, the compensation added
+    when they stop; any other item, and every item after it, added plainly."""
+    items = iter(iterable)
+    acc = start
+    if type(acc) is int:
+        for x in items:
+            acc = acc + x
+            if type(x) not in (int, bool):
+                break
+    if type(acc) is float:
+        c = 0.0
+        for x in items:
+            if type(x) is float:
+                t = acc + x
+                c += (acc - t) + x if abs(acc) >= abs(x) else (x - t) + acc
+                acc = t
+            elif isinstance(x, int):
+                acc += float(x)
+            else:
+                acc = (acc + c if c and math.isfinite(c) else acc) + x
+                break
+        else:
+            return acc + c if c and math.isfinite(c) else acc
+    for x in items:
+        acc = acc + x
+    return acc
+
+
+# sha256 of the repr of the ten comm-search results, one per line: the six
+# ultraweak_leq pairs, then the four nonneg_factorization targets
+COMM_SEARCH_DIGEST = "6ec06e2a39a204171076ba8ebc5c66b628a3dfded8c5b4151f145f6051787d62"
+
+
+def _comm_search_digest(pairs, targets) -> str:
+    reprs = [repr(ultraweak_leq(comm_matrix(d), comm_matrix(c))) for d, c in pairs]
+    reprs += [repr(nonneg_factorization(comm_matrix(c), k)) for c, k in targets]
+    return hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+
+
+def test_comm_search_results_do_not_depend_on_the_builtin_sum(monkeypatch):
+    """Every float sum in the package adds left to right, so the ten
+    comm-search witnesses are the same whether the builtin ``sum`` adds
+    left to right (CPython 3.11 and before) or compensated (3.12 on)."""
+    assert _compensated_sum([0.1] * 10) == 1.0 != total([0.1] * 10)
+    pairs, targets = _comm_search_instances()
+    assert _comm_search_digest(pairs, targets) == COMM_SEARCH_DIGEST
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    assert _comm_search_digest(pairs, targets) == COMM_SEARCH_DIGEST
 
 
 def test_hals_gives_up_a_restart_too_slow_to_converge(monkeypatch):
@@ -283,8 +335,7 @@ def test_exact_rank_finish_returns_at_the_first_check(monkeypatch):
     # sweeps 1, 2, 4, 8 and 16, then at every 20-sweep check, and the first
     # restart returns at the first attempt it accepts, before its first
     # error check: after sweep 1 (attempt 1) on three targets and sweep 16
-    # (attempt 5) on the fourth.  The sweeps are upper bounds, since
-    # CPython 3.12's compensated float sum moves the iterates' round-off
+    # (attempt 5) on the fourth
     schedule = [1, 2, 4, 8, 16, 20, 40]
     sweeps, attempts = [], []
     update, finish = communication._hals_update, communication._hull_finish
@@ -292,14 +343,13 @@ def test_exact_rank_finish_returns_at_the_first_check(monkeypatch):
                         lambda *args: sweeps.append(1) or update(*args))
     monkeypatch.setattr(communication, "_hull_finish",
                         lambda *args: attempts.append(len(sweeps) // 2) or finish(*args))
-    for (target, k), most in zip(_comm_search_factor_targets(), (1, 1, 1, 16)):
+    for (target, k), last in zip(_comm_search_factor_targets(), (1, 1, 1, 16)):
         sweeps.clear()
         attempts.clear()
         fact = nonneg_factorization(comm_matrix(target), k)
         assert fact is not None
-        done = len(sweeps) // 2  # H and W per sweep
-        assert done <= most
-        assert attempts == schedule[:schedule.index(done) + 1]
+        assert len(sweeps) // 2 == last  # H and W per sweep
+        assert attempts == schedule[:schedule.index(last) + 1]
         w, h = fact
         assert is_row_stochastic(w) and is_row_stochastic(h)
         assert _max_error(w, h, target) <= 1e-9
@@ -309,7 +359,7 @@ def _slack_matrix(space):
     """Row-normalised slack matrix of a polygon: entry (i, j) is facet j's
     functional at vertex i."""
     rows = [[max(dot(r.direction, v), 0.0) for r in space.dual_rays()] for v in space.vertices]
-    return [[x / sum(row) for x in row] for row in rows]
+    return [[x / total(row) for x in row] for row in rows]
 
 
 _HALF = Fraction(1, 2)
@@ -449,7 +499,7 @@ def test_identical_row_target_is_below_everything(ctx):
     def rational_row(m):
         raw = [Fraction(rng.randint(0, 5)) for _ in range(m)]
         raw[0] += 1
-        return [v / sum(raw) for v in raw]
+        return [v / total(raw) for v in raw]
 
     for _ in range(15):
         d = comm_matrix([rational_row(rng.randint(1, 4))] * rng.randint(1, 4), ctx)
@@ -638,9 +688,8 @@ def test_exact_right_refuses_an_inconsistent_target(monkeypatch):
 def test_exact_fit_finish_skips_r_fits(monkeypatch):
     # the six planted ultraweak pairs of the comm-search benchmark took 10 R
     # LAD fits (the ones with more than one row) before the projection
-    # finish, and 6 while it refused round-off below 0; now they take 4.
-    # Upper bounds per pair: under CPython 3.12's compensated float sum the
-    # fifth pair takes a third
+    # finish, and 6 while it refused round-off below 0; now they take 4,
+    # on every interpreter
     rows_per_fit = []
     lad = communication._lad_fit
     monkeypatch.setattr(communication, "_lad_fit",
@@ -651,8 +700,7 @@ def test_exact_fit_finish_skips_r_fits(monkeypatch):
         rows_per_fit.clear()
         assert ultraweak_leq(comm_matrix(d), comm_matrix(c)).verdict == "yes"
         per_pair.append(sum(rows > 1 for rows in rows_per_fit))
-    most = (0, 0, 1, 0, 2 if sys.version_info < (3, 12) else 3, 1)
-    assert all(got <= bound for got, bound in zip(per_pair, most))
+    assert per_pair == [0, 0, 1, 0, 2, 1]
 
 
 def test_search_fits_the_distinct_rows_of_the_target(monkeypatch):

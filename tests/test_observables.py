@@ -1,7 +1,9 @@
 """Observable predicates: validation, triviality, noise content, minimal
 sufficiency, extremality, and the per-observable monotones."""
 
+import copy
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -138,6 +140,24 @@ def test_common_space_compares_geometry_not_labels():
             common_space([uniform_trivial(x, 2), uniform_trivial(y, 2)])
     with pytest.raises(ValueError, match="different spaces"):
         mix_observables((0.5, 0.5), (a, uniform_trivial(make_polygon(4), 2)))
+
+
+@pytest.mark.parametrize("space", [make_polygon(4), make_square(EXACT)],
+                         ids=["polygon4-float", "square-exact"])
+def test_pickled_or_copied_observable_equals_itself(space):
+    """A pickle or a deep copy rebuilds the space as a new object, which is
+    still the same space: the copy equals its original and hashes alike.  A
+    space with the same vertices listed in another order is not the same."""
+    a = trivial_observable(space, (Fraction(1, 4), Fraction(3, 4)))
+    for back in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+        assert back.space is not a.space
+        assert back == a and hash(back) == hash(a)
+        assert common_space([back, a]) is back.space
+    turned = StateSpace("polytopic", vertices=space.vertices[1:] + space.vertices[:1],
+                        unit=space.unit, ctx=space.ctx)
+    assert turned != space and space != turned
+    with pytest.raises(ValueError, match="different spaces"):
+        common_space([a, trivial_observable(turned, (Fraction(1, 4), Fraction(3, 4)))])
 
 
 def test_noise_content_on_ball_closed_form():

@@ -30,6 +30,8 @@ def _records():
         "MPInstrument": (mp_instrument(half, sp.vertices[:2], sp), "prepared_states",
                          sp.vertices[:1]),
         "RunConfig": (RunConfig(), "tolerance", 1e-13),
+        "RunConfig.backend": (RunConfig(), "backend", "exat"),
+        "RunConfig.fmt": (RunConfig(), "fmt", "yaml"),
     }
 
 
@@ -47,7 +49,7 @@ BUILDS = {
 
 @pytest.mark.parametrize("build", list(BUILDS))
 @pytest.mark.parametrize("name", ["Context", "Observable", "CommMatrix", "MPInstrument",
-                                  "RunConfig"])
+                                  "RunConfig", "RunConfig.backend", "RunConfig.fmt"])
 def test_validated_records_refuse_invalid_fields_on_every_path(name, build):
     """Every path builds the valid record and refuses it with one field
     invalid: NamedTuple's own ``_make`` and ``_replace`` would skip the

@@ -453,7 +453,6 @@ def test_contains_state_checks_the_length(space, state):
 def test_triangle_polygon_matches_classical_relations():
     """polygon:3 and classical:3 are linearly isomorphic; mapped observables
     give identical relation verdicts."""
-    from gptwb.numerics import solve_unique
     from gptwb.observables import observable
     from gptwb.postprocess import find_postprocessing
     from gptwb.compatibility import are_compatible
