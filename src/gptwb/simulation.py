@@ -173,20 +173,26 @@ class DichotomicVerdict(NamedTuple):
 
 def dichotomic_generators(space: StateSpace) -> tuple[Observable, ...]:
     """Generator set for the two-outcome simulation closure: one dichotomic
-    observable (f, u-f) per nontrivial extreme effect f.
+    observable (f, u-f) per complementary pair {f, u-f} of nontrivial
+    extreme effects, f the first of the two.
 
-    Every dichotomic (e, u-e) is a mixture of these together with (u, o) and
-    (o, u), and the latter two are post-processings of any generator, so the
-    closure of this finite set equals the closure of all dichotomic
-    observables on a polytopic space.  UnsupportedSpace where the vertices do
-    not span: there are no extreme effects.
+    Every dichotomic (e, u-e) is a mixture of the observables (f, u-f), f
+    extreme, together with (u, o) and (o, u), and the latter two are
+    post-processings of any generator, so the closure of those finitely
+    many equals the closure of all dichotomic observables on a polytopic
+    space.  u - f is extreme whenever f is, and (u-f, f) relabels the
+    outcomes of (f, u-f), a post-processing, so one of the two generates
+    the other and the closure keeps only the first.  UnsupportedSpace where
+    the vertices do not span: there are no extreme effects.
     """
     if not space.spans_ambient():
         raise UnsupportedSpace("the vertices do not span the ambient space")
+    ctx, extremes = space.ctx, space.extreme_effects()
     gens = []
-    for f in space.extreme_effects():
+    for i, f in enumerate(extremes):
         comp = tuple(u - x for u, x in zip(space.unit, f))
-        gens.append(observable(space, (f, comp)))
+        if not any(all(map(ctx.eq, comp, g)) for g in extremes[:i]):
+            gens.append(observable(space, (f, comp)))
     if not gens:
         gens.append(observable(space, (space.unit, space.zero_effect())))
     return tuple(gens)

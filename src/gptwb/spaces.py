@@ -305,11 +305,22 @@ class StateSpace:
     def _compute_extreme_effects(self) -> tuple[Vector, ...]:
         """An extreme effect meets d+1 independent bound constraints
         e(v_j) = 0 or 1 at equality (d+1 the ambient dimension): it is a 0/1
-        sum of the dual basis of d+1 independent vertices, which
-        ``independent_subsets`` reads off each such vertex set, and it counts
-        when it stays in [0, 1] on the other vertices.  The sums with all
-        bounds 0 or all 1 are o and u.  Points come in the order of their
-        first constraint combination, each solved from that combination."""
+        sum of the dual basis of d+1 independent vertices, and it counts when
+        it stays in [0, 1] on the other vertices.  The sums with all bounds 0
+        or all 1 are o and u.  Points come in the order of their first
+        constraint combination, each solved from that combination.
+
+        In ambient dimension 3 a nontrivial extreme effect e has three
+        independent tight vertices, two of them at the same bound.  Two at 0:
+        e vanishes on two independent vertices and is >= 0 on the others, so
+        its zero line supports the polygon along a facet and e is a multiple
+        of that facet's dual ray; the third tight vertex is at 1 (at 0, e
+        would be o), so e is the ray, scaled to a largest value of 1.  Two
+        at 1: u - e is the first case.  Conversely a ray and u - ray are
+        extreme: the facet's vertices and a vertex where the ray peaks are
+        three independent tight vertices.  So ``_ray_triples`` reads every
+        point off the dual rays; higher dimensions walk every independent
+        vertex set (``_subset_walk``)."""
         if self.summands:
             # the effect polytope is the product of the summands': an extreme
             # point picks o, an extreme effect or u in every block; with o
@@ -318,21 +329,56 @@ class StateSpace:
             blocks = [(s.space.zero_effect(),) + s.space.extreme_effects() + (s.space.unit,)
                       for s in self.summands]
             return tuple(sum(combo, ()) for combo in itertools.product(*blocks))[1:-1]
-        ctx = self.ctx
-        d1, verts = self.ambient_dim, self.vertices
+        if self.ambient_dim == 3:  # vertices that do not span give no rays, and no triples
+            return self._extreme_points(self._ray_triples())
+        return self._extreme_points(self._subset_walk())
+
+    def _subset_walk(self):
+        """(vertex subset, its ``Echelon``, bound patterns) for every
+        independent (d+1)-subset of the vertices, which
+        ``independent_subsets`` visits lexicographically, with every bound
+        pattern but those of o and u."""
+        d1 = self.ambient_dim
+        nonconstant = list(itertools.product((0, 1), repeat=d1))[1:-1]
+        for subset, ech in independent_subsets(self.vertices, d1, self.ctx, slots=d1):
+            if len(subset) == d1:
+                yield subset, ech, nonconstant
+
+    def _ray_triples(self):
+        """(vertex triple, its ``Echelon``, bound patterns) for every dual
+        ray: the lexicographically first independent triple of the ray's
+        tight vertices (0 where it vanishes, 1 where it peaks), under the
+        ray's bounds and their flip, u - ray.  Vertices added in turn where
+        they are independent of those before give that triple, as the
+        independent sets of vectors form a matroid."""
+        ctx, verts, one = self.ctx, self.vertices, self.ctx.one()
+        for ray in self.dual_rays():
+            peaks = {j for j, v in enumerate(verts) if ctx.eq(dot(ray.direction, v), one)}
+            subset, ech = (), Echelon(3, ctx, slots=3)
+            for j in sorted(peaks.union(ray.vanishing_vertices)):
+                ext = ech.extend(verts[j])
+                if ext is not None:
+                    subset, ech = subset + (j,), ext
+                    if len(subset) == 3:
+                        break
+            bounds = tuple(int(j in peaks) for j in subset)
+            yield subset, ech, (bounds, tuple(1 - b for b in bounds))
+
+    def _extreme_points(self, candidates) -> tuple[Vector, ...]:
+        """The points that (vertex subset, ``Echelon``, bound patterns)
+        candidates solve and that stay in [0, 1] on the other vertices, in
+        the order of their first constraint combination."""
+        ctx, verts = self.ctx, self.vertices
         zero, one = ctx.zero(), ctx.one()
         # the tight constraints of a point determine it, so they key its
         # first constraint combination (vertex j at bound b is constraint
         # 2j + b) and the dual basis and bounds that solve it
         first: dict = {}
-        nonconstant = list(itertools.product((0, 1), repeat=d1))[1:-1]  # not o, u
-        for subset, ech in independent_subsets(verts, d1, ctx, slots=d1):
-            if len(subset) < d1:
-                continue
+        for subset, ech, patterns in candidates:
             basis = ech.dual_basis()
             others = [j for j in range(len(verts)) if j not in subset]
             vals = [[dot(h, verts[j]) for j in others] for h in basis]
-            for bounds in nonconstant:
+            for bounds in patterns:
                 evals = [total(col) for col in zip(*(v for v, b in zip(vals, bounds) if b))]
                 if not all(ctx.ge(x, zero) and ctx.le(x, one) for x in evals):
                     continue

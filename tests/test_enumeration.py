@@ -6,10 +6,12 @@ elimination for every vertex d-subset (dual rays), every (d+1)-subset of the
 (irreducibles).  Its rank and solves run on its own Gauss-Jordan elimination,
 so it shares no code with ``Echelon``.  Exact results must be the identical
 tuples in the identical order; float results must agree within 1e-12, in the
-same order.
+same order.  In ambient dimension 3 the extreme effects are read off the dual
+rays instead of the walk, and must be the walk's, repr for repr.
 """
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -170,17 +172,48 @@ def octahedron(ctx):
                       label="octahedron")
 
 
+def _planar(points, ctx, label):
+    """The polygon with these (x, y) vertices, at height 1."""
+    one = ctx.one()
+    return StateSpace("polytopic", vertices=[(ctx.scalar(x), ctx.scalar(y), one) for x, y in points],
+                      unit=(ctx.zero(), ctx.zero(), one), ctx=ctx, label=label)
+
+
+def edge_midpoint_square(ctx):
+    """The square plus its top edge's midpoint: three collinear vertices on
+    one facet, so some triples of tight vertices are dependent."""
+    return _planar([(1, 1), (-1, 1), (-1, -1), (1, -1), (0, 1)], ctx, "edge-midpoint-square")
+
+
+def irregular_pentagon(ctx):
+    """A rational pentagon with no symmetry."""
+    return _planar([(Fraction(x, 2), Fraction(y, 3))
+                    for x, y in ((0, -2), (3, -1), (2, 2), (-1, 3), (-3, 0))],
+                   ctx, "irregular-pentagon")
+
+
 EXACT_SPACES = [pytest.param(lambda r=r: space_from_ref(r, EXACT), id=r)
                 for r in ("classical:1", "classical:2", "classical:3", "classical:4", "square",
                           "dsum:square+classical:2")] + [
     pytest.param(lambda: padded_square(EXACT), id="padded-square"),
     pytest.param(lambda: cube3(EXACT), id="cube3"),
     pytest.param(lambda: octahedron(EXACT), id="octahedron"),
+    pytest.param(lambda: edge_midpoint_square(EXACT), id="edge-midpoint-square"),
+    pytest.param(lambda: irregular_pentagon(EXACT), id="irregular-pentagon"),
 ]
 FLOAT_SPACES = [pytest.param(lambda n=n: make_polygon(n), id=f"polygon:{n}") for n in range(3, 10)] + [
     pytest.param(lambda: cube3(FLOAT), id="cube3"),
     pytest.param(lambda: octahedron(FLOAT), id="octahedron"),
+    pytest.param(lambda: edge_midpoint_square(FLOAT), id="edge-midpoint-square"),
+    pytest.param(lambda: irregular_pentagon(FLOAT), id="irregular-pentagon"),
 ]
+# every space of ambient dimension 3 that the suite builds, on both backends
+RAY_PATH_SPACES = [
+    pytest.param(p.values[0], id=f"{p.id}-{backend}")
+    for backend, params in (("exact", EXACT_SPACES), ("float", FLOAT_SPACES)) for p in params
+    if p.values[0]().ambient_dim == 3
+] + [pytest.param(lambda r=r: space_from_ref(r, FLOAT), id=f"{r}-float")
+     for r in ("square", "classical:3", "polygon:10", "polygon:11", "polygon:12")]
 
 
 def _close(a, b):
@@ -211,6 +244,13 @@ def test_float_enumerations_match_the_per_subset_oracle(make):
     assert len(got) == len(want)
     assert all(len(a) == len(b) and all(_close(e, f) for e, f in zip(a, b))
                for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("make", RAY_PATH_SPACES)
+def test_ray_path_gives_the_walks_extreme_effects(make):
+    sp = make()
+    assert sp.ambient_dim == 3 and not sp.summands
+    assert repr(sp.extreme_effects()) == repr(sp._extreme_points(sp._subset_walk()))
 
 
 def test_walk_visits_independent_subsets_by_size_then_lexicographically():

@@ -303,6 +303,46 @@ def test_lp_verdict_carries_verified_witness():
     assert verify_sim_witness(mixed, list(dichotomic_generators(sq)), v.witness)
 
 
+@pytest.mark.parametrize("ref,ctx,count", [("polygon:5", FLOAT, 5), ("polygon:6", FLOAT, 3),
+                                           ("square", EXACT, 2), ("classical:3", EXACT, 3)],
+                         ids=["polygon:5", "polygon:6", "square-exact", "classical:3-exact"])
+def test_dichotomic_generators_keep_one_of_each_complementary_pair(ref, ctx, count):
+    """Each generator (f, u-f) stands for itself and its relabelling
+    (u-f, f): together they hold every extreme effect once as the first
+    effect."""
+    sp = space_from_ref(ref, ctx)
+    gens = dichotomic_generators(sp)
+    assert len(gens) == count
+    firsts = [e for g in gens for e in (g.effects, g.effects[::-1])]
+    assert len(firsts) == len(sp.extreme_effects())
+    for f in sp.extreme_effects():
+        assert sum(all(map(ctx.eq, f, e[0])) for e in firsts) == 1
+
+
+def test_dropping_relabelled_generators_keeps_every_verdict():
+    """Simulation by the generators and by them with their relabellings
+    gives the same verdict on noisy random observables and on noisy
+    trichotomic irreducibles, some simulable and some not (on the square
+    every observable is)."""
+    rng = random.Random(33)
+    verdicts = []
+    for ref in ("polygon:5", "polygon:6", "square", "classical:3"):
+        sp = space_from_ref(ref)
+        gens = dichotomic_generators(sp)
+        both = list(gens) + [observable(sp, g.effects[::-1]) for g in gens]
+        irr = [o for o in enumerate_irreducibles(sp) if o.n_outcomes == 3][:2]
+        for _ in range(10):
+            targets = [random_observable(sp, rng.choice((3, 4)), rng, margin=1.0)]
+            for o in irr:
+                w = rng.uniform(0.3, 1.0)
+                targets.append(mix_observables((w, 1 - w), (o, uniform_trivial(sp, 3))))
+            for a in targets:
+                verdict = is_simulable(a, gens) is not None
+                assert verdict == (is_simulable(a, both) is not None)
+                verdicts.append(verdict)
+    assert any(verdicts) and not all(verdicts)
+
+
 @pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
 def test_verdicts_that_need_generating_geometry_refuse_a_padded_space(ctx):
     """The padded square's vertices span a proper subspace, so it has no

@@ -369,8 +369,20 @@ def test_effects_of_the_wrong_length_are_refused(space, effect, call):
 
 # -------------------------------------------------------------- extreme effects
 def test_extreme_effect_counts():
-    assert len(make_polygon(6).extreme_effects()) == 6
-    assert len(make_polygon(5).extreme_effects()) == 10   # lower and upper families
+    """An even n-gon's extreme effects are the n points
+    ``polygon_extreme_even``; an odd one's the n lower points
+    ``polygon_extreme_odd`` and their n complements.  Compared as sets."""
+    for n in range(3, 13):
+        sp = make_polygon(n)
+        if n % 2 == 0:
+            want = [polygon_extreme_even(n, k) for k in range(1, n + 1)]
+        else:
+            lower = [polygon_extreme_odd(n, k) for k in range(1, n + 1)]
+            want = lower + [tuple(u - x for u, x in zip(sp.unit, g)) for g in lower]
+        got = sp.extreme_effects()
+        assert len(got) == len(want), n
+        for e in want:
+            assert sum(all(abs(a - b) <= 1e-12 for a, b in zip(e, f)) for f in got) == 1, n
     assert len(make_classical(3).extreme_effects()) == 6  # cube vertices minus o, u
 
 
